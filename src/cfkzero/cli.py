@@ -37,6 +37,7 @@ from .knots import (
     p_knot,
     parse_expr,
     staircase_from_alexander,
+    sum_gamma0,
     sum_with_T2,
     tau_cable_formula,
 )
@@ -230,11 +231,6 @@ def _criterion3_hosts() -> list[tuple[int, ...]]:
     return hosts
 
 
-def _pipeline_gamma0(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
-    product = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
-    return extract_gamma0_with_loops(simplify_basis(product.reduce()))[0]
-
-
 def _check_sum_oracle() -> tuple[bool, str]:
     count = 0
     for host in _criterion3_hosts():
@@ -243,7 +239,7 @@ def _check_sum_oracle() -> tuple[bool, str]:
             for sign in (1, -1):
                 other = torus_seq if sign > 0 else tuple(-e for e in torus_seq)
                 closed = sum_with_T2(host, q, sign)
-                piped = _pipeline_gamma0(host, other)
+                piped, _ = sum_gamma0(host, other)
                 if closed != piped:
                     return False, (
                         f"host {list(host)}, q={q}, sign={sign}: closed {list(closed)} "

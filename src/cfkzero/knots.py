@@ -8,8 +8,8 @@ torus knots, mirrors, connected sums, and (2, q)-cables:
     atom := 'T(' int ',' int ')' | 'C2(' int ';' expr ')' | 'U' | '(' expr ')'
 
 Evaluation produces the gamma_0 parameter sequence of the knot.  Mirrors
-negate the sequence, connected sums run the tensor -> reduce -> simplify ->
-extract pipeline on standard-complex representatives (sound because local
+negate the sequence, connected sums run the tensor -> simplify -> extract
+pipeline on standard-complex representatives (sound because local
 equivalence is preserved by tensoring), and (2, q)-cables of staircases carry
 the closed-form sequence transform, verified elsewhere against the pipeline.
 """
@@ -402,10 +402,7 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     if isinstance(expr, Sum):
         left = eval_expr(expr.left)
         right = eval_expr(expr.right)
-        product = seq_to_complex(left.sequence, prefix="l").tensor(
-            seq_to_complex(right.sequence, prefix="r")
-        )
-        seq, loops = extract_gamma0_with_loops(simplify_basis(product.reduce()))
+        seq, loops = sum_gamma0(left.sequence, right.sequence)
         cx = None
         if (
             left.complex is not None
@@ -415,6 +412,17 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
             cx = left.complex.tensor(right.complex)
         return EvalResult(seq, cx, left.loop_count + right.loop_count + loops)
     raise EvalError(f"unknown expression node {expr!r}")
+
+
+def sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
+    """gamma_0 of a connected sum and the number of closed loops its
+    simplified tensor product sheds.
+
+    Standard complexes have no unit arrows, and neither do their tensor
+    products, so the product goes straight to basis simplification.
+    """
+    product = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
+    return extract_gamma0_with_loops(simplify_basis(product))
 
 
 def gamma0_of(expr: KnotExpr) -> Seq:

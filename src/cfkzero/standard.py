@@ -15,6 +15,7 @@ top Alexander grading of gamma_0.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from .complexes import ChainComplex, Generator, InvalidComplexError, KnotlikeErr
 
 Seq = tuple[int, ...]
 
-SIMPLIFY_PASS_CAP = 10_000
+SIMPLIFY_PASS_CAP = 10_000  # merge budget floor
+MERGES_PER_ARROW = 16  # merge budget per input arrow
 
 
 class SequenceError(ValueError):
@@ -33,7 +35,7 @@ class SequenceError(ValueError):
 
 
 class SimplifyError(ValueError):
-    """Basis simplification did not reach a fixpoint within the pass cap."""
+    """Basis simplification did not reach a fixpoint within the merge cap."""
 
 
 def validate_seq(entries: Iterable[int]) -> Seq:
@@ -157,163 +159,155 @@ def seq_to_complex(seq: Sequence[int], mode: Mode = Mode.UVZERO, prefix: str = "
 # -- basis simplification ---------------------------------------------------
 
 
-def simplify_basis(cx: ChainComplex, pass_cap: int = SIMPLIFY_PASS_CAP) -> ChainComplex:
+def simplify_basis(cx: ChainComplex) -> ChainComplex:
     """Filtered change of basis until every generator meets at most one
     incoming and one outgoing arrow of each type.
 
     Conflicts are resolved by merging toward the shorter arrow: two arrows
     U^{k1}, U^{k2} out of one generator (k1 <= k2) are combined by replacing
     the shorter target y1 with y1 + U^{k2-k1} y2, deleting the longer arrow;
-    incoming conflicts and vertical arrows mirror this.  Equal-power merges
-    work in both directions and can shuffle the other arrow type, so the
-    scheduler greedily picks the candidate creating the fewest new entries
-    and restarts with a reseeded preference order if the state ever repeats.
+    incoming conflicts and vertical arrows mirror this.  The search works on
+    integer generator indices and keeps a worklist of conflicted generators
+    whose arrows, or whose neighbours' arrows, changed since their candidate
+    merges were last scored.  Each popped generator takes its most
+    entry-reducing merge.  Once no merge anywhere reduces the entry count,
+    the scored neutral and entry-adding merges are tried, fewest new entries
+    first, skipping any that return to a state already visited; a dead end
+    restarts the search with a reseeded preference order.
 
-    The cap bounds total merges.  A complex whose closed components carry a
-    nontrivial local system (an indecomposable band of multiplicity two or
-    more) has no basis of the target shape at all, and such inputs fail
-    loudly; knot complexes built here never produce them.
+    Merges are capped at 16 per input arrow, and at no fewer than 10,000;
+    a search that exhausts the cap raises SimplifyError.  A closed component
+    whose local system is an indecomposable block of size two or more, such
+    as a 2x2 Jordan block, comes out as one loop running twice as long.
     """
     if cx.mode is not Mode.UVZERO:
         raise InvalidComplexError("simplify_basis expects a UV = 0 complex")
-    base = _MonoMatrix.from_complex(cx)
-    for (tgt, src), (a, b) in base.items():
+    names = cx.ids()
+    index = {name: i for i, name in enumerate(names)}
+    base = _MonoMatrix(cx.mode)
+    for (tgt, src), elem in cx.diff.items():
+        a, b = elem.sole_term()
         if a == 0 and b == 0:
             raise InvalidComplexError("simplify_basis expects a reduced complex")
-    budget = [pass_cap]
+        base.add(index[tgt], index[src], a, b)
+    budget = [max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * base.count)]
     mat = _simplify_matrix(base, budget)
-    out = ChainComplex(cx.gens, mat.to_diff(cx.mode), cx.mode)
-    return out.require_valid()
+    diff = {
+        (names[tgt], names[src]): RingElem.monomial(a, b, cx.mode)
+        for (tgt, src), (a, b) in mat.items()
+    }
+    return ChainComplex(cx.gens, diff, cx.mode).require_valid()
 
 
 _SIMPLIFY_ATTEMPTS = 16
 
-Move = tuple[str, str, int, bool]  # kept, absorbed, delta, horizontal
+Move = tuple[int, int, int, bool]  # kept, absorbed, delta, horizontal
 
 
-def _simplify_matrix(mat: _MonoMatrix, budget: list[int]) -> _MonoMatrix:
-    """Search for a conflict-free basis, one connected component at a time.
-
-    Merges never join arrow-graph components, so each component is searched
-    in isolation; whenever cancellations split a component further, the
-    search recurses on the pieces.  Within one component the walk never
-    revisits a state, and on a dead end it restarts with a reshuffled
-    preference order.
-    """
-    if not mat.conflicted:
-        return mat
-    parts = _components(mat)
-    if len(parts) > 1:
-        out = _MonoMatrix(mat.mode)
-        for part in sorted(parts, key=lambda p: (len(p), min(p))):
-            sub = _simplify_matrix(_restrict(mat, part), budget)
-            for (tgt, src), (a, b) in sub.items():
-                out.add(tgt, src, a, b)
-        return out
+def _simplify_matrix(base: _MonoMatrix, budget: list[int]) -> _MonoMatrix:
+    """Search for a conflict-free basis, restarting with a reshuffled
+    preference order whenever a search reaches a dead end."""
     for attempt in range(_SIMPLIFY_ATTEMPTS):
-        work = mat.copy()
-        rng = random.Random(attempt) if attempt else None
-        seen = {work.zhash}
-        shrunk = 0
-        low_water = work.count
-        while budget[0] > 0:
-            if not work.conflicted:
-                return work
-            if work.count < low_water:
-                shrunk += low_water - work.count
-                low_water = work.count
-                # cancellations are what disconnect pieces; checking after a
-                # batch of them keeps the component scan off the hot path
-                if shrunk >= 16:
-                    shrunk = 0
-                    if len(_components(work)) > 1:
-                        return _simplify_matrix(work, budget)
-            if not _step(work, seen, rng, budget):
-                break
+        work = base.copy()
+        if _search(work, random.Random(attempt) if attempt else None, budget):
+            return work
         if budget[0] <= 0:
             break
     raise SimplifyError(
-        "no simplified basis within the merge cap; the input is not knot-like "
-        "or a closed component carries a nontrivial local system"
+        "no simplified basis within the merge cap and restarts; the input is "
+        "not knot-like"
     )
 
 
-def _step(work: _MonoMatrix, seen: set[int], rng: random.Random | None, budget: list[int]) -> bool:
-    """Apply one merge leading to an unseen state; False on a dead end.
+def _search(work: _MonoMatrix, rng: random.Random | None, budget: list[int]) -> bool:
+    """Merge until `work` has no conflict; False on a dead end or when the
+    budget runs out.
 
-    Entry-reducing candidates are taken as soon as they are found; the rest
-    are retried in order of the net entries they would create.
+    `scored` caches the candidate merges of every conflicted generator that
+    is not queued.  A merge changes only the arrows at the two merged
+    generators, at the targets of the absorbed one and at the sources of the
+    kept one, and a candidate's score reads only the arrows at its own two
+    generators, so re-queueing those generators and their neighbours keeps
+    every cached score exact.  Every accepted state joins `seen`; a merge
+    reaching a new lowest entry count is accepted without the lookup, since
+    no earlier state had so few entries.
     """
+    seen = {work.zhash}
+    low_water = work.count
+    scored: dict[int, list[tuple[int, Move]]] = {}
+    queue: list[tuple[float, int]] = []
+    queued: set[int] = set()
 
-    def attempt(move: Move) -> bool:
-        # a char-2 basis change is an involution, so a rejected candidate is
-        # undone by applying it again
-        _basis_change(work, *move)
-        budget[0] -= 1
-        if work.zhash not in seen:
-            seen.add(work.zhash)
-            return True
-        _basis_change(work, *move)
-        return False
+    def enqueue(gens: Iterable[int]) -> None:
+        for g in gens:
+            scored.pop(g, None)
+            if g in work.conflicted and g not in queued:
+                queued.add(g)
+                heapq.heappush(queue, (rng.random() if rng else g, g))
 
-    gens = sorted(work.conflicted)
-    if rng is not None:
-        rng.shuffle(gens)
-    deferred: list[tuple[int, int, Move]] = []
-    considered: set[Move] = set()
-    for gen in gens:
-        moves = _moves_at(work, gen)
-        if rng is not None:
-            rng.shuffle(moves)
-        for move in moves:
-            if move in considered:
+    enqueue(sorted(work.conflicted))
+    while work.conflicted:
+        fallback = not queue
+        if fallback:
+            # no reducing merge is left: every conflicted generator is scored
+            pool: dict[Move, int] = {}
+            for gen in sorted(work.conflicted):
+                for score, move in scored[gen]:
+                    pool.setdefault(move, score)
+            candidates = sorted(pool, key=pool.__getitem__)
+        else:
+            _, gen = heapq.heappop(queue)
+            queued.discard(gen)
+            if gen not in work.conflicted:
                 continue
-            considered.add(move)
-            score = _move_score(work, move)
-            if score <= -1:
-                if budget[0] <= 0:
-                    return False
-                if attempt(move):
-                    return True
-            else:
-                deferred.append((score, len(deferred), move))
-    deferred.sort()
-    for _, _, move in deferred:
-        if budget[0] <= 0:
-            return False
-        if attempt(move):
-            return True
-    return False
+            scored[gen] = _scored_moves(work, gen, rng)
+            candidates = [move for score, move in scored[gen] if score < 0]
+        for move in candidates:
+            if budget[0] <= 0:
+                return False
+            budget[0] -= 1
+            # a char-2 basis change is an involution, so applying it again
+            # undoes a rejected candidate
+            _basis_change(work, *move)
+            if work.count < low_water or work.zhash not in seen:
+                seen.add(work.zhash)
+                low_water = min(low_water, work.count)
+                enqueue(_affected(work, move[0], move[1]))
+                break
+            _basis_change(work, *move)
+        else:
+            if fallback:
+                return False
+    return True
 
 
-def _components(mat: _MonoMatrix) -> list[set[str]]:
-    """Connected components of the arrow graph (isolated generators omitted)."""
-    parent: dict[str, str] = {}
+def _scored_moves(work: _MonoMatrix, gen: int, rng: random.Random | None) -> list[tuple[int, Move]]:
+    """The candidate merges at a generator with their scores, most reducing
+    first.
 
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for (tgt, src), _ in mat.items():
-        parent.setdefault(tgt, tgt)
-        parent.setdefault(src, src)
-        parent[find(tgt)] = find(src)
-    parts: dict[str, set[str]] = {}
-    for g in parent:
-        parts.setdefault(find(g), set()).add(g)
-    return list(parts.values())
+    At delta 0 the horizontal and vertical forms of a merge are one basis
+    change, so both take the horizontal form, and the fallback pool holds
+    it once; otherwise the second would be tried after the first and lead
+    straight back to the previous state.
+    """
+    moves = [
+        (kept, absorbed, 0, True) if delta == 0 else (kept, absorbed, delta, horizontal)
+        for kept, absorbed, delta, horizontal in _moves_at(work, gen)
+    ]
+    if rng is not None:
+        rng.shuffle(moves)
+    return sorted(((_move_score(work, move), move) for move in moves), key=lambda sm: sm[0])
 
 
-def _restrict(mat: _MonoMatrix, gens: set[str]) -> _MonoMatrix:
-    sub = _MonoMatrix(mat.mode)
-    for (tgt, src), (a, b) in mat.items():
-        if tgt in gens:
-            sub.add(tgt, src, a, b)
-    return sub
+def _affected(work: _MonoMatrix, kept: int, absorbed: int) -> set[int]:
+    """Generators whose candidate merges a merge of `absorbed` into `kept`
+    may have changed: every generator it touched, and their neighbours."""
+    touched = {kept, absorbed, *work.cols.get(absorbed, ()), *work.rows.get(kept, ())}
+    out = set(touched)
+    for g in touched:
+        out.update(work.rows.get(g, ()))
+        out.update(work.cols.get(g, ()))
+    return out
 
 
 def _is_type(mono: tuple[int, int], horizontal: bool) -> bool:
@@ -325,7 +319,7 @@ def _power(mono: tuple[int, int]) -> int:
     return mono[0] or mono[1]
 
 
-def _moves_at(mat: _MonoMatrix, gen: str) -> list[Move]:
+def _moves_at(mat: _MonoMatrix, gen: int) -> list[Move]:
     """Candidate merges for the conflicts at one generator.
 
     An outgoing conflict merges two targets toward the shorter arrow, an
@@ -352,14 +346,6 @@ def _moves_at(mat: _MonoMatrix, gen: str) -> list[Move]:
     return moves
 
 
-def _conflict_moves(mat: _MonoMatrix) -> list[Move]:
-    """All candidate merges, for every conflicted generator."""
-    moves: list[Move] = []
-    for gen in sorted(mat.conflicted):
-        moves.extend(_moves_at(mat, gen))
-    return moves
-
-
 def _move_score(mat: _MonoMatrix, move: Move) -> int:
     """Net entries created by a merge; cancellations count negative."""
     kept, absorbed, delta, horizontal = move
@@ -378,7 +364,7 @@ def _move_score(mat: _MonoMatrix, move: Move) -> int:
     return net
 
 
-def _basis_change(mat: _MonoMatrix, kept: str, absorbed: str, delta: int, horizontal: bool) -> None:
+def _basis_change(mat: _MonoMatrix, kept: int, absorbed: int, delta: int, horizontal: bool) -> None:
     """Replace the basis element `kept` by kept + X^delta * absorbed.
 
     The boundary of the new element gains X^delta times the boundary of

@@ -39,6 +39,15 @@ def test_gamma0_json(capsys):
     assert json.loads(out) == {"expr": "T(2,3)", "gamma0": [1, -1]}
 
 
+def test_cable_difference_in_both_summand_orders(capsys):
+    # both q exceed 4g(T(5,6)) = 40, so the regime rule gives the staircase
+    # of T(2,5) whichever summand comes first
+    for text in ("C2(61;T(5,6)) # -C2(57;T(5,6))", "-C2(57;T(5,6)) # C2(61;T(5,6))"):
+        code, out, _ = run(capsys, "gamma0", text)
+        assert code == 0
+        assert out == "[1,-1,1,-1]\n"
+
+
 def test_invariants_of_the_trefoil(capsys):
     code, out, _ = run(capsys, "invariants", "T(2,3)")
     assert code == 0

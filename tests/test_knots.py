@@ -22,13 +22,11 @@ from cfkzero.knots import (
     p_knot,
     parse_expr,
     staircase_from_alexander,
+    sum_gamma0,
     sum_with_T2,
     tau_cable_formula,
 )
 from cfkzero.standard import (
-    extract_gamma0_with_loops,
-    seq_to_complex,
-    simplify_basis,
     tau,
     top_alexander,
     validate_seq,
@@ -39,8 +37,7 @@ T45_CABLE_27 = (1, -7, 1, -1, 1, -5, 1, -1, 1, -1, 1, -3, 1, -1,
 
 
 def pipeline(s1, s2):
-    product = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
-    return extract_gamma0_with_loops(simplify_basis(product.reduce()))[0]
+    return sum_gamma0(s1, s2)[0]
 
 
 # -- parser -------------------------------------------------------------------

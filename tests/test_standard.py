@@ -124,6 +124,23 @@ def test_simplify_reaches_a_fixpoint_on_a_mixed_tensor():
     split_components(simplified)  # raises if any generator is overloaded
 
 
+def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
+    # two boxes p -> q (U), p -> r (V), q -> s (V), r -> s (U), joined by an
+    # extra arrow r2 -> s1 (U): a closed component whose local system is a
+    # 2x2 Jordan block, so no basis splits it into two 4-generator boxes
+    U, V = RingElem.monomial(1, 0, Mode.UVZERO), RingElem.monomial(0, 1, Mode.UVZERO)
+    gens, diff = [], {}
+    for i in (1, 2):
+        p, q, r, s = (f"{x}{i}" for x in "pqrs")
+        gens += [Generator(p, 0, 0), Generator(q, 1, -1), Generator(r, -1, 1), Generator(s, 0, 0)]
+        diff.update({(q, p): U, (r, p): V, (s, q): V, (s, r): U})
+    diff[("s1", "r2")] = U
+    cx = ChainComplex(gens, diff, Mode.UVZERO).require_valid()
+    simplified = simplify_basis(cx)
+    assert len(simplified.diff) == 8
+    assert split_components(simplified) == ([], 1)
+
+
 def test_full_ring_pipeline_through_the_quotient():
     # tensor over F2[U,V], then quotient, reduce, simplify, extract
     left = seq_to_complex((1, -1), Mode.FULL, prefix="x")
