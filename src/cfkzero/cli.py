@@ -10,6 +10,7 @@ parse errors.  All output is byte-deterministic for a fixed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -46,7 +47,6 @@ from .standard import (
     epsilon,
     extract_gamma0_with_loops,
     seq_to_complex,
-    sharpness,
     simplify_basis,
     tau,
     top_alexander,
@@ -102,15 +102,17 @@ def invariant_report(text: str) -> InvariantReport:
     expr = parse_expr(text)
     result = eval_expr(expr)
     seq = result.sequence
-    report = sharpness(genus_of(expr), seq)
+    eps = epsilon(seq)  # the one validation of seq; tau and topA read its walk
+    walk = walk_values(seq)
+    genus = genus_of(expr)
     return InvariantReport(
         expr=text.strip(),
         gamma0=seq,
-        tau=tau(seq),
-        epsilon=epsilon(seq),
-        top_a=report.gamma0_top_a,
-        genus=report.genus,
-        sharp=report.sharp,
+        tau=walk[0],
+        epsilon=eps,
+        top_a=max(walk),
+        genus=genus,
+        sharp=genus == max(walk),
         loop_count=result.loop_count,
     )
 
@@ -133,8 +135,8 @@ def render_svg(seq: Sequence[int]) -> str:
     vertical unit = 40 px.
     """
     s = validate_seq(seq)
-    top = top_alexander(s)
     walk = walk_values(s)
+    top = max(walk)
     width = 2 * (MARGIN + BULGE)
     cx = width // 2
     height = (2 * top + 2) * UNIT + 2 * MARGIN
@@ -426,7 +428,10 @@ def run_paper_checks() -> list[PaperCheck]:
 # -- command dispatch ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: building one costs
+    more than most calls, and parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="cfkzero",
         description="knot Floer standard complexes and the gamma_0 invariant",
@@ -512,6 +517,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")
     return 2

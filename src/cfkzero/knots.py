@@ -16,21 +16,20 @@ the closed-form sequence transform, verified elsewhere against the pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
 
-from .algebra import LaurentPoly, Mode, alexander_torus
-from .complexes import ChainComplex
+from .algebra import LaurentPoly, alexander_torus
 from .standard import (
     Seq,
     extract_gamma0_with_loops,
-    is_staircase,
     mirror_seq,
     normalize_seq,
     seq_to_complex,
     simplify_basis,
-    top_alexander,
+    staircase_shaped,
     validate_seq,
+    walk_values,
 )
 
 
@@ -63,7 +62,10 @@ class Torus:
     def __post_init__(self) -> None:
         if self.p < 2:
             raise ValueError(f"torus knot needs p >= 2, got {self.p}")
-        alexander_torus(self.p, self.q)  # validates coprimality
+        if self.q == 0:
+            raise ValueError("torus parameter q must be nonzero")
+        if math.gcd(self.p, self.q) != 1:
+            raise ValueError(f"torus parameters must be coprime, got ({self.p}, {self.q})")
 
     def __str__(self) -> str:
         return f"T({self.p},{self.q})"
@@ -102,7 +104,9 @@ class Cable2:
         return f"C2({self.q}; {self.inner})"
 
 
-KnotExpr = Union[Unknot, Torus, Mirror, Sum, Cable2]
+# typing.Union would enter typing's cache and keep these classes, and with
+# them every module of the package, alive after a re-import
+KnotExpr = Unknot | Torus | Mirror | Sum | Cable2
 
 
 # -- parser ------------------------------------------------------------------
@@ -227,7 +231,7 @@ def staircase_from_alexander(delta: LaurentPoly) -> Seq:
 
 
 def _staircase_pairs(seq: Seq) -> list[tuple[int, int]]:
-    if not is_staircase(seq):
+    if not staircase_shaped(seq):
         raise ShapeError(f"{list(seq)} is not a staircase sequence")
     return [(seq[i], seq[i + 1]) for i in range(0, len(seq), 2)]
 
@@ -265,7 +269,7 @@ def cable2(seq: Seq, genus: int, q: int) -> Seq:
     s = validate_seq(seq)
     pairs = _staircase_pairs(s)
     regime = CableRegime(genus, q)
-    if genus != top_alexander(s):
+    if genus != max(walk_values(s)):
         raise ShapeError(f"genus {genus} does not match the staircase {list(s)}")
     half: list[int] = []
     for i, (a, b) in enumerate(pairs):
@@ -361,13 +365,9 @@ def tau_cable_formula(tau_k: int, eps_k: int, p: int, q: int) -> int:
 # -- evaluation --------------------------------------------------------------
 
 
-FULL_COMPLEX_CAP = 512
-
-
 @dataclass(frozen=True)
 class EvalResult:
     sequence: Seq
-    complex: ChainComplex | None
     loop_count: int
 
 
@@ -375,42 +375,35 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     """Evaluate an expression to its gamma_0 sequence.
 
     Torus knots become staircases (negated staircases for q < 0), mirrors
-    dualize, sums run the tensor pipeline on standard representatives, and
-    cables use the closed form, which requires a staircase operand.  The
-    full-ring complex is carried along while it exists and stays small; the
-    loop count totals the closed components discarded at every sum.
+    negate, sums run the tensor pipeline on standard representatives, and
+    cables use the closed form, which requires a staircase operand; every
+    sequence is validated where it is made, so the cable branch reads its
+    operand's shape and genus without validating it again.  The loop count
+    totals the closed components discarded at every sum.
     """
     if isinstance(expr, Unknot):
-        return EvalResult((), seq_to_complex((), Mode.FULL), 0)
+        return EvalResult((), 0)
     if isinstance(expr, Torus):
         seq = staircase_from_alexander(alexander_torus(expr.p, expr.q))
         if expr.q < 0:
             seq = mirror_seq(seq)
-        return EvalResult(seq, seq_to_complex(seq, Mode.FULL), 0)
+        return EvalResult(seq, 0)
     if isinstance(expr, Mirror):
         inner = eval_expr(expr.inner)
-        cx = inner.complex.dual() if inner.complex is not None else None
-        return EvalResult(mirror_seq(inner.sequence), cx, inner.loop_count)
+        return EvalResult(mirror_seq(inner.sequence), inner.loop_count)
     if isinstance(expr, Cable2):
         inner = eval_expr(expr.inner)
-        if not is_staircase(inner.sequence):
+        if not staircase_shaped(inner.sequence):
             raise EvalError(
                 f"closed form inapplicable: {expr.inner} is not an L-space staircase"
             )
-        genus = top_alexander(inner.sequence) if inner.sequence else 0
-        return EvalResult(cable2(inner.sequence, genus, expr.q), None, inner.loop_count)
+        genus = max(walk_values(inner.sequence))
+        return EvalResult(cable2(inner.sequence, genus, expr.q), inner.loop_count)
     if isinstance(expr, Sum):
         left = eval_expr(expr.left)
         right = eval_expr(expr.right)
         seq, loops = sum_gamma0(left.sequence, right.sequence)
-        cx = None
-        if (
-            left.complex is not None
-            and right.complex is not None
-            and len(left.complex) * len(right.complex) <= FULL_COMPLEX_CAP
-        ):
-            cx = left.complex.tensor(right.complex)
-        return EvalResult(seq, cx, left.loop_count + right.loop_count + loops)
+        return EvalResult(seq, left.loop_count + right.loop_count + loops)
     raise EvalError(f"unknown expression node {expr!r}")
 
 

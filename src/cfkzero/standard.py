@@ -39,14 +39,14 @@ class SimplifyError(ValueError):
 
 
 def validate_seq(entries: Iterable[int]) -> Seq:
-    seq = tuple(int(e) for e in entries)
-    if any(e == 0 for e in seq):
+    seq = tuple(map(int, entries))
+    if 0 in seq:
         raise SequenceError(f"zero entry in sequence {list(seq)}")
     if len(seq) % 2 != 0:
         raise SequenceError(f"sequence length must be even, got {list(seq)}")
     if tuple(-e for e in reversed(seq)) != seq:
         raise SequenceError(f"sequence {list(seq)} is not reverse-negate symmetric")
-    if sum(_delta_a(seq)) % 2 != 0:
+    if (sum(seq[1::2]) - sum(seq[0::2])) % 2 != 0:  # the walk sum, sum(_delta_a(seq))
         raise SequenceError(f"sequence {list(seq)} has an odd Alexander walk sum")
     return seq
 
@@ -92,7 +92,7 @@ def normalize_seq(seq: Sequence[int]) -> Seq:
 
 def mirror_seq(seq: Sequence[int]) -> Seq:
     """Sequence of the mirror knot: entrywise negation."""
-    return validate_seq(tuple(-e for e in validate_seq(seq)))
+    return tuple(-e for e in validate_seq(seq))  # negation keeps every check
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,10 @@ def sharpness(genus: int, seq: Sequence[int]) -> SharpnessReport:
     return SharpnessReport(genus, top_alexander(seq))
 
 
-def is_staircase(seq: Sequence[int]) -> bool:
-    """True for L-space staircase shapes: signs strictly alternate +, -, +, ..."""
-    try:
-        s = validate_seq(seq)
-    except SequenceError:
-        return False
-    return all((e > 0) == (i % 2 == 0) for i, e in enumerate(s))
+def staircase_shaped(seq: Seq) -> bool:
+    """True when a validated sequence has the L-space staircase shape: signs
+    strictly alternate +, -, +, ..."""
+    return all((e > 0) == (i % 2 == 0) for i, e in enumerate(seq))
 
 
 def seq_to_complex(seq: Sequence[int], mode: Mode = Mode.UVZERO, prefix: str = "z") -> ChainComplex:

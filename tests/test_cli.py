@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import cfkzero.cli as cli
 from cfkzero.cli import main, render_svg
 
@@ -102,6 +104,46 @@ def test_eval_error_exit_code(capsys):
     code, _, err = run(capsys, "gamma0", "C2(3; C2(-1; T(2,3)))")
     assert code == 2
     assert "closed form inapplicable" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 600 + "T(2,3)" + ")" * 600, " # ".join(["T(2,3)"] * 1200)],
+    ids=["600-parentheses", "1200-term-sum"],
+)
+def test_deep_nesting_exits_2(capsys, text):
+    code, out, err = run(capsys, "gamma0", text)
+    assert (code, out, err) == (2, "", "error: expression nested too deeply\n")
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(capsys):
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    argvs = [
+        ["gamma0", "T(2,3)", "--json"],
+        ["gamma0", "T(2,3)"],
+        ["equiv", "C2(5;T(2,3)) # T(2,7)", "C2(7;T(2,3)) # T(2,5)"],
+        ["invariants", "C2(-1;T(2,3))"],
+        ["gamma0", "T(2,3)", "--bogus"],
+        ["invariants", "T(2,3)", "--json"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    reused = [call(argv) for argv in argvs]
+    assert cli.build_parser() is parser
+    assert reused == fresh
+    assert reused[1] == (0, "[1,-1]\n", "")
+    assert reused[2][0] == 0 and reused[4][0] == 2
 
 
 def test_svg_t45_has_six_right_arcs(tmp_path, capsys):

@@ -239,12 +239,10 @@ def test_eval_examples():
     assert gamma0_of(Unknot()) == ()
 
 
-def test_eval_reports_loops_and_carries_the_full_complex():
+def test_eval_reports_loops():
     result = eval_expr(Sum(Torus(2, 3), Torus(2, 3)))
     assert result.sequence == (1, -1, 1, -1)
     assert result.loop_count == 1
-    assert result.complex is not None and len(result.complex) == 9
-    assert result.complex.validate() is None
 
 
 def test_eval_cable_requires_a_staircase():
