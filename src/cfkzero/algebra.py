@@ -95,10 +95,6 @@ class RingElem:
     def is_unit(self) -> bool:
         return self.terms == frozenset({(0, 0)})
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def sole_term(self) -> tuple[int, int]:
         """The unique monomial of a one-term element."""
         if len(self.terms) != 1:
@@ -214,12 +210,6 @@ class LaurentPoly:
         return 0
 
     @property
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return self.coeffs[0][0]
-
-    @property
     def max_exp(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no exponents")
@@ -262,11 +252,6 @@ def _poly_divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laure
             rem[e + top - lead_exp] = rem.get(e + top - lead_exp, 0) - factor * dc
         rem = {e: c for e, c in rem.items() if c != 0}
     return LaurentPoly.from_dict(quo), LaurentPoly.from_dict(rem)
-
-
-def laurent_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Convolution product; same as ``p * q``."""
-    return p * q
 
 
 def alexander_torus(p: int, q: int) -> LaurentPoly:

@@ -428,10 +428,7 @@ def run_paper_checks() -> list[PaperCheck]:
 # -- command dispatch ---------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use: building one costs
-    more than most calls, and parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="cfkzero",
         description="knot Floer standard complexes and the gamma_0 invariant",
@@ -461,8 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: building one costs
+    more than most calls, and parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "gamma0":

@@ -99,12 +99,6 @@ class ChainComplex:
     def entry(self, tgt: str, src: str) -> RingElem:
         return self.diff.get((tgt, src), RingElem.zero(self.mode))
 
-    def arrows_from(self, src: str) -> dict[str, RingElem]:
-        return {t: e for (t, s), e in self.diff.items() if s == src}
-
-    def arrows_into(self, tgt: str) -> dict[str, RingElem]:
-        return {s: e for (t, s), e in self.diff.items() if t == tgt}
-
     def __len__(self) -> int:
         return len(self.gens)
 

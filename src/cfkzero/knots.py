@@ -24,7 +24,6 @@ from .standard import (
     Seq,
     extract_gamma0_with_loops,
     mirror_seq,
-    normalize_seq,
     seq_to_complex,
     simplify_basis,
     staircase_shaped,
@@ -423,9 +422,9 @@ def gamma0_of(expr: KnotExpr) -> Seq:
 
 
 def locally_equivalent(e1: KnotExpr, e2: KnotExpr) -> bool:
-    """Two expressions are locally equivalent iff their normalized gamma_0
-    sequences agree."""
-    return normalize_seq(gamma0_of(e1)) == normalize_seq(gamma0_of(e2))
+    """Two expressions are locally equivalent iff their gamma_0 sequences
+    agree."""
+    return gamma0_of(e1) == gamma0_of(e2)
 
 
 def p_knot(companion: KnotExpr, q1: int, q2: int) -> KnotExpr:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,8 +45,7 @@ def validate_seq(entries: Iterable[int]) -> Seq:
         raise SequenceError(f"sequence length must be even, got {list(seq)}")
     if tuple(-e for e in reversed(seq)) != seq:
         raise SequenceError(f"sequence {list(seq)} is not reverse-negate symmetric")
-    if (sum(seq[1::2]) - sum(seq[0::2])) % 2 != 0:  # the walk sum, sum(_delta_a(seq))
-        raise SequenceError(f"sequence {list(seq)} has an odd Alexander walk sum")
+    # symmetry makes the walk sum even: entries i and n-1-i add -2*seq[i]
     return seq
 
 
@@ -83,11 +81,6 @@ def epsilon(seq: Sequence[int]) -> int:
     if not s:
         return 0
     return 1 if s[0] > 0 else -1
-
-
-def normalize_seq(seq: Sequence[int]) -> Seq:
-    """Canonical representative; the reverse-negate symmetry already fixes it."""
-    return validate_seq(seq)
 
 
 def mirror_seq(seq: Sequence[int]) -> Seq:
@@ -163,14 +156,17 @@ def simplify_basis(cx: ChainComplex) -> ChainComplex:
     Conflicts are resolved by merging toward the shorter arrow: two arrows
     U^{k1}, U^{k2} out of one generator (k1 <= k2) are combined by replacing
     the shorter target y1 with y1 + U^{k2-k1} y2, deleting the longer arrow;
-    incoming conflicts and vertical arrows mirror this.  The search works on
-    integer generator indices and keeps a worklist of conflicted generators
-    whose arrows, or whose neighbours' arrows, changed since their candidate
-    merges were last scored.  Each popped generator takes its most
-    entry-reducing merge.  Once no merge anywhere reduces the entry count,
-    the scored neutral and entry-adding merges are tried, fewest new entries
-    first, skipping any that return to a state already visited; a dead end
-    restarts the search with a reseeded preference order.
+    incoming conflicts and vertical arrows mirror this.  One deterministic
+    search runs on integer generator indices and keeps a worklist of
+    conflicted generators whose arrows, or whose neighbours' arrows, changed
+    since their candidate merges were last scored.  Each popped generator
+    takes its most entry-reducing merge.  Once no merge anywhere reduces the
+    entry count, the scored neutral and entry-adding merges are tried,
+    fewest new entries first, skipping any that return to a state already
+    visited.  At a dead end, where every candidate returns to a visited
+    state, the search forgets the visited states and carries on from where
+    it stands; nothing restarts.  The result does not depend on the path
+    taken: gamma_0 and the loop count are invariants of the complex.
 
     Merges are capped at 16 per input arrow, and at no fewer than 10,000;
     a search that exhausts the cap raises SimplifyError.  A closed component
@@ -181,14 +177,13 @@ def simplify_basis(cx: ChainComplex) -> ChainComplex:
         raise InvalidComplexError("simplify_basis expects a UV = 0 complex")
     names = cx.ids()
     index = {name: i for i, name in enumerate(names)}
-    base = _MonoMatrix(cx.mode)
+    mat = _MonoMatrix(cx.mode)
     for (tgt, src), elem in cx.diff.items():
         a, b = elem.sole_term()
         if a == 0 and b == 0:
             raise InvalidComplexError("simplify_basis expects a reduced complex")
-        base.add(index[tgt], index[src], a, b)
-    budget = [max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * base.count)]
-    mat = _simplify_matrix(base, budget)
+        mat.add(index[tgt], index[src], a, b)
+    _search(mat, max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * mat.count))
     diff = {
         (names[tgt], names[src]): RingElem.monomial(a, b, cx.mode)
         for (tgt, src), (a, b) in mat.items()
@@ -196,29 +191,12 @@ def simplify_basis(cx: ChainComplex) -> ChainComplex:
     return ChainComplex(cx.gens, diff, cx.mode).require_valid()
 
 
-_SIMPLIFY_ATTEMPTS = 16
-
 Move = tuple[int, int, int, bool]  # kept, absorbed, delta, horizontal
 
 
-def _simplify_matrix(base: _MonoMatrix, budget: list[int]) -> _MonoMatrix:
-    """Search for a conflict-free basis, restarting with a reshuffled
-    preference order whenever a search reaches a dead end."""
-    for attempt in range(_SIMPLIFY_ATTEMPTS):
-        work = base.copy()
-        if _search(work, random.Random(attempt) if attempt else None, budget):
-            return work
-        if budget[0] <= 0:
-            break
-    raise SimplifyError(
-        "no simplified basis within the merge cap and restarts; the input is "
-        "not knot-like"
-    )
-
-
-def _search(work: _MonoMatrix, rng: random.Random | None, budget: list[int]) -> bool:
-    """Merge until `work` has no conflict; False on a dead end or when the
-    budget runs out.
+def _search(work: _MonoMatrix, budget: int) -> None:
+    """Merge until `work` has no conflict; SimplifyError once `budget`
+    merges have been tried.
 
     `scored` caches the candidate merges of every conflicted generator that
     is not queued.  A merge changes only the arrows at the two merged
@@ -227,12 +205,13 @@ def _search(work: _MonoMatrix, rng: random.Random | None, budget: list[int]) -> 
     generators, so re-queueing those generators and their neighbours keeps
     every cached score exact.  Every accepted state joins `seen`; a merge
     reaching a new lowest entry count is accepted without the lookup, since
-    no earlier state had so few entries.
+    no earlier state had so few entries.  `seen` stops neutral merges from
+    undoing each other, so it is cleared, not dropped, at a dead end.
     """
     seen = {work.zhash}
     low_water = work.count
     scored: dict[int, list[tuple[int, Move]]] = {}
-    queue: list[tuple[float, int]] = []
+    queue: list[int] = []
     queued: set[int] = set()
 
     def enqueue(gens: Iterable[int]) -> None:
@@ -240,9 +219,9 @@ def _search(work: _MonoMatrix, rng: random.Random | None, budget: list[int]) -> 
             scored.pop(g, None)
             if g in work.conflicted and g not in queued:
                 queued.add(g)
-                heapq.heappush(queue, (rng.random() if rng else g, g))
+                heapq.heappush(queue, g)
 
-    enqueue(sorted(work.conflicted))
+    enqueue(work.conflicted)
     while work.conflicted:
         fallback = not queue
         if fallback:
@@ -253,16 +232,18 @@ def _search(work: _MonoMatrix, rng: random.Random | None, budget: list[int]) -> 
                     pool.setdefault(move, score)
             candidates = sorted(pool, key=pool.__getitem__)
         else:
-            _, gen = heapq.heappop(queue)
+            gen = heapq.heappop(queue)
             queued.discard(gen)
             if gen not in work.conflicted:
                 continue
-            scored[gen] = _scored_moves(work, gen, rng)
+            scored[gen] = _scored_moves(work, gen)
             candidates = [move for score, move in scored[gen] if score < 0]
         for move in candidates:
-            if budget[0] <= 0:
-                return False
-            budget[0] -= 1
+            if budget <= 0:
+                raise SimplifyError(
+                    "no simplified basis within the merge cap; the input is not knot-like"
+                )
+            budget -= 1
             # a char-2 basis change is an involution, so applying it again
             # undoes a rejected candidate
             _basis_change(work, *move)
@@ -274,11 +255,10 @@ def _search(work: _MonoMatrix, rng: random.Random | None, budget: list[int]) -> 
             _basis_change(work, *move)
         else:
             if fallback:
-                return False
-    return True
+                seen = {work.zhash}  # dead end: forget the visited states
 
 
-def _scored_moves(work: _MonoMatrix, gen: int, rng: random.Random | None) -> list[tuple[int, Move]]:
+def _scored_moves(work: _MonoMatrix, gen: int) -> list[tuple[int, Move]]:
     """The candidate merges at a generator with their scores, most reducing
     first.
 
@@ -291,8 +271,6 @@ def _scored_moves(work: _MonoMatrix, gen: int, rng: random.Random | None) -> lis
         (kept, absorbed, 0, True) if delta == 0 else (kept, absorbed, delta, horizontal)
         for kept, absorbed, delta, horizontal in _moves_at(work, gen)
     ]
-    if rng is not None:
-        rng.shuffle(moves)
     return sorted(((_move_score(work, move), move) for move in moves), key=lambda sm: sm[0])
 
 
@@ -379,12 +357,13 @@ def _basis_change(mat: _MonoMatrix, kept: int, absorbed: int, delta: int, horizo
 # -- gamma_0 extraction -----------------------------------------------------
 
 
-def split_components(cx: ChainComplex) -> tuple[list[list[str]], int]:
-    """Split a simplified complex into its alternating paths and cycles.
+Incidence = dict[str, dict[str, tuple[str, int, bool]]]  # id -> kind -> (other, power, outgoing)
 
-    Returns (open paths as ordered id lists, number of closed loops).
-    """
-    incidence: dict[str, dict[str, tuple[str, int, bool]]] = {g.ident: {} for g in cx.gens}
+
+def _components(cx: ChainComplex) -> tuple[Incidence, list[tuple[list[str], list[int]]], int]:
+    """The incidence of a simplified complex, its open paths as walks
+    (ids, entries) from one end, and its number of closed loops."""
+    incidence: Incidence = {g.ident: {} for g in cx.gens}
     for (tgt, src), elem in cx.diff.items():
         a, b = elem.sole_term()
         kind = "H" if a > 0 else "V"
@@ -394,52 +373,51 @@ def split_components(cx: ChainComplex) -> tuple[list[list[str]], int]:
                 raise SimplifyError(f"generator {here} meets two {kind} arrows; not simplified")
             incidence[here][kind] = (other, power, outgoing)
     seen: set[str] = set()
-    paths: list[list[str]] = []
+    paths: list[tuple[list[str], list[int]]] = []
     loops = 0
     for g in cx.gens:
         if g.ident in seen:
             continue
-        component, is_cycle = _walk_component(g.ident, incidence)
-        seen.update(component)
-        if is_cycle:
+        ids, entries, closed = _walk(g.ident, incidence)
+        if closed:
             loops += 1
         else:
-            paths.append(component)
-    return paths, loops
+            # that walk ended at one end of the path; walk it whole from there
+            ids, entries, _ = _walk(ids[-1], incidence)
+            paths.append((ids, entries))
+        seen.update(ids)
+    return incidence, paths, loops
 
 
-def _walk_component(start: str, incidence: dict[str, dict[str, tuple[str, int, bool]]]):
-    # walk back to an endpoint (or all the way around a cycle), then forward
-    order = ["H", "V"]
+def _walk(start: str, incidence: Incidence) -> tuple[list[str], list[int], bool]:
+    """Follow arrows from `start`, horizontal first and never back along the
+    arrow just taken, to an endpoint or around a cycle.
+
+    Returns the ids visited, the sequence entry of each step (positive
+    against an arrow, negative with it) and whether the walk closed up.
+    """
+    ids = [start]
+    entries: list[int] = []
     here, came_by = start, None
-    steps = 0
-    while True:
-        kinds = [k for k in order if k in incidence[here] and k != came_by]
-        if not kinds:
-            break
-        nxt, _, _ = incidence[here][kinds[0]]
-        came_by = kinds[0]
-        here = nxt
-        steps += 1
-        if here == start and steps > 1:
-            return _collect(start, incidence), True
-    return _collect(here, incidence), False
-
-
-def _collect(start: str, incidence) -> list[str]:
-    out = [start]
-    came_by = None
-    here = start
     while True:
         kinds = [k for k in ("H", "V") if k in incidence[here] and k != came_by]
         if not kinds:
-            return out
-        nxt, _, _ = incidence[here][kinds[0]]
-        if nxt == start:
-            return out
-        out.append(nxt)
+            return ids, entries, False
         came_by = kinds[0]
-        here = nxt
+        here, power, outgoing = incidence[here][came_by]
+        if here == start:
+            return ids, entries, True
+        ids.append(here)
+        entries.append(-power if outgoing else power)
+
+
+def split_components(cx: ChainComplex) -> tuple[list[list[str]], int]:
+    """Split a simplified complex into its alternating paths and cycles.
+
+    Returns (open paths as ordered id lists, number of closed loops).
+    """
+    _, paths, loops = _components(cx)
+    return [ids for ids, _ in paths], loops
 
 
 def extract_gamma0(cx: ChainComplex) -> Seq:
@@ -451,30 +429,15 @@ def extract_gamma0_with_loops(cx: ChainComplex) -> tuple[Seq, int]:
     """Read the parameter sequence off the unique open path of a simplified
     complex, starting from the endpoint with no vertical arrow; positive
     entries record steps against an arrow, negative ones steps with it."""
-    paths, loops = split_components(cx)
+    incidence, paths, loops = _components(cx)
     if len(paths) != 1:
         raise KnotlikeError(f"expected one open path, found {len(paths)}")
-    path = paths[0]
-    incidence: dict[str, dict[str, tuple[str, int, bool]]] = {g.ident: {} for g in cx.gens}
-    for (tgt, src), elem in cx.diff.items():
-        a, b = elem.sole_term()
-        kind = "H" if a > 0 else "V"
-        power = a or b
-        incidence[src][kind] = (tgt, power, True)
-        incidence[tgt][kind] = (src, power, False)
-    ends = [path[0], path[-1]] if len(path) > 1 else [path[0]]
-    starts = [e for e in ends if "V" not in incidence[e]]
+    ids, entries = paths[0]
+    starts = [e for e in {ids[0], ids[-1]} if "V" not in incidence[e]]
     if not starts:
         raise KnotlikeError("open path has no endpoint free of vertical arrows")
-    here = min(starts)
-    entries: list[int] = []
-    came_by = None
-    for _ in range(len(path) - 1):
-        kinds = [k for k in ("H", "V") if k in incidence[here] and k != came_by]
-        other, power, outgoing = incidence[here][kinds[0]]
-        entries.append(-power if outgoing else power)
-        came_by = kinds[0]
-        here = other
+    if min(starts) != ids[0]:
+        entries = [-e for e in reversed(entries)]  # the same path walked from its other end
     try:
         return validate_seq(entries), loops
     except SequenceError as exc:

@@ -135,12 +135,12 @@ def test_a_reused_parser_keeps_no_state_between_calls(capsys):
     ]
     fresh = []
     for argv in argvs:
-        cli.build_parser.cache_clear()
+        cli._parser.cache_clear()
         fresh.append(call(argv))
-    cli.build_parser.cache_clear()
-    parser = cli.build_parser()
+    cli._parser.cache_clear()
+    parser = cli._parser()
     reused = [call(argv) for argv in argvs]
-    assert cli.build_parser() is parser
+    assert cli._parser() is parser
     assert reused == fresh
     assert reused[1] == (0, "[1,-1]\n", "")
     assert reused[2][0] == 0 and reused[4][0] == 2

@@ -308,6 +308,7 @@ def test_worklist_search_matches_the_oracle_on_random_sums():
     "C2(13;T(3,4)) # -C2(11;T(3,4)) # T(2,11) # -T(2,13)",
     "(C2(13;T(3,4)) # -C2(11;T(3,4))) # (T(2,11) # -T(2,13))",
     "C2(13;T(3,4)) # (-C2(11;T(3,4)) # (T(2,11) # -T(2,13)))",
+    "C2(-1;T(2,3)) # -C2(-9;T(2,3))",
 ])
 def test_worklist_search_matches_the_oracle_on_each_grouping(text):
     expr = parse_expr(text)

@@ -11,7 +11,6 @@ from cfkzero.standard import (
     extract_gamma0,
     extract_gamma0_with_loops,
     mirror_seq,
-    normalize_seq,
     seq_to_complex,
     sharpness,
     simplify_basis,
@@ -34,13 +33,6 @@ def test_sequence_validation():
         validate_seq([1, -1, 1])
     with pytest.raises(SequenceError):
         validate_seq([1, -2])
-
-
-def test_normalize_is_the_symmetry_check():
-    assert normalize_seq(CABLE_SEQ) == CABLE_SEQ
-    assert normalize_seq((1, -1)) == (1, -1)
-    with pytest.raises(SequenceError):
-        normalize_seq((1, -2))
 
 
 def test_walk_and_tau_and_top():
