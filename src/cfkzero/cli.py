@@ -3,8 +3,10 @@ compare local equivalence classes, draw gamma_0, and re-run the verification
 suite for the implemented closed forms.
 
 Subcommands: gamma0, invariants, equiv, svg, verify-paper.  Exit codes:
-0 success (or equivalent), 1 check failure (or not equivalent), 2 usage or
-parse errors.  All output is byte-deterministic for a fixed input.
+0 success (or equivalent), 1 check failure (or not equivalent), 2 usage,
+parse and evaluation errors, an input above the size limit, and internal
+failures of the sum pipeline.  All output is byte-deterministic for a fixed
+input.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import alexander_torus
+from .complexes import InvalidComplexError, KnotlikeError
 from .involutive import verify_lemma_43_44
 from .knots import (
     Cable2,
@@ -44,6 +47,7 @@ from .knots import (
 )
 from .standard import (
     SequenceError,
+    SimplifyError,
     epsilon,
     extract_gamma0_with_loops,
     seq_to_complex,
@@ -516,7 +520,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                     tail = f": {check.detail}" if check.detail else ""
                     print(f"{status} {check.name}{tail}")
             return 0 if all(c.passed for c in checks) else 1
-    except (ParseError, EvalError, ShapeError, SequenceError) as exc:
+    except (
+        ParseError, EvalError, ShapeError, SequenceError,
+        # internal failures of the sum pipeline: exit 1 would read as "not equivalent"
+        SimplifyError, KnotlikeError, InvalidComplexError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -15,6 +15,8 @@ monomial; the reduction and homology routines below exploit that.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -321,6 +323,45 @@ class _MonoMatrix:
         out.count = self.count
         out.degrees = {g: list(d) for g, d in self.degrees.items()}
         out.conflicted = set(self.conflicted)
+        return out
+
+    def tensor(self, size: int, other: "_MonoMatrix", other_size: int) -> "_MonoMatrix":
+        """The tensor product of two matrices on the integer generators
+        0 ... size-1 and 0 ... other_size-1, with (i, j) as the generator
+        i * other_size + j.
+
+        Its arrows are the arrows of each factor beside each generator of the
+        other, so none meet and the bookkeeping is built in bulk: the arrow
+        counts of (i, j) are the sums of those of i and j.
+        """
+        n = size * other_size
+        arrows = [
+            (tgt * other_size + j, src * other_size + j, mono)
+            for (tgt, src), mono in self.items()
+            for j in range(other_size)
+        ]
+        arrows += [
+            (i + tgt, i + src, mono)
+            for (tgt, src), mono in other.items()
+            for i in range(0, n, other_size)
+        ]
+        out = _MonoMatrix(self.mode)
+        out.rows = {g: {} for g in range(n)}
+        out.cols = {g: {} for g in range(n)}
+        for tgt, src, mono in arrows:
+            out.rows[tgt][src] = mono
+            out.cols[src][tgt] = mono
+        out.zhash = functools.reduce(operator.xor, map(hash, arrows), 0)
+        out.count = len(arrows)
+        none = [0, 0, 0, 0]
+        left = [self.degrees.get(i, none) for i in range(size)]
+        right = [other.degrees.get(j, none) for j in range(other_size)]
+        out.degrees = dict(enumerate(
+            [x0 + y0, x1 + y1, x2 + y2, x3 + y3]
+            for x0, x1, x2, x3 in left
+            for y0, y1, y2, y3 in right
+        ))
+        out.conflicted = {g for g, counts in out.degrees.items() if max(counts) > 1}
         return out
 
     def items(self) -> Iterable[tuple[tuple[str, str], tuple[int, int]]]:

@@ -8,10 +8,15 @@ torus knots, mirrors, connected sums, and (2, q)-cables:
     atom := 'T(' int ',' int ')' | 'C2(' int ';' expr ')' | 'U' | '(' expr ')'
 
 Evaluation produces the gamma_0 parameter sequence of the knot.  Mirrors
-negate the sequence, connected sums run the tensor -> simplify -> extract
-pipeline on standard-complex representatives (sound because local
-equivalence is preserved by tensoring), and (2, q)-cables of staircases carry
-the closed-form sequence transform, verified elsewhere against the pipeline.
+negate the sequence, connected sums tensor the standard-complex
+representatives of the two summands (sound because local equivalence is
+preserved by tensoring), and (2, q)-cables of staircases carry the
+closed-form sequence transform, verified elsewhere against the sum pipeline.
+That pipeline goes from two sequences to one on integer generator ids: the
+product is built as a matrix straight from the sequences, simplified,
+checked for gradings and d^2 = 0, and read back as a sequence, with no
+ChainComplex in between.  No cable or sum whose complex would exceed
+MAX_GENERATORS generators is built.
 """
 
 from __future__ import annotations
@@ -22,14 +27,18 @@ from dataclasses import dataclass
 from .algebra import LaurentPoly, alexander_torus
 from .standard import (
     Seq,
-    extract_gamma0_with_loops,
+    _gamma0,
+    _product,
+    _require_valid,
+    _simplify,
     mirror_seq,
-    seq_to_complex,
-    simplify_basis,
     staircase_shaped,
     validate_seq,
     walk_values,
 )
+
+
+MAX_GENERATORS = 100_000  # the largest complex an evaluation may build
 
 
 class ShapeError(ValueError):
@@ -378,7 +387,9 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     cables use the closed form, which requires a staircase operand; every
     sequence is validated where it is made, so the cable branch reads its
     operand's shape and genus without validating it again.  The loop count
-    totals the closed components discarded at every sum.
+    totals the closed components discarded at every sum.  A cable or a sum
+    whose complex would have more than MAX_GENERATORS generators raises
+    EvalError before anything of that size is built.
     """
     if isinstance(expr, Unknot):
         return EvalResult((), 0)
@@ -397,24 +408,45 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
                 f"closed form inapplicable: {expr.inner} is not an L-space staircase"
             )
         genus = max(walk_values(inner.sequence))
+        # cable2 gives 2a entries per step pair (a, b), then |q - 4g| - 1
+        # middle entries, then the first part mirrored; plus one generator
+        _check_size(expr, 4 * sum(inner.sequence[0::2]) + abs(expr.q - 4 * genus))
         return EvalResult(cable2(inner.sequence, genus, expr.q), inner.loop_count)
     if isinstance(expr, Sum):
         left = eval_expr(expr.left)
         right = eval_expr(expr.right)
+        _check_size(expr, (len(left.sequence) + 1) * (len(right.sequence) + 1))
         seq, loops = sum_gamma0(left.sequence, right.sequence)
         return EvalResult(seq, left.loop_count + right.loop_count + loops)
     raise EvalError(f"unknown expression node {expr!r}")
+
+
+def _check_size(expr: KnotExpr, generators: int) -> None:
+    if generators > MAX_GENERATORS:
+        raise EvalError(
+            f"{expr} needs a complex of {generators} generators, "
+            f"more than the limit of {MAX_GENERATORS}"
+        )
 
 
 def sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     """gamma_0 of a connected sum and the number of closed loops its
     simplified tensor product sheds.
 
-    Standard complexes have no unit arrows, and neither do their tensor
-    products, so the product goes straight to basis simplification.
+    The product of the two standard complexes is built straight from the
+    sequences as an integer matrix, generator (i, j) being the integer
+    i * (len(s2) + 1) + j.  Standard complexes have no unit arrows, and
+    neither do their tensor products, so it goes straight to basis
+    simplification.  The simplified product must pass the checks of
+    ChainComplex.validate (InvalidComplexError), and the sequence is read
+    off its one open path.  Nothing on the way builds a ChainComplex, and
+    the answer is the one seq_to_complex, tensor, simplify_basis and
+    extract_gamma0_with_loops give.
     """
-    product = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
-    return extract_gamma0_with_loops(simplify_basis(product))
+    product, gr_u, gr_v = _product(validate_seq(s1), validate_seq(s2))
+    _simplify(product)
+    _require_valid(product, gr_u, gr_v)
+    return _gamma0(range(len(gr_u)), product.items())
 
 
 def gamma0_of(expr: KnotExpr) -> Seq:

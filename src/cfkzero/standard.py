@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Mode, RingElem
-from .complexes import ChainComplex, Generator, InvalidComplexError, KnotlikeError, _MonoMatrix
+from .complexes import (
+    ChainComplex,
+    ComplexViolation,
+    Generator,
+    InvalidComplexError,
+    KnotlikeError,
+    _MonoMatrix,
+)
 
 Seq = tuple[int, ...]
 
@@ -110,40 +117,110 @@ def staircase_shaped(seq: Seq) -> bool:
     return all((e > 0) == (i % 2 == 0) for i, e in enumerate(seq))
 
 
-def seq_to_complex(seq: Sequence[int], mode: Mode = Mode.UVZERO, prefix: str = "z") -> ChainComplex:
-    """Build the standard complex of a sequence.
+Arrow = tuple[int, int, int, int]  # target, source, U power, V power
+
+
+def _standard(s: Seq) -> tuple[list[int], list[int], list[Arrow]]:
+    """Gradings (grU, grV) of z_0 ... z_n and the arrows of the standard
+    complex of a validated sequence, with z_i as the integer i.
 
     Step i installs an arrow of power |entry| between z_{i-1} and z_i, aimed
     by the sign convention; gradings follow the Alexander walk with
-    grU(z_0) = 0.  Over the full ring only staircase-shaped sequences give a
-    complex, so the result is validated either way.
+    grU(z_0) = 0.
     """
-    s = validate_seq(seq)
-    a_values = walk_values(s)
     gr_u = [0]
+    arrows: list[Arrow] = []
     for i, e in enumerate(s, start=1):
         power = abs(e)
         if i % 2 == 1:  # horizontal
             gr_u.append(gr_u[-1] + (-2 * power + 1 if e > 0 else 2 * power - 1))
+            upow, vpow = power, 0
         else:  # vertical
             gr_u.append(gr_u[-1] + (1 if e > 0 else -1))
-    gens = [
-        Generator(f"{prefix}{i}", gu, gu - 2 * a)
-        for i, (gu, a) in enumerate(zip(gr_u, a_values))
-    ]
-    diff: dict[tuple[str, str], RingElem] = {}
-    for i, e in enumerate(s, start=1):
-        power = abs(e)
-        upow, vpow = (power, 0) if i % 2 == 1 else (0, power)
-        elem = RingElem.monomial(upow, vpow, mode)
-        prev, cur = f"{prefix}{i-1}", f"{prefix}{i}"
-        tgt, src = (prev, cur) if e > 0 else (cur, prev)
-        diff[(tgt, src)] = elem
+            upow, vpow = 0, power
+        arrows.append((i - 1, i, upow, vpow) if e > 0 else (i, i - 1, upow, vpow))
+    gr_v = [gu - 2 * a for gu, a in zip(gr_u, walk_values(s))]
+    return gr_u, gr_v, arrows
+
+
+def seq_to_complex(seq: Sequence[int], mode: Mode = Mode.UVZERO, prefix: str = "z") -> ChainComplex:
+    """Build the standard complex of a sequence.
+
+    Over the full ring only staircase-shaped sequences give a complex, so
+    the result is validated either way.
+    """
+    s = validate_seq(seq)
+    gr_u, gr_v, arrows = _standard(s)
+    gens = [Generator(f"{prefix}{i}", gu, gv) for i, (gu, gv) in enumerate(zip(gr_u, gr_v))]
+    diff = {
+        (gens[tgt].ident, gens[src].ident): RingElem.monomial(a, b, mode)
+        for tgt, src, a, b in arrows
+    }
     cx = ChainComplex(gens, diff, mode)
     violation = cx.validate()
     if violation is not None:
         raise SequenceError(f"sequence {list(s)} gives no {mode.value} complex: {violation}")
     return cx
+
+
+def _product(s1: Seq, s2: Seq) -> tuple[_MonoMatrix, list[int], list[int]]:
+    """The tensor product over UV = 0 of the standard complexes of two
+    validated sequences, as a matrix and the gradings (grU, grV) of its
+    generators.
+
+    Generator (i, j) is the integer i * (len(s2) + 1) + j, the index
+    simplify_basis gives the generator ChainComplex.tensor makes of them.
+    Each factor gets the check seq_to_complex makes.
+    """
+    factors = []
+    for s in (s1, s2):
+        gr_u, gr_v, arrows = _standard(s)
+        mat = _MonoMatrix(Mode.UVZERO)
+        for arrow in arrows:
+            mat.add(*arrow)
+        violation = _violation(mat, gr_u, gr_v)
+        if violation is not None:
+            raise SequenceError(
+                f"sequence {list(s)} gives no {Mode.UVZERO.value} complex: {violation}"
+            )
+        factors.append((gr_u, gr_v, mat))
+    (u1, v1, left), (u2, v2, right) = factors
+    gr_u = [x + y for x in u1 for y in u2]
+    gr_v = [x + y for x in v1 for y in v2]
+    return left.tensor(len(u1), right, len(u2)), gr_u, gr_v
+
+
+def _violation(mat: _MonoMatrix, gr_u: Sequence[int], gr_v: Sequence[int]) -> ComplexViolation | None:
+    """ChainComplex.validate on integer ids: the parity of every generator,
+    the grading of every arrow and d^2 = 0 over UV = 0; the first failure."""
+    for g, (gu, gv) in enumerate(zip(gr_u, gr_v)):
+        if (gu - gv) % 2 != 0:
+            return ComplexViolation("parity", f"generator {g} grades ({gu},{gv})")
+    for (tgt, src), (a, b) in mat.items():
+        if gr_u[tgt] - 2 * a != gr_u[src] - 1 or gr_v[tgt] - 2 * b != gr_v[src] - 1:
+            return ComplexViolation("grading", f"{src} -> {tgt} : U^{a} V^{b}")
+    for src, col in mat.cols.items():
+        square: set[tuple[int, int, int]] = set()  # (target, U power, V power), odd counts
+        for mid, (a1, b1) in col.items():
+            for tgt, (a2, b2) in mat.cols.get(mid, {}).items():
+                a, b = a1 + a2, b1 + b2
+                if a > 0 and b > 0:
+                    continue  # dies in the quotient
+                term = (tgt, a, b)
+                if term in square:
+                    square.remove(term)
+                else:
+                    square.add(term)
+        if square:
+            tgt, a, b = min(square)
+            return ComplexViolation("dsquared", f"d^2({src}) hits {tgt} with U^{a} V^{b}")
+    return None
+
+
+def _require_valid(mat: _MonoMatrix, gr_u: Sequence[int], gr_v: Sequence[int]) -> None:
+    violation = _violation(mat, gr_u, gr_v)
+    if violation is not None:
+        raise InvalidComplexError(str(violation))
 
 
 # -- basis simplification ---------------------------------------------------
@@ -175,20 +252,23 @@ def simplify_basis(cx: ChainComplex) -> ChainComplex:
     """
     if cx.mode is not Mode.UVZERO:
         raise InvalidComplexError("simplify_basis expects a UV = 0 complex")
-    names = cx.ids()
-    index = {name: i for i, name in enumerate(names)}
+    names, arrows = _int_arrows(cx)
     mat = _MonoMatrix(cx.mode)
-    for (tgt, src), elem in cx.diff.items():
-        a, b = elem.sole_term()
+    for (tgt, src), (a, b) in arrows:
         if a == 0 and b == 0:
             raise InvalidComplexError("simplify_basis expects a reduced complex")
-        mat.add(index[tgt], index[src], a, b)
-    _search(mat, max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * mat.count))
+        mat.add(tgt, src, a, b)
+    _simplify(mat)
     diff = {
         (names[tgt], names[src]): RingElem.monomial(a, b, cx.mode)
         for (tgt, src), (a, b) in mat.items()
     }
     return ChainComplex(cx.gens, diff, cx.mode).require_valid()
+
+
+def _simplify(mat: _MonoMatrix) -> None:
+    """Run the search under the merge cap the input's arrow count sets."""
+    _search(mat, max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * mat.count))
 
 
 Move = tuple[int, int, int, bool]  # kept, absorbed, delta, horizontal
@@ -357,39 +437,49 @@ def _basis_change(mat: _MonoMatrix, kept: int, absorbed: int, delta: int, horizo
 # -- gamma_0 extraction -----------------------------------------------------
 
 
-Incidence = dict[str, dict[str, tuple[str, int, bool]]]  # id -> kind -> (other, power, outgoing)
+Item = tuple[tuple[int, int], tuple[int, int]]  # (target, source), (U power, V power)
+Path = tuple[list[int], list[int]]  # ids along an open path, and the entry of each step
 
 
-def _components(cx: ChainComplex) -> tuple[Incidence, list[tuple[list[str], list[int]]], int]:
-    """The incidence of a simplified complex, its open paths as walks
-    (ids, entries) from one end, and its number of closed loops."""
-    incidence: Incidence = {g.ident: {} for g in cx.gens}
-    for (tgt, src), elem in cx.diff.items():
-        a, b = elem.sole_term()
-        kind = "H" if a > 0 else "V"
+def _components(names: Sequence, arrows: Iterable[Item]) -> tuple[list, list[Path], int]:
+    """The incidence of a simplified complex on generators 0 ... len(names)-1,
+    its open paths as walks (ids, entries) from one end, and its number of
+    closed loops.
+
+    Slot 2g of the incidence holds generator g's horizontal arrow and slot
+    2g + 1 its vertical one, each as (other end, power, outgoing); `names`
+    labels the generators in errors and orders the path ends.
+    """
+    incidence: list = [None] * (2 * len(names))
+    for (tgt, src), (a, b) in arrows:
+        kind = 0 if a > 0 else 1
         power = a or b
         for here, other, outgoing in ((src, tgt, True), (tgt, src, False)):
-            if kind in incidence[here]:
-                raise SimplifyError(f"generator {here} meets two {kind} arrows; not simplified")
-            incidence[here][kind] = (other, power, outgoing)
-    seen: set[str] = set()
-    paths: list[tuple[list[str], list[int]]] = []
+            slot = 2 * here + kind
+            if incidence[slot] is not None:
+                raise SimplifyError(
+                    f"generator {names[here]} meets two {'HV'[kind]} arrows; not simplified"
+                )
+            incidence[slot] = (other, power, outgoing)
+    seen = bytearray(len(names))
+    paths: list[Path] = []
     loops = 0
-    for g in cx.gens:
-        if g.ident in seen:
+    for g in range(len(names)):
+        if seen[g]:
             continue
-        ids, entries, closed = _walk(g.ident, incidence)
+        ids, entries, closed = _walk(g, incidence)
         if closed:
             loops += 1
         else:
             # that walk ended at one end of the path; walk it whole from there
             ids, entries, _ = _walk(ids[-1], incidence)
             paths.append((ids, entries))
-        seen.update(ids)
+        for i in ids:
+            seen[i] = 1
     return incidence, paths, loops
 
 
-def _walk(start: str, incidence: Incidence) -> tuple[list[str], list[int], bool]:
+def _walk(start: int, incidence: list) -> tuple[list[int], list[int], bool]:
     """Follow arrows from `start`, horizontal first and never back along the
     arrow just taken, to an endpoint or around a cycle.
 
@@ -398,17 +488,44 @@ def _walk(start: str, incidence: Incidence) -> tuple[list[str], list[int], bool]
     """
     ids = [start]
     entries: list[int] = []
-    here, came_by = start, None
+    here, came_by = start, -1
     while True:
-        kinds = [k for k in ("H", "V") if k in incidence[here] and k != came_by]
-        if not kinds:
+        if came_by != 0 and incidence[2 * here] is not None:
+            came_by = 0
+        elif came_by != 1 and incidence[2 * here + 1] is not None:
+            came_by = 1
+        else:
             return ids, entries, False
-        came_by = kinds[0]
-        here, power, outgoing = incidence[here][came_by]
+        here, power, outgoing = incidence[2 * here + came_by]
         if here == start:
             return ids, entries, True
         ids.append(here)
         entries.append(-power if outgoing else power)
+
+
+def _gamma0(names: Sequence, arrows: Iterable[Item]) -> tuple[Seq, int]:
+    """The sequence read off the unique open path of a simplified complex,
+    and its number of closed loops; see extract_gamma0_with_loops."""
+    incidence, paths, loops = _components(names, arrows)
+    if len(paths) != 1:
+        raise KnotlikeError(f"expected one open path, found {len(paths)}")
+    ids, entries = paths[0]
+    starts = [e for e in {ids[0], ids[-1]} if incidence[2 * e + 1] is None]
+    if not starts:
+        raise KnotlikeError("open path has no endpoint free of vertical arrows")
+    if min(starts, key=names.__getitem__) != ids[0]:
+        entries = [-e for e in reversed(entries)]  # the same path walked from its other end
+    try:
+        return validate_seq(entries), loops
+    except SequenceError as exc:
+        raise KnotlikeError(f"extracted walk is not a knot sequence: {exc}") from exc
+
+
+def _int_arrows(cx: ChainComplex) -> tuple[list[str], list[Item]]:
+    """A complex's generator ids, and its arrows on their positions."""
+    names = cx.ids()
+    index = {name: i for i, name in enumerate(names)}
+    return names, [((index[tgt], index[src]), elem.sole_term()) for (tgt, src), elem in cx.diff.items()]
 
 
 def split_components(cx: ChainComplex) -> tuple[list[list[str]], int]:
@@ -416,8 +533,9 @@ def split_components(cx: ChainComplex) -> tuple[list[list[str]], int]:
 
     Returns (open paths as ordered id lists, number of closed loops).
     """
-    _, paths, loops = _components(cx)
-    return [ids for ids, _ in paths], loops
+    names, arrows = _int_arrows(cx)
+    _, paths, loops = _components(names, arrows)
+    return [[names[i] for i in ids] for ids, _ in paths], loops
 
 
 def extract_gamma0(cx: ChainComplex) -> Seq:
@@ -429,16 +547,4 @@ def extract_gamma0_with_loops(cx: ChainComplex) -> tuple[Seq, int]:
     """Read the parameter sequence off the unique open path of a simplified
     complex, starting from the endpoint with no vertical arrow; positive
     entries record steps against an arrow, negative ones steps with it."""
-    incidence, paths, loops = _components(cx)
-    if len(paths) != 1:
-        raise KnotlikeError(f"expected one open path, found {len(paths)}")
-    ids, entries = paths[0]
-    starts = [e for e in {ids[0], ids[-1]} if "V" not in incidence[e]]
-    if not starts:
-        raise KnotlikeError("open path has no endpoint free of vertical arrows")
-    if min(starts) != ids[0]:
-        entries = [-e for e in reversed(entries)]  # the same path walked from its other end
-    try:
-        return validate_seq(entries), loops
-    except SequenceError as exc:
-        raise KnotlikeError(f"extracted walk is not a knot sequence: {exc}") from exc
+    return _gamma0(*_int_arrows(cx))

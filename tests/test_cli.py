@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import cfkzero.cli as cli
+import cfkzero.standard as standard
 from cfkzero.cli import main, render_svg
 
 
@@ -114,6 +115,29 @@ def test_eval_error_exit_code(capsys):
 def test_deep_nesting_exits_2(capsys, text):
     code, out, err = run(capsys, "gamma0", text)
     assert (code, out, err) == (2, "", "error: expression nested too deeply\n")
+
+
+@pytest.mark.parametrize("text,generators", [
+    ("C2(100000001;T(2,3))", 100000001),
+    ("C2(399;T(2,3)) # C2(401;T(2,3))", 399 * 401),
+])
+def test_inputs_above_the_size_limit_exit_2(capsys, text, generators):
+    code, out, err = run(capsys, "gamma0", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{generators} generators" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma0", "T(2,3) # T(2,3)"],
+    ["equiv", "T(2,3) # T(2,3)", "T(2,5)"],
+])
+def test_a_failed_search_exits_2_with_one_line(monkeypatch, capsys, argv):
+    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 0)
+    monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: no simplified basis within the merge cap; the input is not knot-like\n"
 
 
 def test_a_reused_parser_keeps_no_state_between_calls(capsys):

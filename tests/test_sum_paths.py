@@ -1,0 +1,131 @@
+"""The integer sum path against the ChainComplex one.
+
+`knots.sum_gamma0` builds the tensor product of two standard complexes
+straight from the sequences on integer ids.  The library still has the
+string-id path, seq_to_complex -> tensor -> simplify_basis ->
+extract_gamma0_with_loops; both must give the same gamma_0 and loop count,
+and the integer path's own check of the simplified product must stay live.
+"""
+
+import random
+
+import pytest
+
+import cfkzero.knots as knots
+from cfkzero.algebra import RingElem
+from cfkzero.cli import _criterion3_hosts
+from cfkzero.complexes import ChainComplex, Generator, InvalidComplexError
+from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
+from cfkzero.standard import (
+    _product,
+    extract_gamma0_with_loops,
+    seq_to_complex,
+    simplify_basis,
+    validate_seq,
+)
+
+
+def complex_path(s1, s2):
+    product = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
+    simplified = simplify_basis(product)
+    assert simplified.validate() is None
+    return extract_gamma0_with_loops(simplified)
+
+
+def criterion3_pairs():
+    for host in _criterion3_hosts():
+        for q in (3, 5, 7):
+            torus = (1, -1) * ((q - 1) // 2)
+            yield host, torus
+            yield host, tuple(-e for e in torus)
+
+
+def random_pairs(count, seed=2606):
+    rng = random.Random(seed)
+
+    def seq():
+        half = [rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(rng.randint(0, 5))]
+        return validate_seq(half + [-e for e in reversed(half)])
+
+    return [(seq(), seq()) for _ in range(count)]
+
+
+TOP_RUNGS = [
+    ("C2(33;T(4,5))", "-C2(31;T(4,5))"),
+    ("T(7,22)", "-T(6,25)"),
+]
+
+
+def test_both_paths_agree_on_the_criterion3_pairs():
+    for s1, s2 in criterion3_pairs():
+        assert sum_gamma0(s1, s2) == complex_path(s1, s2), (s1, s2)
+
+
+def test_both_paths_agree_on_random_pairs():
+    for s1, s2 in random_pairs(60):
+        assert sum_gamma0(s1, s2) == complex_path(s1, s2), (s1, s2)
+        assert sum_gamma0(s2, s1) == complex_path(s2, s1), (s2, s1)
+
+
+@pytest.mark.parametrize("left,right", TOP_RUNGS)
+def test_both_paths_agree_on_the_bench_top_rungs(left, right):
+    s1, s2 = gamma0_of(parse_expr(left)), gamma0_of(parse_expr(right))
+    assert sum_gamma0(s1, s2) == complex_path(s1, s2)
+
+
+def test_the_integer_path_builds_no_complex(monkeypatch):
+    s1, s2 = gamma0_of(parse_expr("C2(3;T(2,3))")), gamma0_of(parse_expr("-T(3,4)"))
+    want = complex_path(s1, s2)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the sum path")
+
+    for cls in (ChainComplex, Generator, RingElem):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert sum_gamma0(s1, s2) == want
+
+
+def corrupt_after_search(monkeypatch, damage):
+    """Make sum_gamma0's search hand back a matrix that `damage` altered."""
+    search = knots._simplify
+
+    def damaged(mat):
+        search(mat)
+        damage(mat)
+
+    monkeypatch.setattr(knots, "_simplify", damaged)
+
+
+def test_the_integer_check_reports_a_wrong_arrow_power(monkeypatch):
+    def bump(mat):
+        (tgt, src), (a, b) = next(iter(mat.items()))
+        mat.add(tgt, src, a, b)  # adding an equal monomial removes it
+        mat.add(tgt, src, a + (a > 0), b + (b > 0))
+
+    corrupt_after_search(monkeypatch, bump)
+    with pytest.raises(InvalidComplexError, match="^grading: "):
+        sum_gamma0((1, -1), (1, -1))
+
+
+def test_the_integer_check_reports_a_nonzero_square(monkeypatch):
+    _, gr_u, gr_v = _product((1, -1), (1, -1))
+    added = []
+
+    def add_a_square(mat):
+        # a new U arrow into the source x of a U arrow x -> y keeps the
+        # gradings and makes d^2 hit y with a pure U power, which UV = 0 keeps
+        for (_, x), (a, _) in list(mat.items()):
+            if a == 0:
+                continue
+            for new in range(len(gr_u)):
+                twice = gr_u[x] - gr_u[new] + 1
+                if gr_v[x] == gr_v[new] - 1 and twice > 0 and twice % 2 == 0:
+                    if mat.entry(x, new) is None:
+                        mat.add(x, new, twice // 2, 0)
+                        added.append((new, x))
+                        return
+
+    corrupt_after_search(monkeypatch, add_a_square)
+    with pytest.raises(InvalidComplexError, match="^dsquared: "):
+        sum_gamma0((1, -1), (1, -1))
+    assert added
