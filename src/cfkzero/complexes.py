@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .algebra import Mode, ModeMismatchError, RingElem, monomial_str_parse
 
@@ -284,6 +284,9 @@ class ChainComplex:
         return self.to_text()
 
 
+Ident = Hashable  # a generator id: str in reduce(), int in the basis search
+
+
 class _MonoMatrix:
     """Sparse differential with single-monomial entries, for reductions.
 
@@ -295,17 +298,18 @@ class _MonoMatrix:
     The matrix keeps a running XOR hash of its entries and the set of
     generators meeting more than one arrow of some type and direction, so the
     basis-simplification search can test states and find conflicts cheaply.
+    Generator ids may be any hashable values.
     """
 
     def __init__(self, mode: Mode):
         self.mode = mode
-        self.rows: dict[str, dict[str, tuple[int, int]]] = {}
-        self.cols: dict[str, dict[str, tuple[int, int]]] = {}
+        self.rows: dict[Ident, dict[Ident, tuple[int, int]]] = {}
+        self.cols: dict[Ident, dict[Ident, tuple[int, int]]] = {}
         self.zhash = 0
         self.count = 0
         # per generator: [H-in, V-in, H-out, V-out] arrow counts
-        self.degrees: dict[str, list[int]] = {}
-        self.conflicted: set[str] = set()
+        self.degrees: dict[Ident, list[int]] = {}
+        self.conflicted: set[Ident] = set()
 
     @classmethod
     def from_complex(cls, cx: ChainComplex) -> "_MonoMatrix":
@@ -364,52 +368,50 @@ class _MonoMatrix:
         out.conflicted = {g for g, counts in out.degrees.items() if max(counts) > 1}
         return out
 
-    def items(self) -> Iterable[tuple[tuple[str, str], tuple[int, int]]]:
+    def items(self) -> Iterable[tuple[tuple[Ident, Ident], tuple[int, int]]]:
         for tgt, row in self.rows.items():
             for src, mono in row.items():
                 yield (tgt, src), mono
 
-    def entry(self, tgt: str, src: str) -> tuple[int, int] | None:
+    def entry(self, tgt: Ident, src: Ident) -> tuple[int, int] | None:
         return self.rows.get(tgt, {}).get(src)
 
-    def _bump(self, gen: str, slot: int, amount: int) -> None:
-        counts = self.degrees.get(gen)
-        if counts is None:
-            counts = self.degrees[gen] = [0, 0, 0, 0]
-        counts[slot] += amount
-        if counts[slot] > 1:
-            self.conflicted.add(gen)
-        elif gen in self.conflicted and not (
-            counts[0] > 1 or counts[1] > 1 or counts[2] > 1 or counts[3] > 1
-        ):
-            self.conflicted.discard(gen)
-
-    def _track(self, tgt: str, src: str, mono: tuple[int, int], amount: int) -> None:
-        self.zhash ^= hash((tgt, src, mono))
-        self.count += amount
-        kind = 0 if mono[0] > 0 else 1
-        self._bump(tgt, kind, amount)
-        self._bump(src, 2 + kind, amount)
-
-    def add(self, tgt: str, src: str, a: int, b: int) -> None:
-        if self.mode is Mode.UVZERO and a > 0 and b > 0:
+    def add(self, tgt: Ident, src: Ident, a: int, b: int) -> None:
+        """Add U^a V^b to the entry src -> tgt: an empty entry takes it, an
+        equal one cancels (char 2), and a mixed monomial dies over UV = 0.
+        The hash, the entry count, the arrow counts and the conflict set
+        follow each change."""
+        if a > 0 and b > 0 and self.mode is Mode.UVZERO:
             return
+        mono = (a, b)
         row = self.rows.setdefault(tgt, {})
         cur = row.get(src)
         if cur is None:
-            row[src] = (a, b)
-            self.cols.setdefault(src, {})[tgt] = (a, b)
-            self._track(tgt, src, (a, b), +1)
-            return
-        if cur != (a, b):
+            row[src] = mono
+            self.cols.setdefault(src, {})[tgt] = mono
+            step = 1
+        elif cur == mono:
+            del row[src]
+            del self.cols[src][tgt]
+            step = -1
+        else:
             raise InvalidComplexError(
                 f"entry {src} -> {tgt} mixes degrees U^{cur[0]}V^{cur[1]} and U^{a}V^{b}"
             )
-        del row[src]
-        del self.cols[src][tgt]
-        self._track(tgt, src, cur, -1)
+        self.zhash ^= hash((tgt, src, mono))
+        self.count += step
+        kind = 0 if a > 0 else 1
+        for gen, slot in ((tgt, kind), (src, 2 + kind)):
+            counts = self.degrees.get(gen)
+            if counts is None:
+                counts = self.degrees[gen] = [0, 0, 0, 0]
+            counts[slot] += step
+            if counts[slot] > 1:
+                self.conflicted.add(gen)
+            elif gen in self.conflicted and max(counts) < 2:
+                self.conflicted.discard(gen)
 
-    def cancel(self, tgt: str, src: str, divide_u: int = 0) -> None:
+    def cancel(self, tgt: Ident, src: Ident, divide_u: int = 0) -> None:
         """Remove the pair (tgt, src) along the arrow between them, adding the
         zig-zag corrections d(w -> tgt) * d(src -> z) / U^divide_u."""
         ins = [(w, m) for w, m in self.rows.get(tgt, {}).items() if w != src]
@@ -423,14 +425,12 @@ class _MonoMatrix:
                     raise InvalidComplexError("cancellation pivot was not minimal")
                 self.add(z, w, a, b1 + b2)
 
-    def drop_gen(self, ident: str) -> None:
-        for src, mono in list(self.rows.get(ident, {}).items()):
-            del self.cols[src][ident]
-            self._track(ident, src, mono, -1)
+    def drop_gen(self, ident: Ident) -> None:
+        for src, (a, b) in list(self.rows.get(ident, {}).items()):
+            self.add(ident, src, a, b)  # adding an entry again removes it
+        for tgt, (a, b) in list(self.cols.get(ident, {}).items()):
+            self.add(tgt, ident, a, b)
         self.rows.pop(ident, None)
-        for tgt, mono in list(self.cols.get(ident, {}).items()):
-            del self.rows[tgt][ident]
-            self._track(tgt, ident, mono, -1)
         self.cols.pop(ident, None)
 
     def to_diff(self, mode: Mode) -> dict[tuple[str, str], RingElem]:

@@ -15,8 +15,8 @@ closed-form sequence transform, verified elsewhere against the sum pipeline.
 That pipeline goes from two sequences to one on integer generator ids: the
 product is built as a matrix straight from the sequences, simplified,
 checked for gradings and d^2 = 0, and read back as a sequence, with no
-ChainComplex in between.  No cable or sum whose complex would exceed
-MAX_GENERATORS generators is built.
+ChainComplex in between.  No torus knot, cable or sum whose complex would
+exceed MAX_GENERATORS generators is built.
 """
 
 from __future__ import annotations
@@ -387,13 +387,14 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     cables use the closed form, which requires a staircase operand; every
     sequence is validated where it is made, so the cable branch reads its
     operand's shape and genus without validating it again.  The loop count
-    totals the closed components discarded at every sum.  A cable or a sum
-    whose complex would have more than MAX_GENERATORS generators raises
-    EvalError before anything of that size is built.
+    totals the closed components discarded at every sum.  A torus knot, a
+    cable or a sum whose complex would have more than MAX_GENERATORS
+    generators raises EvalError before anything of that size is built.
     """
     if isinstance(expr, Unknot):
         return EvalResult((), 0)
     if isinstance(expr, Torus):
+        _check_size(expr, torus_generators(expr.p, expr.q))
         seq = staircase_from_alexander(alexander_torus(expr.p, expr.q))
         if expr.q < 0:
             seq = mirror_seq(seq)
@@ -419,6 +420,19 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
         seq, loops = sum_gamma0(left.sequence, right.sequence)
         return EvalResult(seq, left.loop_count + right.loop_count + loops)
     raise EvalError(f"unknown expression node {expr!r}")
+
+
+def torus_generators(p: int, q: int) -> int:
+    """The generator count of the staircase of T(p, q), without building it.
+
+    (p - 1)(|q| - 1) = r p + s |q| has exactly one solution with r, s >= 0,
+    and the Alexander polynomial then has 2(r + 1)(s + 1) - 1 terms
+    (Lam-Leung), one per generator of the staircase.
+    """
+    q = abs(q)
+    s = (pow(q, -1, p) - 1) % p
+    r = ((p - 1) * (q - 1) - s * q) // p
+    return 2 * (r + 1) * (s + 1) - 1
 
 
 def _check_size(expr: KnotExpr, generators: int) -> None:

@@ -240,10 +240,14 @@ def simplify_basis(cx: ChainComplex) -> ChainComplex:
     takes its most entry-reducing merge.  Once no merge anywhere reduces the
     entry count, the scored neutral and entry-adding merges are tried,
     fewest new entries first, skipping any that return to a state already
-    visited.  At a dead end, where every candidate returns to a visited
-    state, the search forgets the visited states and carries on from where
-    it stands; nothing restarts.  The result does not depend on the path
-    taken: gamma_0 and the loop count are invariants of the complex.
+    visited.  These candidates wait in one heap, filled as generators are
+    scored; an entry goes stale when its generator is re-queued and is
+    dropped when it is popped, and the heap is rebuilt from its live
+    entries once stale ones outnumber them.  At a dead end, where every
+    candidate returns to a visited state, the search forgets the visited
+    states and carries on from where it stands; nothing restarts.  The
+    result does not depend on the path taken: gamma_0 and the loop count
+    are invariants of the complex.
 
     Merges are capped at 16 per input arrow, and at no fewer than 10,000;
     a search that exhausts the cap raises SimplifyError.  A closed component
@@ -272,86 +276,159 @@ def _simplify(mat: _MonoMatrix) -> None:
 
 
 Move = tuple[int, int, int, bool]  # kept, absorbed, delta, horizontal
+_UNSCORED = (-1, 0)  # the stamp and pool entry count of a generator without entries
 
 
 def _search(work: _MonoMatrix, budget: int) -> None:
     """Merge until `work` has no conflict; SimplifyError once `budget`
     merges have been tried.
 
-    `scored` caches the candidate merges of every conflicted generator that
-    is not queued.  A merge changes only the arrows at the two merged
-    generators, at the targets of the absorbed one and at the sources of the
-    kept one, and a candidate's score reads only the arrows at its own two
-    generators, so re-queueing those generators and their neighbours keeps
-    every cached score exact.  Every accepted state joins `seen`; a merge
-    reaching a new lowest entry count is accepted without the lookup, since
-    no earlier state had so few entries.  `seen` stops neutral merges from
-    undoing each other, so it is cleared, not dropped, at a dead end.
+    `scored` maps every conflicted generator that is not queued to a stamp
+    and a count n: its scored candidate merges wait in the heap `pool` as n
+    entries (score, generator, index, stamp, move), so the fallback tries
+    them fewest new entries first, then by generator, then in list order.
+    A merge changes only the arrows at the two merged generators, at the
+    targets of the absorbed one and at the sources of the kept one, and a
+    candidate's score reads only the arrows at its own two generators, so
+    re-queueing those generators and their neighbours keeps every live
+    score exact.  Re-queueing drops the generator from `scored`, which makes
+    its entries stale.  A fallback step pops entries in order, drops the
+    stale ones, skips a move already tried in this step and afterwards
+    pushes back the live ones it popped; once stale entries outnumber live
+    ones, the heap is rebuilt from the live ones.  Every accepted state
+    joins `seen`; a merge reaching a new lowest entry count is accepted
+    without the lookup, since no earlier state had so few entries.  `seen`
+    stops neutral merges from undoing each other, so it is cleared, not
+    dropped, at a dead end.
     """
+    if work.mode is not Mode.UVZERO:
+        raise InvalidComplexError("the basis search expects a UV = 0 matrix")
     seen = {work.zhash}
     low_water = work.count
-    scored: dict[int, list[tuple[int, Move]]] = {}
+    scored: dict[int, tuple[int, int]] = {}  # generator -> (stamp, entries in the pool)
+    pool: list[tuple[int, int, int, int, Move]] = []
+    live = 0  # pool entries that are not stale
+    stamps = itertools.count()
     queue: list[int] = []
     queued: set[int] = set()
 
     def enqueue(gens: Iterable[int]) -> None:
+        nonlocal live
         for g in gens:
-            scored.pop(g, None)
+            live -= scored.pop(g, _UNSCORED)[1]
             if g in work.conflicted and g not in queued:
                 queued.add(g)
                 heapq.heappush(queue, g)
 
+    def accepted(move: Move) -> bool:
+        nonlocal budget, low_water
+        if budget <= 0:
+            raise SimplifyError(
+                "no simplified basis within the merge cap; the input is not knot-like"
+            )
+        budget -= 1
+        # a char-2 basis change is an involution, so applying it again
+        # undoes a rejected candidate
+        _basis_change(work, *move)
+        if work.count < low_water or work.zhash not in seen:
+            seen.add(work.zhash)
+            low_water = min(low_water, work.count)
+            enqueue(_affected(work, move[0], move[1]))
+            return True
+        _basis_change(work, *move)
+        return False
+
     enqueue(work.conflicted)
     while work.conflicted:
-        fallback = not queue
-        if fallback:
-            # no reducing merge is left: every conflicted generator is scored
-            pool: dict[Move, int] = {}
-            for gen in sorted(work.conflicted):
-                for score, move in scored[gen]:
-                    pool.setdefault(move, score)
-            candidates = sorted(pool, key=pool.__getitem__)
-        else:
+        if queue:
             gen = heapq.heappop(queue)
             queued.discard(gen)
             if gen not in work.conflicted:
                 continue
-            scored[gen] = _scored_moves(work, gen)
-            candidates = [move for score, move in scored[gen] if score < 0]
-        for move in candidates:
-            if budget <= 0:
-                raise SimplifyError(
-                    "no simplified basis within the merge cap; the input is not knot-like"
-                )
-            budget -= 1
-            # a char-2 basis change is an involution, so applying it again
-            # undoes a rejected candidate
-            _basis_change(work, *move)
-            if work.count < low_water or work.zhash not in seen:
-                seen.add(work.zhash)
-                low_water = min(low_water, work.count)
-                enqueue(_affected(work, move[0], move[1]))
-                break
-            _basis_change(work, *move)
+            moves = _scored_moves(work, gen)
+            scored[gen] = _UNSCORED
+            for score, move in moves:
+                if score >= 0 or accepted(move):
+                    break
+            if gen in scored:  # no merge was accepted, or none touched gen
+                stamp = next(stamps)
+                scored[gen] = (stamp, len(moves))
+                live += len(moves)
+                for index, (score, move) in enumerate(moves):
+                    heapq.heappush(pool, (score, gen, index, stamp, move))
+                if len(pool) > 2 * live:  # stale entries outnumber live ones
+                    pool[:] = [e for e in pool if scored.get(e[1], _UNSCORED)[0] == e[3]]
+                    heapq.heapify(pool)
+            continue
+        # no reducing merge is left: every conflicted generator is scored
+        popped = []
+        tried: set[Move] = set()
+        while pool:
+            entry = heapq.heappop(pool)
+            if scored.get(entry[1], _UNSCORED)[0] != entry[3]:
+                continue
+            popped.append(entry)
+            if entry[4] not in tried:
+                tried.add(entry[4])
+                if accepted(entry[4]):
+                    break
         else:
-            if fallback:
-                seen = {work.zhash}  # dead end: forget the visited states
+            seen.clear()  # dead end: forget the visited states
+            seen.add(work.zhash)
+        for entry in popped:
+            if scored.get(entry[1], _UNSCORED)[0] == entry[3]:
+                heapq.heappush(pool, entry)
 
 
 def _scored_moves(work: _MonoMatrix, gen: int) -> list[tuple[int, Move]]:
-    """The candidate merges at a generator with their scores, most reducing
-    first.
+    """The candidate merges for the conflicts at a generator with their
+    scores, the net entries each creates, most reducing first.
 
-    At delta 0 the horizontal and vertical forms of a merge are one basis
+    An outgoing conflict merges two targets toward the shorter arrow, an
+    incoming one two sources; equal powers allow both orientations.  At
+    delta 0 the horizontal and vertical forms of a merge are one basis
     change, so both take the horizontal form, and the fallback pool holds
     it once; otherwise the second would be tried after the first and lead
     straight back to the previous state.
     """
-    moves = [
-        (kept, absorbed, 0, True) if delta == 0 else (kept, absorbed, delta, horizontal)
-        for kept, absorbed, delta, horizontal in _moves_at(work, gen)
-    ]
-    return sorted(((_move_score(work, move), move) for move in moves), key=lambda sm: sm[0])
+    rows, cols = work.rows, work.cols
+    h_in, v_in, h_out, v_out = work.degrees[gen]
+    moves: list[Move] = []
+    for horizontal, n_out, n_in in ((True, h_out, h_in), (False, v_out, v_in)):
+        if n_out > 1:
+            arrows = sorted((a or b, y) for y, (a, b) in cols[gen].items() if (a > 0) == horizontal)
+            for (k1, y1), (k2, y2) in itertools.combinations(arrows, 2):
+                if k1 == k2:
+                    moves += ((y1, y2, 0, True), (y2, y1, 0, True))
+                else:
+                    moves.append((y1, y2, k2 - k1, horizontal))
+        if n_in > 1:
+            arrows = sorted((a or b, y) for y, (a, b) in rows[gen].items() if (a > 0) == horizontal)
+            for (k1, y1), (k2, y2) in itertools.combinations(arrows, 2):
+                if k1 == k2:
+                    moves += ((y2, y1, 0, True), (y1, y2, 0, True))
+                else:
+                    moves.append((y2, y1, k2 - k1, horizontal))
+    out = []
+    for move in moves:
+        kept, absorbed, delta, horizontal = move
+        da, db = (delta, 0) if horizontal else (0, delta)
+        net = 0
+        for tgt, (a, b) in cols.get(absorbed, {}).items():
+            a += da
+            b += db
+            if a and b:
+                continue  # dies in the quotient
+            net += -1 if rows[tgt].get(kept) == (a, b) else 1
+        for src, (a, b) in rows.get(kept, {}).items():
+            a += da
+            b += db
+            if a and b:
+                continue
+            net += -1 if cols[src].get(absorbed) == (a, b) else 1
+        out.append((net, move))
+    out.sort(key=lambda sm: sm[0])
+    return out
 
 
 def _affected(work: _MonoMatrix, kept: int, absorbed: int) -> set[int]:
@@ -363,60 +440,6 @@ def _affected(work: _MonoMatrix, kept: int, absorbed: int) -> set[int]:
         out.update(work.rows.get(g, ()))
         out.update(work.cols.get(g, ()))
     return out
-
-
-def _is_type(mono: tuple[int, int], horizontal: bool) -> bool:
-    a, b = mono
-    return a > 0 if horizontal else b > 0
-
-
-def _power(mono: tuple[int, int]) -> int:
-    return mono[0] or mono[1]
-
-
-def _moves_at(mat: _MonoMatrix, gen: int) -> list[Move]:
-    """Candidate merges for the conflicts at one generator.
-
-    An outgoing conflict merges two targets toward the shorter arrow, an
-    incoming one two sources; equal powers allow both orientations.
-    """
-    moves: list[Move] = []
-    for horizontal in (True, False):
-        arrows = sorted(
-            (_power(m), tgt) for tgt, m in mat.cols.get(gen, {}).items()
-            if _is_type(m, horizontal)
-        )
-        for (k1, y1), (k2, y2) in itertools.combinations(arrows, 2):
-            moves.append((y1, y2, k2 - k1, horizontal))
-            if k1 == k2:
-                moves.append((y2, y1, 0, horizontal))
-        arrows = sorted(
-            (_power(m), src) for src, m in mat.rows.get(gen, {}).items()
-            if _is_type(m, horizontal)
-        )
-        for (k1, y1), (k2, y2) in itertools.combinations(arrows, 2):
-            moves.append((y2, y1, k2 - k1, horizontal))
-            if k1 == k2:
-                moves.append((y1, y2, 0, horizontal))
-    return moves
-
-
-def _move_score(mat: _MonoMatrix, move: Move) -> int:
-    """Net entries created by a merge; cancellations count negative."""
-    kept, absorbed, delta, horizontal = move
-    a_shift, b_shift = (delta, 0) if horizontal else (0, delta)
-    net = 0
-    for tgt, (a, b) in mat.cols.get(absorbed, {}).items():
-        na, nb = a + a_shift, b + b_shift
-        if mat.mode is Mode.UVZERO and na > 0 and nb > 0:
-            continue
-        net += -1 if mat.entry(tgt, kept) == (na, nb) else 1
-    for src, (a, b) in mat.rows.get(kept, {}).items():
-        na, nb = a + a_shift, b + b_shift
-        if mat.mode is Mode.UVZERO and na > 0 and nb > 0:
-            continue
-        net += -1 if mat.entry(absorbed, src) == (na, nb) else 1
-    return net
 
 
 def _basis_change(mat: _MonoMatrix, kept: int, absorbed: int, delta: int, horizontal: bool) -> None:

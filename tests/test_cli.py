@@ -120,12 +120,26 @@ def test_deep_nesting_exits_2(capsys, text):
 @pytest.mark.parametrize("text,generators", [
     ("C2(100000001;T(2,3))", 100000001),
     ("C2(399;T(2,3)) # C2(401;T(2,3))", 399 * 401),
+    ("T(2,2000001)", 2000001),
 ])
 def test_inputs_above_the_size_limit_exit_2(capsys, text, generators):
     code, out, err = run(capsys, "gamma0", text)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{generators} generators" in err
+
+
+def test_a_torus_knot_under_the_size_limit_is_built(capsys):
+    # T(p, p + 1) has the staircase 1, -(p - 1), 2, -(p - 2), ..., p - 1, -1
+    code, out, err = run(capsys, "gamma0", "T(2000,2001)")
+    steps = ",".join(f"{k},{k - 2000}" for k in range(1, 2000))
+    assert (code, out, err) == (0, f"[{steps}]\n", "")
+
+
+def test_a_sum_with_thousands_of_fallback_steps(capsys):
+    code, out, _ = run(capsys, "invariants", "C2(61;T(5,6)) # -C2(59;T(5,6))")
+    assert code == 0
+    assert "gamma0: [1,-1]\n" in out and "loopCount: 859\n" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 """Knot expressions: the parser, the cabling and connected-sum closed forms,
 evaluation, and local equivalence."""
 
+import math
+
 import pytest
 
 from cfkzero.algebra import LaurentPoly, alexander_torus
@@ -25,6 +27,7 @@ from cfkzero.knots import (
     sum_gamma0,
     sum_with_T2,
     tau_cable_formula,
+    torus_generators,
 )
 from cfkzero.standard import (
     tau,
@@ -237,6 +240,15 @@ def test_eval_examples():
     assert gamma0_of(Cable2(-1, Torus(2, 3))) == (1, -2, -1, 1, -1, 1, 2, -1)
     assert gamma0_of(Torus(2, -3)) == (-1, 1)
     assert gamma0_of(Unknot()) == ()
+
+
+def test_torus_generators_counts_the_built_staircase():
+    pairs = [(p, q) for p in range(2, 14) for q in range(p + 1, 45) if math.gcd(p, q) == 1]
+    assert len(pairs) == 272
+    for p, q in pairs:
+        built = len(gamma0_of(Torus(p, q))) + 1
+        assert torus_generators(p, q) == torus_generators(p, -q) == built, (p, q)
+    assert torus_generators(2000, 2001) == 3999
 
 
 def test_eval_reports_loops():

@@ -3,10 +3,13 @@ simplification, and gamma_0 extraction."""
 
 import pytest
 
+import cfkzero.standard as standard
 from cfkzero.algebra import Mode, RingElem
 from cfkzero.complexes import ChainComplex, Generator, KnotlikeError
+from cfkzero.knots import sum_gamma0
 from cfkzero.standard import (
     SequenceError,
+    SimplifyError,
     epsilon,
     extract_gamma0,
     extract_gamma0_with_loops,
@@ -131,6 +134,30 @@ def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
     simplified = simplify_basis(cx)
     assert len(simplified.diff) == 8
     assert split_components(simplified) == ([], 1)
+
+
+def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
+    # C2(3;T(2,3)) # -C2(1;T(2,3)): the search accepts 13 entry-reducing
+    # merges, then the first candidate of its first fallback step, and tries
+    # 43 merges in all
+    s1, s2 = (1, -2, 2, -1), (-1, 2, 1, -1, -2, 1)
+    made = []
+    change = standard._basis_change
+
+    def counted(mat, *move):
+        made.append(move)
+        change(mat, *move)
+
+    monkeypatch.setattr(standard, "_basis_change", counted)
+    monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
+    for cap in (13, 14):  # the cap runs out just before, then just after, that candidate
+        made.clear()
+        monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", cap)
+        with pytest.raises(SimplifyError, match="merge cap"):
+            sum_gamma0(s1, s2)
+        assert len(made) == cap  # each try so far was accepted: one basis change
+    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 43)
+    assert sum_gamma0(s1, s2) == ((1, -1), 8)
 
 
 def test_full_ring_pipeline_through_the_quotient():
