@@ -5,7 +5,6 @@ from .complexes import ChainComplex, Endomorphism, Generator
 from .involutive import basic_involution, phi_psi, tensor_involution, verify_lemma_43_44
 from .knots import (
     Cable2,
-    CableRegime,
     Mirror,
     Sum,
     Torus,
@@ -23,11 +22,9 @@ from .knots import (
     tau_cable_formula,
 )
 from .standard import (
-    SharpnessReport,
     epsilon,
     extract_gamma0,
     seq_to_complex,
-    sharpness,
     simplify_basis,
     tau,
     top_alexander,
@@ -49,7 +46,6 @@ __all__ = [
     "tensor_involution",
     "verify_lemma_43_44",
     "Cable2",
-    "CableRegime",
     "Mirror",
     "Sum",
     "Torus",
@@ -65,11 +61,9 @@ __all__ = [
     "staircase_from_alexander",
     "sum_with_T2",
     "tau_cable_formula",
-    "SharpnessReport",
     "epsilon",
     "extract_gamma0",
     "seq_to_complex",
-    "sharpness",
     "simplify_basis",
     "tau",
     "top_alexander",

@@ -88,10 +88,6 @@ class RingElem:
         return bool(self.terms)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_unit(self) -> bool:
         return self.terms == frozenset({(0, 0)})
 
@@ -125,28 +121,6 @@ class RingElem:
         return " + ".join(parts)
 
 
-def monomial_str_parse(text: str, mode: Mode) -> RingElem:
-    """Inverse of ``str(RingElem)``; accepts '0', '1', 'U^a', 'V^b', 'U^a V^b' sums."""
-    text = text.strip()
-    if text == "0":
-        return RingElem.zero(mode)
-    terms = []
-    for chunk in text.split("+"):
-        a = b = 0
-        chunk = chunk.strip()
-        if chunk != "1":
-            for factor in chunk.split():
-                var, _, exp = factor.partition("^")
-                if var == "U":
-                    a = int(exp)
-                elif var == "V":
-                    b = int(exp)
-                else:
-                    raise ValueError(f"bad monomial {chunk!r}")
-        terms.append((a, b))
-    return RingElem.from_terms(terms, mode)
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial in one variable t.
@@ -160,10 +134,6 @@ class LaurentPoly:
     @classmethod
     def from_dict(cls, d: Mapping[int, int]) -> "LaurentPoly":
         return cls(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":

@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -432,8 +433,24 @@ def run_paper_checks() -> list[PaperCheck]:
 # -- command dispatch ---------------------------------------------------------
 
 
+# the start of an expression whose first term is mirrored: '-T(2,3)', '-U',
+# '-(T(2,3))', '-C2(3;T(2,3))'
+_MIRRORED_EXPR = re.compile(r"-\s*[TUC(]")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that reads an argument starting with a mirrored
+    term as an expression, not as an unknown option; its subcommand parsers
+    are of the same class."""
+
+    def _parse_optional(self, arg_string):
+        if _MIRRORED_EXPR.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cfkzero",
         description="knot Floer standard complexes and the gamma_0 invariant",
     )

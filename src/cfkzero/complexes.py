@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .algebra import Mode, ModeMismatchError, RingElem, monomial_str_parse
+from .algebra import Mode, ModeMismatchError, RingElem
 
 
 class InvalidComplexError(ValueError):
@@ -91,9 +91,6 @@ class ChainComplex:
         self.diff = clean
 
     # -- basic access -------------------------------------------------------
-
-    def generator(self, ident: str) -> Generator:
-        return self._by_id[ident]
 
     def ids(self) -> list[str]:
         return [g.ident for g in self.gens]
@@ -249,39 +246,6 @@ class ChainComplex:
             )
         free = self._by_id[next(iter(survivors))]
         return free.alexander, tuple(sorted(torsion))
-
-    def max_alexander(self) -> int:
-        if not self.gens:
-            raise KnotlikeError("empty complex has no Alexander gradings")
-        return max(g.alexander for g in self.gens)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"{g.ident} {g.gr_u} {g.gr_v}" for g in self.gens]
-        for (tgt, src) in sorted(self.diff, key=lambda k: (k[1], k[0])):
-            lines.append(f"{src} -> {tgt} : {self.diff[(tgt, src)]}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, mode: Mode) -> "ChainComplex":
-        gens: list[Generator] = []
-        diff: dict[tuple[str, str], RingElem] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if "->" in line:
-                head, _, coeff = line.partition(":")
-                src, _, tgt = head.partition("->")
-                diff[(tgt.strip(), src.strip())] = monomial_str_parse(coeff, mode)
-            else:
-                ident, gu, gv = line.split()
-                gens.append(Generator(ident, int(gu), int(gv)))
-        return cls(gens, diff, mode)
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 Ident = Hashable  # a generator id: str in reduce(), int in the basis search
@@ -459,16 +423,6 @@ class Endomorphism:
 
     def twist(self, elem: RingElem) -> RingElem:
         return elem.swap_uv() if self.skew else elem
-
-    def entry(self, tgt: str, src: str) -> RingElem:
-        return self.entries.get((tgt, src), RingElem.zero(self.cx.mode))
-
-    def apply_gen(self, src: str) -> dict[str, RingElem]:
-        out: dict[str, RingElem] = {}
-        for (tgt, s), elem in self.entries.items():
-            if s == src:
-                out[tgt] = out.get(tgt, RingElem.zero(self.cx.mode)) + elem
-        return {t: e for t, e in out.items() if e}
 
     def apply(self, combo: Mapping[str, RingElem]) -> dict[str, RingElem]:
         """Apply to a coefficient combination of generators."""

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Mode, RingElem
-from .complexes import ChainComplex, Endomorphism, InvalidComplexError
-from .knots import ShapeError
-from .standard import Seq, extract_gamma0, seq_to_complex, validate_seq
+from .complexes import ChainComplex, Endomorphism, InvalidComplexError, _pair_id
+from .knots import ShapeError, _t2_host
+from .standard import Seq, extract_gamma0, seq_to_complex, staircase_shaped, validate_seq
 
 Combination = dict[str, RingElem]
 
@@ -103,46 +103,34 @@ def _tensor_endo(
     entries: dict[tuple[str, str], RingElem] = {}
     for (t1, s1), e1 in f.entries.items():
         for (t2, s2), e2 in g.entries.items():
-            key = (f"({t1}|{t2})", f"({s1}|{s2})")
+            key = (_pair_id(t1, t2), _pair_id(s1, s2))
             acc = entries.get(key, RingElem.zero(product.mode))
             entries[key] = acc + e1 * e2
     shift = (f.shift[0] + g.shift[0], f.shift[1] + g.shift[1])
     return Endomorphism(product, entries, shift, skew)
 
 
-def tensor_involution(d1: IotaData, d2: IotaData) -> IotaData:
-    """Involution of a connected sum: (i1 (x) i2) + (Phi (x) Psi) o (i1 (x) i2).
+def tensor_involution(d1: IotaData, d2: IotaData) -> tuple[IotaData, Endomorphism]:
+    """Involution of a connected sum, (i1 (x) i2) + (Phi (x) Psi) o (i1 (x) i2),
+    and its exact inverse (i1 (x) i2) + (Psi (x) Phi) o (i1 (x) i2).
 
     The correction term needs Phi of the first factor and Psi of the second;
     it vanishes wherever a factor image has no odd U- resp. V-exponent.
-    """
-    product = d1.complex.tensor(d2.complex)
-    base = _tensor_endo(product, d1.iota, d2.iota, skew=True)
-    phi1, _ = phi_psi(d1.complex)
-    _, psi2 = phi_psi(d2.complex)
-    correction = _tensor_endo(product, phi1, psi2, skew=False)
-    iota = base + correction.compose(base)
-    if not iota.is_chain_map():
-        raise InvalidComplexError("tensor involution is not a chain map")
-    return IotaData(product, iota)
-
-
-def tensor_involution_inverse(d1: IotaData, d2: IotaData) -> Endomorphism:
-    """The exact inverse (i1 (x) i2) + (Psi (x) Phi) o (i1 (x) i2).
-
     Conjugating the derivative endomorphisms by the basic involution swaps
     Phi and Psi exactly on staircases, and since the correction squares to
     zero the swapped formula composes with the involution to the identity.
     """
     product = d1.complex.tensor(d2.complex)
     base = _tensor_endo(product, d1.iota, d2.iota, skew=True)
-    _, psi1 = phi_psi(d1.complex)
-    phi2, _ = phi_psi(d2.complex)
-    correction = _tensor_endo(product, psi1, phi2, skew=False)
-    inverse = base + correction.compose(base)
+    phi1, psi1 = phi_psi(d1.complex)
+    phi2, psi2 = phi_psi(d2.complex)
+    iota = base + _tensor_endo(product, phi1, psi2, skew=False).compose(base)
+    if not iota.is_chain_map():
+        raise InvalidComplexError("tensor involution is not a chain map")
+    inverse = base + _tensor_endo(product, psi1, phi2, skew=False).compose(base)
     if not inverse.is_chain_map():
         raise InvalidComplexError("inverse tensor involution is not a chain map")
-    return inverse
+    return IotaData(product, iota), inverse
 
 
 # -- the distinguished basis for K # T_{2,q} ---------------------------------
@@ -155,10 +143,10 @@ class BasisFamily:
     Indices follow the displays: Y and Y' run over odd i <= 2n-1 and odd
     j <= k', Z and Z' over odd j <= k'-2, where k' is the largest odd number
     not exceeding k = (q-1)/2.  Elements are coefficient combinations of the
-    tensor-product generators.
+    generators (x_i|y_j) of the tensor product of the host staircase x_0 ...
+    x_{4n} and the T_{2,q} staircase y_0 ... y_{2k}.
     """
 
-    complex: ChainComplex
     n: int
     k: int
     x_elements: list[Combination] = field(default_factory=list)
@@ -179,20 +167,6 @@ class BasisFamily:
         return out
 
 
-def _host_shape(seq: Seq) -> int:
-    """Number n of (a, b) pairs in a palindromic all-a_i = 1 staircase."""
-    s = validate_seq(seq)
-    if not s or len(s) % 4 != 0:
-        raise ShapeError(f"{list(s)} is not of the (a_1, b_1, ..., -b_1, -a_1) shape")
-    half = s[: len(s) // 2]
-    for i in range(0, len(half), 2):
-        if half[i] != 1:
-            raise ShapeError(f"{list(s)} has a_({i // 2 + 1}) != 1")
-        if half[i + 1] >= 0:
-            raise ShapeError(f"{list(s)} is not a staircase")
-    return len(half) // 2
-
-
 def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
     """Construct the distinguished basis elements for CFK(K # T_{2,q}).
 
@@ -201,14 +175,12 @@ def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
     unprimed indices resolve by position along each staircase, which
     implements the stated index substitutions at j = k' = k.
     """
-    n = _host_shape(host)
-    if q <= 2 or q % 2 == 0:
-        raise ShapeError(f"torus summand needs odd q > 2, got {q}")
+    s = _t2_host(host, q)
+    if not staircase_shaped(s):
+        raise ShapeError(f"{list(s)} is not a staircase")
+    n = len(s) // 4
     k = (q - 1) // 2
-    host_cx = seq_to_complex(host, Mode.FULL, prefix="x")
-    torus_cx = seq_to_complex(validate_seq([1, -1] * k), Mode.FULL, prefix="y")
-    product = host_cx.tensor(torus_cx)
-    fam = BasisFamily(product, n, k)
+    fam = BasisFamily(n, k)
 
     def xpos(i: int, primed: bool) -> int:
         pos = 4 * n - i if primed else i
@@ -245,7 +217,7 @@ def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
 
     def vertical_power(i: int) -> int:
         # power of the V-arrow out of x_i in the host staircase: b_{(i+1)/2}
-        return abs(host[2 * ((i + 1) // 2) - 1])
+        return abs(s[2 * ((i + 1) // 2) - 1])
 
     k_odd = fam.k_odd
     for i in range(1, 2 * n, 2):
@@ -362,13 +334,11 @@ def verify_lemma_43_44(host: Seq, q: int) -> LemmaReport:
     zero mod 2, so that image is the bare generator combination.
     """
     fam = build_xyz_basis(host, q)
-    product = fam.complex
-    host_cx = seq_to_complex(host, Mode.FULL, prefix="x")
-    torus_cx = seq_to_complex(validate_seq([1, -1] * fam.k), Mode.FULL, prefix="y")
-    host_iota = basic_involution(host_cx)
-    torus_iota = basic_involution(torus_cx)
-    iota = tensor_involution(host_iota, torus_iota).iota
-    iota_inv = tensor_involution_inverse(host_iota, torus_iota)
+    host_iota = basic_involution(seq_to_complex(host, Mode.FULL, prefix="x"))
+    torus_seq = validate_seq([1, -1] * fam.k)
+    torus_iota = basic_involution(seq_to_complex(torus_seq, Mode.FULL, prefix="y"))
+    involution, iota_inv = tensor_involution(host_iota, torus_iota)
+    product, iota = involution.complex, involution.iota
 
     checks: list[LemmaCheck] = []
     round_trip = iota.compose(iota_inv)

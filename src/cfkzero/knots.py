@@ -85,8 +85,8 @@ class Mirror:
 
     def __str__(self) -> str:
         inner = str(self.inner)
-        if isinstance(self.inner, Sum):
-            inner = f"({inner})"
+        if isinstance(self.inner, (Sum, Mirror)):
+            inner = f"({inner})"  # the grammar reads '-' before an atom only
         return f"-{inner}"
 
 
@@ -96,7 +96,8 @@ class Sum:
     right: "KnotExpr"
 
     def __str__(self) -> str:
-        return f"{self.left} # {self.right}"
+        right = f"({self.right})" if isinstance(self.right, Sum) else str(self.right)
+        return f"{self.left} # {right}"  # '#' groups from the left
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):
             self.pos += 1
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -244,27 +245,6 @@ def _staircase_pairs(seq: Seq) -> list[tuple[int, int]]:
     return [(seq[i], seq[i + 1]) for i in range(0, len(seq), 2)]
 
 
-@dataclass(frozen=True)
-class CableRegime:
-    """Which side of 4g a cable parameter lies on; q = 4g never occurs since
-    q is odd and 4g is even."""
-
-    genus: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q % 2 == 0:
-            raise ShapeError(f"cable parameter q must be odd, got {self.q}")
-
-    @property
-    def above(self) -> bool:
-        return self.q > 4 * self.genus
-
-    @property
-    def middle_length(self) -> int:
-        return abs(self.q - 4 * self.genus) - 1
-
-
 def cable2(seq: Seq, genus: int, q: int) -> Seq:
     """Sequence of the (2, q)-cable of an L-space knot with staircase ``seq``.
 
@@ -276,19 +256,21 @@ def cable2(seq: Seq, genus: int, q: int) -> Seq:
     """
     s = validate_seq(seq)
     pairs = _staircase_pairs(s)
-    regime = CableRegime(genus, q)
+    if q % 2 == 0:
+        raise ShapeError(f"cable parameter q must be odd, got {q}")
     if genus != max(walk_values(s)):
         raise ShapeError(f"genus {genus} does not match the staircase {list(s)}")
+    above = q > 4 * genus  # q = 4g never occurs: q is odd and 4g even
     half: list[int] = []
     for i, (a, b) in enumerate(pairs):
         for j in range(2 * a - 1):
             half.append(1 if j % 2 == 0 else -1)
-        if regime.above or i < len(pairs) - 1:
+        if above or i < len(pairs) - 1:
             half.append(2 * b - 1)
         else:
             half.append(2 * b)
-    sign = 1 if regime.above else -1
-    middle = [sign, -sign] * (regime.middle_length // 2)
+    sign = 1 if above else -1
+    middle = [sign, -sign] * ((abs(q - 4 * genus) - 1) // 2)
     return validate_seq(half + middle + [-e for e in reversed(half)])
 
 
@@ -312,6 +294,22 @@ def _central_run_pairs(seq: Seq) -> tuple[int, int]:
     return j, seq[m - 2 * j]
 
 
+def _t2_host(seq: Seq, q: int) -> Seq:
+    """A host sequence for a sum with T(2, +-q), validated: it has the
+    palindromic (a_1, b_1, ..., -b_1, -a_1) shape with every |a_i| = 1, and
+    q is odd and > 2."""
+    s = validate_seq(seq)
+    if q <= 2 or q % 2 == 0:
+        raise ShapeError(f"torus summand needs odd q > 2, got {q}")
+    if not s or len(s) % 4 != 0:
+        raise ShapeError(
+            f"{list(s)} is not of the palindromic (a_1, b_1, ..., -b_1, -a_1) shape"
+        )
+    if any(abs(a) != 1 for a in s[: len(s) // 2 : 2]):
+        raise ShapeError(f"{list(s)} has a horizontal step of magnitude > 1")
+    return s
+
+
 def sum_with_T2(seq: Seq, q: int, sign: int) -> Seq:
     """Sequence of K # T_{2, +-q} for K with a palindromic sequence whose
     horizontal steps all have magnitude one.
@@ -322,18 +320,9 @@ def sum_with_T2(seq: Seq, q: int, sign: int) -> Seq:
     annihilates inserted pairs one for one, which is what makes the two
     middle runs of a cable and a torus-knot summand collapse.
     """
-    s = validate_seq(seq)
-    if q <= 2 or q % 2 == 0:
-        raise ShapeError(f"torus summand needs odd q > 2, got {q}")
+    s = _t2_host(seq, q)
     if sign not in (1, -1):
         raise ShapeError(f"sign must be +1 or -1, got {sign}")
-    if not s or len(s) % 4 != 0:
-        raise ShapeError(
-            f"{list(s)} is not of the palindromic (a_1, b_1, ..., -b_1, -a_1) shape"
-        )
-    half = s[: len(s) // 2]
-    if any(abs(half[i]) != 1 for i in range(0, len(half), 2)):
-        raise ShapeError(f"{list(s)} has a horizontal step of magnitude > 1")
     k = (q - 1) // 2
     j, orientation = _central_run_pairs(s)
     m = len(s) // 2

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Mode, RingElem
@@ -93,22 +92,6 @@ def epsilon(seq: Sequence[int]) -> int:
 def mirror_seq(seq: Sequence[int]) -> Seq:
     """Sequence of the mirror knot: entrywise negation."""
     return tuple(-e for e in validate_seq(seq))  # negation keeps every check
-
-
-@dataclass(frozen=True)
-class SharpnessReport:
-    genus: int
-    gamma0_top_a: int
-
-    @property
-    def sharp(self) -> bool:
-        return self.genus == self.gamma0_top_a
-
-
-def sharpness(genus: int, seq: Sequence[int]) -> SharpnessReport:
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    return SharpnessReport(genus, top_alexander(seq))
 
 
 def staircase_shaped(seq: Seq) -> bool:
@@ -549,16 +532,6 @@ def _int_arrows(cx: ChainComplex) -> tuple[list[str], list[Item]]:
     names = cx.ids()
     index = {name: i for i, name in enumerate(names)}
     return names, [((index[tgt], index[src]), elem.sole_term()) for (tgt, src), elem in cx.diff.items()]
-
-
-def split_components(cx: ChainComplex) -> tuple[list[list[str]], int]:
-    """Split a simplified complex into its alternating paths and cycles.
-
-    Returns (open paths as ordered id lists, number of closed loops).
-    """
-    names, arrows = _int_arrows(cx)
-    _, paths, loops = _components(names, arrows)
-    return [[names[i] for i in ids] for ids, _ in paths], loops
 
 
 def extract_gamma0(cx: ChainComplex) -> Seq:

@@ -11,7 +11,6 @@ from cfkzero.algebra import (
     ModeMismatchError,
     RingElem,
     alexander_torus,
-    monomial_str_parse,
 )
 
 
@@ -24,7 +23,7 @@ V = mono(0, 1)
 
 
 def test_char_two_cancellation():
-    assert (U + U).is_zero
+    assert not U + U
     assert U + V == RingElem.from_terms([(1, 0), (0, 1)], Mode.FULL)
     assert (U + V) + V == U
 
@@ -40,7 +39,7 @@ def test_multiplication():
     assert U * V == mono(1, 1)
     assert mono(1, 0, Mode.UVZERO) * mono(0, 1, Mode.UVZERO) == RingElem.zero(Mode.UVZERO)
     assert mono(2, 0) * mono(3, 0) == mono(5, 0)
-    assert (U * RingElem.zero(Mode.FULL)).is_zero
+    assert not U * RingElem.zero(Mode.FULL)
 
 
 def test_quotient_multiplication_agrees_with_full():
@@ -55,9 +54,10 @@ def test_quotient_multiplication_agrees_with_full():
         assert full.to_quotient() == quo
 
 
-def test_ring_str_round_trip():
+def test_ring_str():
     elem = RingElem.from_terms([(2, 0), (0, 3), (0, 0)], Mode.FULL)
-    assert monomial_str_parse(str(elem), Mode.FULL) == elem
+    assert str(elem) == "1 + V^3 + U^2"
+    assert str(mono(1, 2)) == "U^1 V^2"
     assert str(RingElem.zero(Mode.FULL)) == "0"
 
 

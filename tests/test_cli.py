@@ -42,6 +42,34 @@ def test_gamma0_json(capsys):
     assert json.loads(out) == {"expr": "T(2,3)", "gamma0": [1, -1]}
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["gamma0", "-T(2,3)"], "[-1,1]\n"),
+    (["gamma0", "-U"], "[]\n"),
+    (["gamma0", "-(T(2,3))"], "[-1,1]\n"),
+    (["gamma0", "-C2(3;T(2,3))"], "[-1,2,-2,1]\n"),
+    (["gamma0", "-T(2,3) # T(2,5)"], "[1,-1]\n"),
+    (["gamma0", "-T(2,3)", "--json"], '{"expr": "-T(2,3)", "gamma0": [-1, 1]}\n'),
+    (["gamma0", "--json", "-T(2,3)"], '{"expr": "-T(2,3)", "gamma0": [-1, 1]}\n'),
+    (["invariants", "-T(2,3)"], "expr: -T(2,3)\ngamma0: [-1,1]\ntau: -1\nepsilon: -1\n"
+                                "topA: 1\ngenus: 1\nsharp: true\nloopCount: 0\n"),
+    (["equiv", "-T(2,3)", "T(2,-3)"], "EQUIVALENT\n"),
+    (["equiv", "T(2,-3)", "-T(2,3)", "--json"], '{"equivalent": true, "verdict": "EQUIVALENT"}\n'),
+])
+def test_an_expression_may_start_with_a_mirror(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want, "")
+
+
+def test_options_stay_options_beside_a_mirrored_expression(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma0", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cfkzero gamma0 [-h] [--json] expr\n")
+    first, second = tmp_path / "a.svg", tmp_path / "b.svg"
+    assert run(capsys, "svg", "-T(2,3)", "--out", str(first)) == (0, "", "")
+    assert run(capsys, "svg", "--out", str(second), "-T(2,3)") == (0, "", "")
+    assert first.read_text() == second.read_text() == render_svg((-1, 1))
+
+
 def test_cable_difference_in_both_summand_orders(capsys):
     # both q exceed 4g(T(5,6)) = 40, so the regime rule gives the staircase
     # of T(2,5) whichever summand comes first

@@ -4,6 +4,8 @@ evaluation, and local equivalence."""
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cfkzero.algebra import LaurentPoly, alexander_torus
 from cfkzero.knots import (
@@ -67,10 +69,40 @@ def test_parse_errors(bad):
         parse_expr(bad)
 
 
+def test_parse_error_at_the_end_of_the_input():
+    with pytest.raises(ParseError, match=r"expected an integer at position 4 in 'T\(2,'$"):
+        parse_expr("T(2,")
+
+
 def test_round_trip_through_str():
     for text in ["T(2,3)", "C2(-1; T(2,3))", "C2(5; T(2,3)) # -C2(7; T(2,3)) # T(2,7) # -T(2,5)"]:
         expr = parse_expr(text)
         assert parse_expr(str(expr)) == expr
+    t23, t25, t27 = Torus(2, 3), Torus(2, 5), Torus(2, 7)
+    assert str(Mirror(Mirror(t23))) == "-(-T(2,3))"
+    assert str(Sum(t23, Sum(t25, t27))) == "T(2,3) # (T(2,5) # T(2,7))"
+    assert str(Sum(Sum(t23, t25), t27)) == "T(2,3) # T(2,5) # T(2,7)"
+    for expr in [Mirror(Mirror(t23)), Sum(t23, Sum(t25, t27)), Mirror(Sum(t23, Mirror(t25)))]:
+        assert parse_expr(str(expr)) == expr
+
+
+_TORI = st.tuples(st.integers(2, 12), st.integers(-40, 40)).filter(
+    lambda pq: pq[1] != 0 and math.gcd(*pq) == 1
+).map(lambda pq: Torus(*pq))
+_EXPRS = st.recursive(
+    st.one_of(st.just(Unknot()), _TORI),
+    lambda inner: st.one_of(
+        st.builds(Mirror, inner),
+        st.builds(Sum, inner, inner),
+        st.builds(Cable2, st.integers(-30, 30).map(lambda q: 2 * q + 1), inner),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_EXPRS)
+def test_str_round_trips_over_random_trees(expr):
+    assert parse_expr(str(expr)) == expr
 
 
 @pytest.mark.parametrize("text", [

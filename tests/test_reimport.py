@@ -1,11 +1,17 @@
-"""A fresh import of the package must free the previous one: a long-lived
-process that re-imports cfkzero (as the benchmark does every round) must not
-grow with each import."""
+"""The package's exports resolve, and a fresh import of the package frees
+the previous one: a long-lived process that re-imports cfkzero (as the
+benchmark does every round) must not grow with each import."""
 
 import gc
 import importlib
 import sys
 import weakref
+
+
+def test_every_exported_name_resolves():
+    package = importlib.import_module("cfkzero")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing
 
 
 def _drop_package():

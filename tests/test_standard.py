@@ -5,6 +5,7 @@ import pytest
 
 import cfkzero.standard as standard
 from cfkzero.algebra import Mode, RingElem
+from cfkzero.cli import invariant_report
 from cfkzero.complexes import ChainComplex, Generator, KnotlikeError
 from cfkzero.knots import sum_gamma0
 from cfkzero.standard import (
@@ -15,9 +16,7 @@ from cfkzero.standard import (
     extract_gamma0_with_loops,
     mirror_seq,
     seq_to_complex,
-    sharpness,
     simplify_basis,
-    split_components,
     tau,
     top_alexander,
     validate_seq,
@@ -57,11 +56,9 @@ def test_epsilon():
 
 
 def test_sharpness():
-    assert sharpness(1, (1, -1)).sharp
-    assert sharpness(2, CABLE_SEQ).sharp
-    assert not sharpness(1, ()).sharp
-    with pytest.raises(ValueError):
-        sharpness(-1, ())
+    assert invariant_report("T(2,3)").sharp
+    assert invariant_report("C2(-1; T(2,3))").sharp
+    assert not invariant_report("T(2,3) # -T(2,3)").sharp
 
 
 def test_trefoil_standard_complex():
@@ -82,7 +79,7 @@ def test_unknot_standard_complex():
 def test_cable_standard_complex():
     cx = seq_to_complex(CABLE_SEQ)
     assert len(cx) == 9
-    assert cx.max_alexander() == 2
+    assert max(g.alexander for g in cx.gens) == 2
     assert cx.validate() is None
 
 
@@ -103,9 +100,10 @@ def test_trefoil_sum_splits_into_path_and_box():
     product = cx.tensor(seq_to_complex((1, -1), prefix="y")).reduce()
     simplified = simplify_basis(product)
     assert simplified.validate() is None
-    paths, loops = split_components(simplified)
+    _, paths, loops = standard._components(*standard._int_arrows(simplified))
     assert len(paths) == 1 and loops == 1
-    assert len(paths[0]) == 5
+    ids, _ = paths[0]
+    assert len(ids) == 5
     seq, loop_count = extract_gamma0_with_loops(simplified)
     assert seq == (1, -1, 1, -1)
     assert loop_count == 1
@@ -116,7 +114,7 @@ def test_simplify_reaches_a_fixpoint_on_a_mixed_tensor():
     right = seq_to_complex((1, -1, -1, 1, 1, -1), prefix="y")
     simplified = simplify_basis(left.tensor(right).reduce())
     assert simplified.validate() is None
-    split_components(simplified)  # raises if any generator is overloaded
+    extract_gamma0_with_loops(simplified)  # raises if any generator is overloaded
 
 
 def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
@@ -133,7 +131,8 @@ def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
     cx = ChainComplex(gens, diff, Mode.UVZERO).require_valid()
     simplified = simplify_basis(cx)
     assert len(simplified.diff) == 8
-    assert split_components(simplified) == ([], 1)
+    _, paths, loops = standard._components(*standard._int_arrows(simplified))
+    assert (paths, loops) == ([], 1)
 
 
 def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
