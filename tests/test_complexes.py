@@ -54,6 +54,47 @@ def test_cable_complex_needs_its_diagonals():
     assert violation is not None and violation.kind == "dsquared"
 
 
+def violation_kind(cx):
+    violation = cx.validate()
+    return None if violation is None else violation.kind
+
+
+def test_validate_reports_odd_parity():
+    assert violation_kind(ChainComplex([Generator("a", 0, 1)], {}, Mode.UVZERO)) == "parity"
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_validate_reports_an_arrow_of_the_wrong_power(mode):
+    cx = seq_to_complex((1, -1), mode)
+    diff = {**cx.diff, ("z0", "z1"): RingElem.monomial(2, 0, mode)}
+    assert violation_kind(ChainComplex(cx.gens, diff, mode)) == "grading"
+
+
+def test_validate_reports_a_two_term_entry_as_grading():
+    cx = seq_to_complex((1, -1), Mode.FULL)
+    diff = {**cx.diff, ("z0", "z1"): RingElem.from_terms([(1, 0), (0, 1)], Mode.FULL)}
+    assert violation_kind(ChainComplex(cx.gens, diff, Mode.FULL)) == "grading"
+
+
+def two_steps(vpow, mode):
+    """x -> y by U, then y -> z by U (vpow 0) or V (vpow 1): d^2 x is U^2 z
+    or the mixed UV z."""
+    gens = [Generator("x", 0, 0), Generator("y", 1, -1), Generator("z", 2 - 2 * vpow, 2 * vpow - 2)]
+    diff = {
+        ("y", "x"): RingElem.monomial(1, 0, mode),
+        ("z", "y"): RingElem.monomial(1 - vpow, vpow, mode),
+    }
+    return ChainComplex(gens, diff, mode)
+
+
+def test_validate_reports_d_squared_over_both_rings():
+    assert violation_kind(two_steps(0, Mode.UVZERO)) == "dsquared"
+    assert violation_kind(two_steps(0, Mode.FULL)) == "dsquared"
+    # a mixed monomial in d^2 dies only in the quotient
+    assert violation_kind(two_steps(1, Mode.UVZERO)) is None
+    assert violation_kind(two_steps(1, Mode.FULL)) == "dsquared"
+
+
 def test_quotient_drops_exactly_the_diagonals():
     full = full_cable_complex()
     quotient = full.quotient_uv()
