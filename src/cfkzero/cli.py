@@ -18,12 +18,11 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import alexander_torus
 from .complexes import InvalidComplexError, KnotlikeError
-from .involutive import verify_lemma_43_44
+from .involutive import Check, verify_lemma_43_44
 from .knots import (
     Cable2,
     EvalError,
@@ -67,59 +66,32 @@ def format_seq(seq: Sequence[int]) -> str:
 # -- invariant report ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    expr: str
-    gamma0: tuple[int, ...]
-    tau: int
-    epsilon: int
-    top_a: int
-    genus: int
-    sharp: bool
-    loop_count: int
-
-    def lines(self) -> list[str]:
-        return [
-            f"expr: {self.expr}",
-            f"gamma0: {format_seq(self.gamma0)}",
-            f"tau: {self.tau}",
-            f"epsilon: {self.epsilon}",
-            f"topA: {self.top_a}",
-            f"genus: {self.genus}",
-            f"sharp: {str(self.sharp).lower()}",
-            f"loopCount: {self.loop_count}",
-        ]
-
-    def json_dict(self) -> dict:
-        return {
-            "expr": self.expr,
-            "gamma0": list(self.gamma0),
-            "tau": self.tau,
-            "epsilon": self.epsilon,
-            "topA": self.top_a,
-            "genus": self.genus,
-            "sharp": self.sharp,
-            "loopCount": self.loop_count,
-        }
-
-
-def invariant_report(text: str) -> InvariantReport:
+def invariant_report(text: str) -> dict:
+    """The invariants of an expression as one ordered record, which
+    `invariants` prints as lines in this order or as JSON."""
     expr = parse_expr(text)
     result = eval_expr(expr)
     seq = result.sequence
     eps = epsilon(seq)  # the one validation of seq; tau and topA read its walk
     walk = walk_values(seq)
     genus = genus_of(expr)
-    return InvariantReport(
-        expr=text.strip(),
-        gamma0=seq,
-        tau=walk[0],
-        epsilon=eps,
-        top_a=max(walk),
-        genus=genus,
-        sharp=genus == max(walk),
-        loop_count=result.loop_count,
-    )
+    return {
+        "expr": text.strip(),
+        "gamma0": seq,
+        "tau": walk[0],
+        "epsilon": eps,
+        "topA": max(walk),
+        "genus": genus,
+        "sharp": genus == max(walk),
+        "loopCount": result.loop_count,
+    }
+
+
+def _shown(value) -> str:
+    """A report value as the text report prints it: [1,-1], true, -1."""
+    if isinstance(value, tuple):
+        return format_seq(value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 # -- svg rendering ------------------------------------------------------------
@@ -193,13 +165,6 @@ def render_svg(seq: Sequence[int]) -> str:
 
 
 # -- the paper verification suite --------------------------------------------
-
-
-@dataclass(frozen=True)
-class PaperCheck:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 def _check_staircase_extraction() -> tuple[bool, str]:
@@ -323,10 +288,9 @@ def _check_involutive() -> tuple[bool, str]:
     count = 0
     for host in _criterion3_hosts():
         for q in (3, 5, 7):
-            report = verify_lemma_43_44(host, q)
-            if not report.passed:
-                bad = next(c for c in report.checks if not c.passed)
-                return False, f"host {list(host)}, q={q}: {bad}"
+            bad = [c for c in verify_lemma_43_44(host, q) if not c.passed]
+            if bad:
+                return False, f"host {list(host)}, q={q}: {bad[0]}"
             count += 1
     return True, f"{count} lemma verifications"
 
@@ -419,14 +383,14 @@ PAPER_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_paper_checks() -> list[PaperCheck]:
+def run_paper_checks() -> list[Check]:
     out = []
     for name, fn in PAPER_CHECKS:
         try:
             passed, detail = fn()
         except Exception as exc:  # a crash is a failing check, not a crash of the CLI
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        out.append(PaperCheck(name, passed, detail))
+        out.append(Check(name, passed, detail))
     return out
 
 
@@ -440,13 +404,17 @@ _MIRRORED_EXPR = re.compile(r"-\s*[TUC(]")
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser that reads an argument starting with a mirrored
-    term as an expression, not as an unknown option; its subcommand parsers
-    are of the same class."""
+    term as an expression, not as an unknown option.  Its subcommand parsers
+    are of the same class, and they refuse an unknown option by name at
+    once; argparse would set it aside and report the expression missing."""
 
     def _parse_optional(self, arg_string):
         if _MIRRORED_EXPR.match(arg_string):
             return None
-        return super()._parse_optional(arg_string)
+        option = super()._parse_optional(arg_string)
+        if option is not None and self._subparsers is None and not self._get_option_tuples(arg_string):
+            self.error(f"unrecognized arguments: {arg_string}")
+        return option
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,9 +468,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "invariants":
             report = invariant_report(args.expr)
             if args.json:
-                print(json.dumps(report.json_dict(), sort_keys=True))
+                print(json.dumps(report, sort_keys=True))
             else:
-                print("\n".join(report.lines()))
+                print("\n".join(f"{key}: {_shown(value)}" for key, value in report.items()))
             return 0
         if args.command == "equiv":
             same = locally_equivalent(parse_expr(args.expr1), parse_expr(args.expr2))
@@ -538,13 +506,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print(f"{status} {check.name}{tail}")
             return 0 if all(c.passed for c in checks) else 1
     except (
-        ParseError, EvalError, ShapeError, SequenceError,
+        ParseError, EvalError, ShapeError, SequenceError, OSError,
         # internal failures of the sum pipeline: exit 1 would read as "not equivalent"
         SimplifyError, KnotlikeError, InvalidComplexError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -59,6 +59,44 @@ def _pair_id(a: str, b: str) -> str:
     return f"({a}|{b})"
 
 
+def _violation(
+    names: Sequence,
+    cols: Mapping[int, Mapping[int, tuple[int, int]]],
+    gr_u: Sequence[int],
+    gr_v: Sequence[int],
+    mode: Mode,
+) -> ComplexViolation | None:
+    """The first failure of a complex on generators 0 ... len(names)-1 with
+    single-monomial entries, `cols` mapping each source to its targets: the
+    parity of every generator, the grading of every arrow, then d^2 = 0,
+    where mixed monomials die over UV = 0 and stay over the full ring.
+    `names` labels the generators in the witness."""
+    for g, (gu, gv) in enumerate(zip(gr_u, gr_v)):
+        if (gu - gv) % 2 != 0:
+            return ComplexViolation("parity", f"generator {names[g]} grades ({gu},{gv})")
+    for src, col in cols.items():
+        for tgt, (a, b) in col.items():
+            if gr_u[tgt] - 2 * a != gr_u[src] - 1 or gr_v[tgt] - 2 * b != gr_v[src] - 1:
+                return ComplexViolation("grading", f"{names[src]} -> {names[tgt]} : U^{a} V^{b}")
+    quotient = mode is Mode.UVZERO
+    for src, col in cols.items():
+        square: set[tuple[int, int, int]] = set()  # (target, U power, V power), odd counts
+        for mid, (a1, b1) in col.items():
+            for tgt, (a2, b2) in cols.get(mid, {}).items():
+                a, b = a1 + a2, b1 + b2
+                if quotient and a > 0 and b > 0:
+                    continue  # dies in the quotient
+                term = (tgt, a, b)
+                if term in square:
+                    square.remove(term)
+                else:
+                    square.add(term)
+        if square:
+            tgt, a, b = min(square)
+            return ComplexViolation("dsquared", f"d^2({names[src]}) hits {names[tgt]} with U^{a} V^{b}")
+    return None
+
+
 class ChainComplex:
     """A free bigraded complex with a sparse differential.
 
@@ -113,33 +151,18 @@ class ChainComplex:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ComplexViolation | None:
-        """Check the grading constraint and d^2 = 0; report the first failure."""
-        for g in self.gens:
-            if (g.gr_u - g.gr_v) % 2 != 0:
-                return ComplexViolation("parity", f"generator {g.ident} grades ({g.gr_u},{g.gr_v})")
-        for (tgt, src) in sorted(self.diff):
-            elem = self.diff[(tgt, src)]
-            gt, gs = self._by_id[tgt], self._by_id[src]
-            for a, b in sorted(elem.terms):
-                if gt.gr_u - 2 * a != gs.gr_u - 1 or gt.gr_v - 2 * b != gs.gr_v - 1:
-                    return ComplexViolation(
-                        "grading", f"{src} -> {tgt} : U^{a} V^{b}"
-                    )
-        # d^2 sums, accumulated per (final target, source)
-        by_source: dict[str, list[tuple[str, RingElem]]] = {}
+        """Check the parity of every generator, the grading of every arrow
+        and d^2 = 0; report the first failure.  No graded entry has two
+        terms, so such an entry fails the grading."""
+        index = {g.ident: i for i, g in enumerate(self.gens)}
+        cols: dict[int, dict[int, tuple[int, int]]] = {}
         for (tgt, src), elem in self.diff.items():
-            by_source.setdefault(src, []).append((tgt, elem))
-        square: dict[tuple[str, str], RingElem] = {}
-        for (mid, src), first in self.diff.items():
-            for tgt, second in by_source.get(mid, ()):
-                key = (tgt, src)
-                acc = square.get(key, RingElem.zero(self.mode))
-                square[key] = acc + second * first
-        for key in sorted(square):
-            if square[key]:
-                tgt, src = key
-                return ComplexViolation("dsquared", f"d^2({src}) hits {tgt} with {square[key]}")
-        return None
+            if len(elem.terms) > 1:
+                return ComplexViolation("grading", f"{src} -> {tgt} : {elem}")
+            cols.setdefault(index[src], {})[index[tgt]] = elem.sole_term()
+        gr_u = [g.gr_u for g in self.gens]
+        gr_v = [g.gr_v for g in self.gens]
+        return _violation(self.ids(), cols, gr_u, gr_v, self.mode)
 
     def require_valid(self) -> "ChainComplex":
         violation = self.validate()
@@ -421,29 +444,34 @@ class Endomorphism:
     def __post_init__(self) -> None:
         self.entries = {k: v for k, v in self.entries.items() if v}
 
+    @functools.cached_property
+    def _by_source(self) -> dict[str, list[tuple[str, RingElem]]]:
+        """The entries indexed by source, as (target, coefficient) pairs."""
+        by_src: dict[str, list[tuple[str, RingElem]]] = {}
+        for (tgt, src), elem in self.entries.items():
+            by_src.setdefault(src, []).append((tgt, elem))
+        return by_src
+
     def twist(self, elem: RingElem) -> RingElem:
         return elem.swap_uv() if self.skew else elem
 
     def apply(self, combo: Mapping[str, RingElem]) -> dict[str, RingElem]:
-        """Apply to a coefficient combination of generators."""
+        """Apply to a coefficient combination of generators; the result
+        holds no zero coefficient."""
         out: dict[str, RingElem] = {}
         for src, coeff in combo.items():
             twisted = self.twist(coeff)
-            for (tgt, s), elem in self.entries.items():
-                if s == src:
-                    acc = out.get(tgt, RingElem.zero(self.cx.mode))
-                    out[tgt] = acc + elem * twisted
+            for tgt, elem in self._by_source.get(src, ()):
+                acc = out.get(tgt, RingElem.zero(self.cx.mode))
+                out[tgt] = acc + elem * twisted
         return {t: e for t, e in out.items() if e}
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other."""
         entries: dict[tuple[str, str], RingElem] = {}
-        by_src: dict[str, list[tuple[str, RingElem]]] = {}
-        for (tgt, src), elem in self.entries.items():
-            by_src.setdefault(src, []).append((tgt, elem))
         for (mid, src), inner in other.entries.items():
             twisted = self.twist(inner)
-            for tgt, outer in by_src.get(mid, ()):
+            for tgt, outer in self._by_source.get(mid, ()):
                 key = (tgt, src)
                 acc = entries.get(key, RingElem.zero(self.cx.mode))
                 entries[key] = acc + outer * twisted

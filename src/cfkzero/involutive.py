@@ -29,12 +29,6 @@ def _coefficient_parity(b: int) -> int:
     return b % 2
 
 
-@dataclass(frozen=True)
-class IotaData:
-    complex: ChainComplex
-    iota: Endomorphism
-
-
 def _staircase_order(cx: ChainComplex) -> list[str]:
     """Generator ids of a staircase complex in path order, or raise.
 
@@ -61,7 +55,7 @@ def _staircase_order(cx: ChainComplex) -> list[str]:
     return ids
 
 
-def basic_involution(cx: ChainComplex) -> IotaData:
+def basic_involution(cx: ChainComplex) -> Endomorphism:
     """The involution of a staircase: z_i <-> z_{2n-i}, a skew chain map."""
     ids = _staircase_order(cx)
     n = len(ids)
@@ -71,7 +65,7 @@ def basic_involution(cx: ChainComplex) -> IotaData:
     iota = Endomorphism(cx, entries, (0, 0), skew=True)
     if not iota.is_chain_map():
         raise InvalidComplexError("basic involution is not a chain map")
-    return IotaData(cx, iota)
+    return iota
 
 
 def phi_psi(cx: ChainComplex) -> tuple[Endomorphism, Endomorphism]:
@@ -110,9 +104,11 @@ def _tensor_endo(
     return Endomorphism(product, entries, shift, skew)
 
 
-def tensor_involution(d1: IotaData, d2: IotaData) -> tuple[IotaData, Endomorphism]:
+def tensor_involution(iota1: Endomorphism, iota2: Endomorphism) -> tuple[Endomorphism, Endomorphism]:
     """Involution of a connected sum, (i1 (x) i2) + (Phi (x) Psi) o (i1 (x) i2),
-    and its exact inverse (i1 (x) i2) + (Psi (x) Phi) o (i1 (x) i2).
+    and its exact inverse (i1 (x) i2) + (Psi (x) Phi) o (i1 (x) i2), from the
+    involutions of the two factors.  Both act on the tensor product of the
+    factors' complexes, i1.cx (x) i2.cx, which is built once.
 
     The correction term needs Phi of the first factor and Psi of the second;
     it vanishes wherever a factor image has no odd U- resp. V-exponent.
@@ -120,17 +116,17 @@ def tensor_involution(d1: IotaData, d2: IotaData) -> tuple[IotaData, Endomorphis
     Phi and Psi exactly on staircases, and since the correction squares to
     zero the swapped formula composes with the involution to the identity.
     """
-    product = d1.complex.tensor(d2.complex)
-    base = _tensor_endo(product, d1.iota, d2.iota, skew=True)
-    phi1, psi1 = phi_psi(d1.complex)
-    phi2, psi2 = phi_psi(d2.complex)
+    product = iota1.cx.tensor(iota2.cx)
+    base = _tensor_endo(product, iota1, iota2, skew=True)
+    phi1, psi1 = phi_psi(iota1.cx)
+    phi2, psi2 = phi_psi(iota2.cx)
     iota = base + _tensor_endo(product, phi1, psi2, skew=False).compose(base)
     if not iota.is_chain_map():
         raise InvalidComplexError("tensor involution is not a chain map")
     inverse = base + _tensor_endo(product, psi1, phi2, skew=False).compose(base)
     if not inverse.is_chain_map():
         raise InvalidComplexError("inverse tensor involution is not a chain map")
-    return IotaData(product, iota), inverse
+    return iota, inverse
 
 
 # -- the distinguished basis for K # T_{2,q} ---------------------------------
@@ -261,7 +257,10 @@ def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
 
 
 @dataclass(frozen=True)
-class LemmaCheck:
+class Check:
+    """One named check with its verdict: a lemma identity, or a criterion
+    of the verification suite."""
+
     name: str
     passed: bool
     detail: str = ""
@@ -270,24 +269,6 @@ class LemmaCheck:
         status = "ok" if self.passed else "FAILED"
         tail = f" ({self.detail})" if self.detail else ""
         return f"{self.name}: {status}{tail}"
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    checks: tuple[LemmaCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.checks)
-
-
-def _combos_equal(lhs: Combination, rhs: Combination) -> bool:
-    lhs = {g: e for g, e in lhs.items() if e}
-    rhs = {g: e for g, e in rhs.items() if e}
-    return lhs == rhs
 
 
 def _unit_pivot_rank(cx: ChainComplex, elements: list[Combination]) -> int:
@@ -320,7 +301,7 @@ def _unit_pivot_rank(cx: ChainComplex, elements: list[Combination]) -> int:
     return rank
 
 
-def verify_lemma_43_44(host: Seq, q: int) -> LemmaReport:
+def verify_lemma_43_44(host: Seq, q: int) -> tuple[Check, ...]:
     """Check, by exact matrix computation, the distinguished-basis identities
     for K # T_{2,q}: the X path is a subcomplex carrying the inserted-run
     sequence and the involution reverses it, the square families map onto
@@ -337,15 +318,15 @@ def verify_lemma_43_44(host: Seq, q: int) -> LemmaReport:
     host_iota = basic_involution(seq_to_complex(host, Mode.FULL, prefix="x"))
     torus_seq = validate_seq([1, -1] * fam.k)
     torus_iota = basic_involution(seq_to_complex(torus_seq, Mode.FULL, prefix="y"))
-    involution, iota_inv = tensor_involution(host_iota, torus_iota)
-    product, iota = involution.complex, involution.iota
+    iota, iota_inv = tensor_involution(host_iota, torus_iota)
+    product = iota.cx
 
-    checks: list[LemmaCheck] = []
+    checks: list[Check] = []
     round_trip = iota.compose(iota_inv)
     identity = all(
         key[0] == key[1] and elem.is_unit for key, elem in round_trip.entries.items()
     ) and len(round_trip.entries) == len(product)
-    checks.append(LemmaCheck("involution composes with its inverse to the identity", identity))
+    checks.append(Check("involution composes with its inverse to the identity", identity))
 
     # (a) X is a subcomplex realizing the naive insertion sequence
     x_ids = [next(iter(e)) for e in fam.x_elements]
@@ -353,7 +334,7 @@ def verify_lemma_43_44(host: Seq, q: int) -> LemmaReport:
     closed = all(
         tgt in x_set for (tgt, src) in product.diff if src in x_set
     )
-    checks.append(LemmaCheck("X spans a subcomplex", closed))
+    checks.append(Check("X spans a subcomplex", closed))
     sub_gens = [g for g in product.gens if g.ident in x_set]
     sub_diff = {
         key: elem for key, elem in product.diff.items() if key[1] in x_set
@@ -368,15 +349,15 @@ def verify_lemma_43_44(host: Seq, q: int) -> LemmaReport:
         detail = "" if seq_ok else f"got {list(x_seq)}, wanted {list(expected)}"
     except Exception as exc:  # structural failure is a reportable failure
         seq_ok, detail = False, str(exc)
-    checks.append(LemmaCheck("X carries the inserted-run sequence", seq_ok, detail))
+    checks.append(Check("X carries the inserted-run sequence", seq_ok, detail))
 
     # (b) the involution acts on X as the basic involution (reversal)
     size = len(fam.x_elements)
     reversal = all(
-        _combos_equal(iota.apply(fam.x_elements[idx]), fam.x_elements[size - 1 - idx])
+        iota.apply(fam.x_elements[idx]) == fam.x_elements[size - 1 - idx]
         for idx in range(size)
     )
-    checks.append(LemmaCheck("involution reverses the X listing", reversal))
+    checks.append(Check("involution reverses the X listing", reversal))
 
     # (c) the square families map onto each other entry by entry: forward
     # under the involution, return under its exact inverse, with the 2b = 0
@@ -384,22 +365,22 @@ def verify_lemma_43_44(host: Seq, q: int) -> LemmaReport:
     for (i, j), y in sorted(fam.y.items()):
         y_prime = fam.y_prime[(i, j)]
         for m in range(4):
-            ok = _combos_equal(iota.apply(y[m]), y_prime[m])
-            checks.append(LemmaCheck(f"iota(Y[{i},{j}][{m}]) = Y'[{i},{j}][{m}]", ok))
+            ok = iota.apply(y[m]) == y_prime[m]
+            checks.append(Check(f"iota(Y[{i},{j}][{m}]) = Y'[{i},{j}][{m}]", ok))
         for m in range(4):
-            ok = _combos_equal(iota_inv.apply(y_prime[m]), y[m])
+            ok = iota_inv.apply(y_prime[m]) == y[m]
             name = f"iota^-1(Y'[{i},{j}][{m}]) = Y[{i},{j}][{m}]"
             if m == 0:
                 name += " (2b coefficient collapses)"
-            checks.append(LemmaCheck(name, ok))
+            checks.append(Check(name, ok))
     for (i, j), z in sorted(fam.z.items()):
         z_prime = fam.z_prime[(i, j)]
         for m in range(4):
-            ok = _combos_equal(iota.apply(z[m]), z_prime[m])
-            checks.append(LemmaCheck(f"iota(Z[{i},{j}][{m}]) = Z'[{i},{j}][{m}]", ok))
+            ok = iota.apply(z[m]) == z_prime[m]
+            checks.append(Check(f"iota(Z[{i},{j}][{m}]) = Z'[{i},{j}][{m}]", ok))
         for m in range(4):
-            ok = _combos_equal(iota_inv.apply(z_prime[m]), z[m])
-            checks.append(LemmaCheck(f"iota^-1(Z'[{i},{j}][{m}]) = Z[{i},{j}][{m}]", ok))
+            ok = iota_inv.apply(z_prime[m]) == z[m]
+            checks.append(Check(f"iota^-1(Z'[{i},{j}][{m}]) = Z[{i},{j}][{m}]", ok))
 
     # (d) the family is unimodular: unit-pivot elimination certifies it is
     # part of a basis, and for odd k a complete one
@@ -411,5 +392,5 @@ def verify_lemma_43_44(host: Seq, q: int) -> LemmaReport:
         name = "family is a full basis"
     else:
         name = "family is part of a basis"
-    checks.append(LemmaCheck(name, ok, f"rank {rank} of {len(elements)}, module rank {len(product)}"))
-    return LemmaReport(tuple(checks))
+    checks.append(Check(name, ok, f"rank {rank} of {len(elements)}, module rank {len(product)}"))
+    return tuple(checks)

@@ -59,6 +59,23 @@ def test_an_expression_may_start_with_a_mirror(capsys, argv, want):
     assert run(capsys, *argv) == (0, want, "")
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["gamma0", "-x"], "-x"),
+    (["gamma0", "--T(2,3)"], "--T(2,3)"),
+    (["gamma0", "-x", "--json"], "-x"),
+    (["invariants", "T(2,3)", "--jsn"], "--jsn"),
+    (["equiv", "-T(2,3)", "-x"], "-x"),
+])
+def test_an_unknown_option_is_named(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: unrecognized arguments: {bad}")
+    assert "required" not in captured.err and "Traceback" not in captured.err
+
+
 def test_options_stay_options_beside_a_mirrored_expression(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gamma0", "-h"])

@@ -56,9 +56,9 @@ def test_epsilon():
 
 
 def test_sharpness():
-    assert invariant_report("T(2,3)").sharp
-    assert invariant_report("C2(-1; T(2,3))").sharp
-    assert not invariant_report("T(2,3) # -T(2,3)").sharp
+    assert invariant_report("T(2,3)")["sharp"]
+    assert invariant_report("C2(-1; T(2,3))")["sharp"]
+    assert not invariant_report("T(2,3) # -T(2,3)")["sharp"]
 
 
 def test_trefoil_standard_complex():
