@@ -81,6 +81,12 @@ class RingElem:
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._require_same_mode(other)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # one clean monomial times another needs no cleaning
+            ((a1, b1),), ((a2, b2),) = self.terms, other.terms
+            if self.mode is Mode.UVZERO and a1 + a2 > 0 and b1 + b2 > 0:
+                return RingElem(frozenset(), self.mode)
+            return RingElem(frozenset({(a1 + a2, b1 + b2)}), self.mode)
         prods = [(a1 + a2, b1 + b2) for a1, b1 in self.terms for a2, b2 in other.terms]
         return RingElem(_clean_terms(prods, self.mode), self.mode)
 
@@ -99,7 +105,8 @@ class RingElem:
 
     def swap_uv(self) -> "RingElem":
         """Exchange U and V in every monomial (used by skew-equivariant maps)."""
-        return RingElem.from_terms(((b, a) for a, b in self.terms), self.mode)
+        # swapping keeps a clean term set clean, over either ring
+        return RingElem(frozenset((b, a) for a, b in self.terms), self.mode)
 
     def to_quotient(self) -> "RingElem":
         """Image in F_2[U,V]/(UV): mixed monomials are deleted."""

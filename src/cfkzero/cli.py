@@ -18,6 +18,7 @@ import json
 import random
 import re
 import sys
+import time
 from typing import Callable, Sequence
 
 from .algebra import alexander_torus
@@ -383,14 +384,16 @@ PAPER_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_paper_checks() -> list[Check]:
+def run_paper_checks() -> list[tuple[Check, float]]:
+    """Each check of the suite with the seconds it took."""
     out = []
     for name, fn in PAPER_CHECKS:
+        start = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as exc:  # a crash is a failing check, not a crash of the CLI
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        out.append(Check(name, passed, detail))
+        out.append((Check(name, passed, detail), time.perf_counter() - start))
     return out
 
 
@@ -487,24 +490,25 @@ def main(argv: Sequence[str] | None = None) -> int:
                 handle.write(document)
             return 0
         if args.command == "verify-paper":
-            checks = run_paper_checks()
+            timed = run_paper_checks()
+            passed = all(check.passed for check, _ in timed)
             if args.json:
                 print(json.dumps(
                     {
                         "checks": [
-                            {"name": c.name, "passed": c.passed, "detail": c.detail}
-                            for c in checks
+                            {"name": c.name, "passed": c.passed, "detail": c.detail, "seconds": seconds}
+                            for c, seconds in timed
                         ],
-                        "passed": all(c.passed for c in checks),
+                        "passed": passed,
                     },
                     sort_keys=True,
                 ))
             else:
-                for check in checks:
+                for check, _ in timed:
                     status = "PASS" if check.passed else "FAIL"
                     tail = f": {check.detail}" if check.detail else ""
                     print(f"{status} {check.name}{tail}")
-            return 0 if all(c.passed for c in checks) else 1
+            return 0 if passed else 1
     except (
         ParseError, EvalError, ShapeError, SequenceError, OSError,
         # internal failures of the sum pipeline: exit 1 would read as "not equivalent"

@@ -133,11 +133,13 @@ class ChainComplex:
     def ids(self) -> list[str]:
         return [g.ident for g in self.gens]
 
-    def entry(self, tgt: str, src: str) -> RingElem:
-        return self.diff.get((tgt, src), RingElem.zero(self.mode))
-
     def __len__(self) -> int:
         return len(self.gens)
+
+    @functools.cached_property
+    def _by_source(self) -> dict[str, list[tuple[str, RingElem]]]:
+        """The differential indexed by source; ``diff`` never changes."""
+        return diff_endomorphism(self)._by_source
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainComplex):
@@ -188,8 +190,7 @@ class ChainComplex:
         for (t, s), elem in other.diff.items():
             for x in self.gens:
                 key = (_pair_id(x.ident, t), _pair_id(x.ident, s))
-                acc = diff.get(key, RingElem.zero(self.mode))
-                diff[key] = acc + elem
+                diff[key] = diff[key] + elem if key in diff else elem
         return ChainComplex(gens, diff, self.mode)
 
     def dual(self) -> "ChainComplex":
@@ -305,16 +306,6 @@ class _MonoMatrix:
             a, b = elem.sole_term()
             mat.add(tgt, src, a, b)
         return mat
-
-    def copy(self) -> "_MonoMatrix":
-        out = _MonoMatrix(self.mode)
-        out.rows = {t: dict(row) for t, row in self.rows.items() if row}
-        out.cols = {s: dict(col) for s, col in self.cols.items() if col}
-        out.zhash = self.zhash
-        out.count = self.count
-        out.degrees = {g: list(d) for g, d in self.degrees.items()}
-        out.conflicted = set(self.conflicted)
-        return out
 
     def tensor(self, size: int, other: "_MonoMatrix", other_size: int) -> "_MonoMatrix":
         """The tensor product of two matrices on the integer generators
@@ -462,8 +453,8 @@ class Endomorphism:
         for src, coeff in combo.items():
             twisted = self.twist(coeff)
             for tgt, elem in self._by_source.get(src, ()):
-                acc = out.get(tgt, RingElem.zero(self.cx.mode))
-                out[tgt] = acc + elem * twisted
+                term = elem * twisted
+                out[tgt] = out[tgt] + term if tgt in out else term
         return {t: e for t, e in out.items() if e}
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
@@ -473,12 +464,9 @@ class Endomorphism:
             twisted = self.twist(inner)
             for tgt, outer in self._by_source.get(mid, ()):
                 key = (tgt, src)
-                acc = entries.get(key, RingElem.zero(self.cx.mode))
-                entries[key] = acc + outer * twisted
-        if self.skew:
-            os = (other.shift[1], other.shift[0])
-        else:
-            os = other.shift
+                term = outer * twisted
+                entries[key] = entries[key] + term if key in entries else term
+        os = other.shift[::-1] if self.skew else other.shift
         shift = (self.shift[0] + os[0], self.shift[1] + os[1])
         return Endomorphism(self.cx, entries, shift, self.skew != other.skew)
 
@@ -487,18 +475,41 @@ class Endomorphism:
             raise ValueError("can only add endomorphisms of the same type and shift")
         entries = dict(self.entries)
         for key, elem in other.entries.items():
-            acc = entries.get(key, RingElem.zero(self.cx.mode))
-            entries[key] = acc + elem
+            entries[key] = entries[key] + elem if key in entries else elem
         return Endomorphism(self.cx, entries, self.shift, self.skew)
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def is_chain_map(self) -> bool:
-        # the differential's shift (-1, -1) is swap-invariant, so both
-        # composites carry identical bookkeeping and can be added
-        d = diff_endomorphism(self.cx)
-        return (d.compose(self) + self.compose(d)).is_zero()
+        """Whether d f + f d = 0, one source s at a time: the monomials of
+        (d f)(s) and (f d)(s) are gathered by target with odd counts, a skew
+        f swaps U and V in the entries of d it reads, and over UV = 0 a mixed
+        monomial dies.  d is read through the complex's index by source."""
+        diff, mine = self.cx._by_source, self._by_source
+        quotient = self.cx.mode is Mode.UVZERO
+        for src in mine.keys() | diff.keys():
+            # (inner monomials, outer column): d after f, then f after d
+            pairs = [(inner.terms, diff.get(mid, ())) for mid, inner in mine.get(src, ())]
+            for mid, inner in diff.get(src, ()):
+                swapped = [(b, a) for a, b in inner.terms] if self.skew else inner.terms
+                pairs.append((swapped, mine.get(mid, ())))
+            odd: set[tuple[str, int, int]] = set()
+            for inner, column in pairs:
+                for tgt, outer in column:
+                    for a1, b1 in inner:
+                        for a2, b2 in outer.terms:
+                            a, b = a1 + a2, b1 + b2
+                            if quotient and a > 0 and b > 0:
+                                continue  # dies in the quotient
+                            term = (tgt, a, b)
+                            if term in odd:
+                                odd.remove(term)
+                            else:
+                                odd.add(term)
+            if odd:
+                return False
+        return True
 
     def respects_grading(self) -> bool:
         by_id = {g.ident: g for g in self.cx.gens}

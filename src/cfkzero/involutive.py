@@ -76,14 +76,14 @@ def phi_psi(cx: ChainComplex) -> tuple[Endomorphism, Endomorphism]:
     """
     phi_entries: dict[tuple[str, str], RingElem] = {}
     psi_entries: dict[tuple[str, str], RingElem] = {}
-    for (tgt, src), elem in cx.diff.items():
+    for key, elem in cx.diff.items():
         for a, b in elem.terms:
             if a % 2 == 1:
-                acc = phi_entries.get((tgt, src), RingElem.zero(cx.mode))
-                phi_entries[(tgt, src)] = acc + RingElem.monomial(a - 1, b, cx.mode)
+                mono = RingElem.monomial(a - 1, b, cx.mode)
+                phi_entries[key] = phi_entries[key] + mono if key in phi_entries else mono
             if b % 2 == 1:
-                acc = psi_entries.get((tgt, src), RingElem.zero(cx.mode))
-                psi_entries[(tgt, src)] = acc + RingElem.monomial(a, b - 1, cx.mode)
+                mono = RingElem.monomial(a, b - 1, cx.mode)
+                psi_entries[key] = psi_entries[key] + mono if key in psi_entries else mono
     phi = Endomorphism(cx, phi_entries, (1, -1), skew=False)
     psi = Endomorphism(cx, psi_entries, (-1, 1), skew=False)
     if not phi.is_chain_map() or not psi.is_chain_map():
@@ -98,8 +98,8 @@ def _tensor_endo(
     for (t1, s1), e1 in f.entries.items():
         for (t2, s2), e2 in g.entries.items():
             key = (_pair_id(t1, t2), _pair_id(s1, s2))
-            acc = entries.get(key, RingElem.zero(product.mode))
-            entries[key] = acc + e1 * e2
+            prod = e1 * e2
+            entries[key] = entries[key] + prod if key in entries else prod
     shift = (f.shift[0] + g.shift[0], f.shift[1] + g.shift[1])
     return Endomorphism(product, entries, shift, skew)
 
@@ -196,8 +196,8 @@ def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
     def combo(*parts: tuple[str, int, int]) -> Combination:
         out: Combination = {}
         for ident, a, b in parts:
-            acc = out.get(ident, RingElem.zero(Mode.FULL))
-            out[ident] = acc + RingElem.monomial(a, b, Mode.FULL)
+            mono = RingElem.monomial(a, b, Mode.FULL)
+            out[ident] = out[ident] + mono if ident in out else mono
         return {g: e for g, e in out.items() if e}
 
     # the X path of Eq-style listing: along the host at y_0, across the torus
@@ -271,7 +271,7 @@ class Check:
         return f"{self.name}: {status}{tail}"
 
 
-def _unit_pivot_rank(cx: ChainComplex, elements: list[Combination]) -> int:
+def _unit_pivot_rank(elements: list[Combination]) -> int:
     """Number of elements certified independent-with-unit-leading-terms.
 
     Gaussian elimination restricted to unit pivots: enough to certify that
@@ -295,8 +295,8 @@ def _unit_pivot_rank(cx: ChainComplex, elements: list[Combination]) -> int:
                 continue
             factor = other[pivot]
             for g, e in col.items():
-                acc = other.get(g, RingElem.zero(cx.mode))
-                other[g] = acc + factor * e
+                prod = factor * e
+                other[g] = other[g] + prod if g in other else prod
             other.pop(pivot, None)
     return rank
 
@@ -385,7 +385,7 @@ def verify_lemma_43_44(host: Seq, q: int) -> tuple[Check, ...]:
     # (d) the family is unimodular: unit-pivot elimination certifies it is
     # part of a basis, and for odd k a complete one
     elements = fam.all_elements()
-    rank = _unit_pivot_rank(product, elements)
+    rank = _unit_pivot_rank(elements)
     ok = rank == len(elements)
     if fam.k % 2 == 1:
         ok = ok and len(elements) == len(product)

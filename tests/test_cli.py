@@ -275,6 +275,21 @@ def test_verify_paper_runs_and_reports(monkeypatch, capsys):
     assert lines[1].startswith("PASS cabling-closed-forms")
 
 
+def test_verify_paper_json_times_each_check(monkeypatch, capsys):
+    fast = [check for check in cli.PAPER_CHECKS if check[0] in
+            ("staircase-extraction", "cabling-closed-forms")]
+    monkeypatch.setattr(cli, "PAPER_CHECKS", fast)
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert [c["name"] for c in report["checks"]] == ["staircase-extraction", "cabling-closed-forms"]
+    for check in report["checks"]:
+        assert set(check) == {"name", "passed", "detail", "seconds"}
+        assert check["passed"] is True
+        assert isinstance(check["seconds"], float) and check["seconds"] >= 0
+
+
 def test_verify_paper_detects_a_broken_cabling_formula(monkeypatch, capsys):
     original = cli.cable2
 

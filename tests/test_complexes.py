@@ -1,16 +1,22 @@
 """Bigraded chain complexes: validation, tensor, dual, quotient, reduction,
 vertical homology."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfkzero.algebra import Mode, ModeMismatchError, RingElem
 from cfkzero.complexes import (
     ChainComplex,
+    Endomorphism,
     Generator,
     InvalidComplexError,
     KnotlikeError,
     diff_endomorphism,
 )
+from cfkzero.involutive import basic_involution, phi_psi, tensor_involution
 from cfkzero.standard import seq_to_complex
 
 CABLE_SEQ = (1, -2, -1, 1, -1, 1, 2, -1)
@@ -35,8 +41,8 @@ def full_cable_complex():
 def test_staircase_validates():
     cx = seq_to_complex((1, -1))
     assert cx.validate() is None
-    assert cx.entry("z0", "z1") == RingElem.monomial(1, 0, Mode.UVZERO)
-    assert cx.entry("z2", "z1") == RingElem.monomial(0, 1, Mode.UVZERO)
+    assert cx.diff[("z0", "z1")] == RingElem.monomial(1, 0, Mode.UVZERO)
+    assert cx.diff[("z2", "z1")] == RingElem.monomial(0, 1, Mode.UVZERO)
 
 
 def test_deleting_an_arrow_keeps_a_complex():
@@ -143,8 +149,8 @@ def test_dual_transposes():
     dual = seq_to_complex((1, -1)).dual()
     assert dual.validate() is None
     # boundary of z0* is U z1*, boundary of z2* is V z1*
-    assert dual.entry("z1", "z0") == RingElem.monomial(1, 0, Mode.UVZERO)
-    assert dual.entry("z1", "z2") == RingElem.monomial(0, 1, Mode.UVZERO)
+    assert dual.diff[("z1", "z0")] == RingElem.monomial(1, 0, Mode.UVZERO)
+    assert dual.diff[("z1", "z2")] == RingElem.monomial(0, 1, Mode.UVZERO)
 
 
 def test_dual_is_an_involution():
@@ -186,7 +192,7 @@ def test_reduce_with_corrections():
     assert cx.validate() is None
     reduced = cx.reduce()
     assert reduced.ids() == ["c", "d"]
-    assert reduced.entry("d", "c") == RingElem.monomial(3, 0, Mode.UVZERO)
+    assert reduced.diff[("d", "c")] == RingElem.monomial(3, 0, Mode.UVZERO)
     assert reduced.validate() is None
 
 
@@ -225,3 +231,63 @@ def test_duplicate_ids_rejected():
     gens = [Generator("a", 0, 0), Generator("a", 0, 0)]
     with pytest.raises(InvalidComplexError):
         ChainComplex(gens, {}, Mode.UVZERO)
+
+
+def test_the_identity_declared_skew_is_no_chain_map():
+    cx = seq_to_complex((1, -1), Mode.FULL)
+    identity = {(g, g): RingElem.one(cx.mode) for g in cx.ids()}
+    assert Endomorphism(cx, identity).is_chain_map()
+    # d(z1) = U z0 + V z2, but the swap sends it to V z0 + U z2
+    assert not Endomorphism(cx, identity, skew=True).is_chain_map()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_mixed_term_of_d_f_plus_f_d_dies_only_over_the_quotient(mode):
+    # z0 <-U- z1 -V-> z2 and f = {z0 -> V z0}: d f = 0 and (f d)(z1) = UV z0
+    cx = seq_to_complex((1, -1), mode)
+    f = Endomorphism(cx, {("z0", "z0"): RingElem.monomial(0, 1, mode)}, (0, -2))
+    assert f.is_chain_map() == (mode is Mode.UVZERO)
+
+
+STAIRCASES = [(1, -1), (1, -2, 2, -1), (2, -1, 1, -2), (1, -1, 1, -1)]
+
+
+@functools.cache
+def real_maps(seqs, mode):
+    """The basic involution and Phi, Psi of one staircase; on the product of
+    two, the tensor involution, its inverse and the product's Phi, Psi."""
+    if len(seqs) == 1:
+        cx = seq_to_complex(seqs[0], mode)
+        return (basic_involution(cx), *phi_psi(cx))
+    left = basic_involution(seq_to_complex(seqs[0], mode, prefix="x"))
+    right = basic_involution(seq_to_complex(seqs[1], mode, prefix="y"))
+    iota, inverse = tensor_involution(left, right)
+    return (iota, inverse, *phi_psi(iota.cx))
+
+
+@st.composite
+def perturbed_maps(draw):
+    """A real map with one entry dropped or one monomial added to an entry."""
+    mode = draw(st.sampled_from(list(Mode)))
+    seqs = tuple(draw(st.lists(st.sampled_from(STAIRCASES), min_size=1, max_size=2)))
+    f = draw(st.sampled_from(real_maps(seqs, mode)))
+    entries = dict(f.entries)
+    if entries and draw(st.booleans()):
+        del entries[draw(st.sampled_from(sorted(entries)))]
+    else:
+        ids = f.cx.ids()
+        key = (draw(st.sampled_from(ids)), draw(st.sampled_from(ids)))
+        mono = RingElem.monomial(draw(st.integers(0, 2)), draw(st.integers(0, 2)), mode)
+        entries[key] = entries[key] + mono if key in entries else mono
+    return f, Endomorphism(f.cx, entries, f.shift, f.skew)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(perturbed_maps())
+def test_the_chain_map_check_agrees_with_d_f_plus_f_d(maps):
+    for f in maps:
+        for skew in (False, True):
+            g = Endomorphism(f.cx, f.entries, f.shift, skew)
+            d = diff_endomorphism(g.cx)
+            d_after = g.compose(d)
+            assert g.is_chain_map() == (d.compose(g) + d_after).is_zero()

@@ -66,8 +66,8 @@ def test_trefoil_standard_complex():
     assert [g.ident for g in cx.gens] == ["z0", "z1", "z2"]
     assert [(g.gr_u, g.gr_v) for g in cx.gens] == [(0, -2), (-1, -1), (-2, 0)]
     assert [g.alexander for g in cx.gens] == [1, 0, -1]
-    assert cx.entry("z0", "z1") == RingElem.monomial(1, 0, Mode.UVZERO)
-    assert cx.entry("z2", "z1") == RingElem.monomial(0, 1, Mode.UVZERO)
+    assert cx.diff[("z0", "z1")] == RingElem.monomial(1, 0, Mode.UVZERO)
+    assert cx.diff[("z2", "z1")] == RingElem.monomial(0, 1, Mode.UVZERO)
 
 
 def test_unknot_standard_complex():
