@@ -25,7 +25,6 @@ from .standard import (
     epsilon,
     extract_gamma0,
     seq_to_complex,
-    simplify_basis,
     tau,
     top_alexander,
     validate_seq,
@@ -64,7 +63,6 @@ __all__ = [
     "epsilon",
     "extract_gamma0",
     "seq_to_complex",
-    "simplify_basis",
     "tau",
     "top_alexander",
     "validate_seq",

@@ -10,7 +10,7 @@ Conventions, fixed once for the whole package:
   differential preserves.
 
 Because every complex here is graded, each differential entry is a single
-monomial; the reduction and homology routines below exploit that.
+monomial; the homology routine and the search matrix below exploit that.
 """
 
 from __future__ import annotations
@@ -209,30 +209,7 @@ class ChainComplex:
         diff = {key: e.to_quotient() for key, e in self.diff.items()}
         return ChainComplex(self.gens, diff, Mode.UVZERO)
 
-    # -- reduction ----------------------------------------------------------
-
-    def reduce(self) -> "ChainComplex":
-        """Cancel unit arrows until none remain.
-
-        Each step removes a pair of generators joined by a U^0 V^0 arrow and
-        applies the zig-zag correction, producing a chain homotopy equivalent
-        complex.  The unit arrow chosen is always the lexicographically first
-        by (source id, target id), so the result is reproducible.
-        """
-        mat = _MonoMatrix.from_complex(self)
-        removed: set[str] = set()
-        while True:
-            best: tuple[str, str] | None = None
-            for (tgt, src), (a, b) in mat.items():
-                if a == 0 and b == 0 and (best is None or (src, tgt) < best):
-                    best = (src, tgt)
-            if best is None:
-                break
-            src, tgt = best
-            mat.cancel(tgt, src)
-            removed.update((tgt, src))
-        gens = [g for g in self.gens if g.ident not in removed]
-        return ChainComplex(gens, mat.to_diff(self.mode), self.mode)
+    # -- homology -----------------------------------------------------------
 
     def vertical_homology(self) -> tuple[int, tuple[int, ...]]:
         """Set V = 0 and take homology over F_2[U].
@@ -247,7 +224,7 @@ class ChainComplex:
             for a, b in elem.terms:
                 if b == 0:
                     if a == 0:
-                        raise InvalidComplexError("vertical homology needs a reduced complex")
+                        raise InvalidComplexError("vertical homology needs a complex without unit arrows")
                     mat.add(tgt, src, a, 0)
         torsion: list[int] = []
         survivors = {g.ident for g in self.gens}
@@ -272,11 +249,11 @@ class ChainComplex:
         return free.alexander, tuple(sorted(torsion))
 
 
-Ident = Hashable  # a generator id: str in reduce(), int in the basis search
+Ident = Hashable  # a generator id: str in vertical_homology(), int in the basis search
 
 
 class _MonoMatrix:
-    """Sparse differential with single-monomial entries, for reductions.
+    """Sparse differential with single-monomial entries, for cancellations.
 
     Graded complexes only ever have one monomial per entry, and every graded
     operation preserves that, so entries are bare (upow, vpow) pairs.  Adding
@@ -298,14 +275,6 @@ class _MonoMatrix:
         # per generator: [H-in, V-in, H-out, V-out] arrow counts
         self.degrees: dict[Ident, list[int]] = {}
         self.conflicted: set[Ident] = set()
-
-    @classmethod
-    def from_complex(cls, cx: ChainComplex) -> "_MonoMatrix":
-        mat = cls(cx.mode)
-        for (tgt, src), elem in cx.diff.items():
-            a, b = elem.sole_term()
-            mat.add(tgt, src, a, b)
-        return mat
 
     def tensor(self, size: int, other: "_MonoMatrix", other_size: int) -> "_MonoMatrix":
         """The tensor product of two matrices on the integer generators
@@ -410,12 +379,6 @@ class _MonoMatrix:
             self.add(tgt, ident, a, b)
         self.rows.pop(ident, None)
         self.cols.pop(ident, None)
-
-    def to_diff(self, mode: Mode) -> dict[tuple[str, str], RingElem]:
-        return {
-            (tgt, src): RingElem.monomial(a, b, mode)
-            for (tgt, src), (a, b) in self.items()
-        }
 
 
 @dataclass

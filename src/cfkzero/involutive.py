@@ -191,7 +191,7 @@ def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
         return pos
 
     def gen(i: int, j: int, xp: bool = False, yp: bool = False) -> str:
-        return f"(x{xpos(i, xp)}|y{ypos(j, yp)})"
+        return _pair_id(f"x{xpos(i, xp)}", f"y{ypos(j, yp)}")
 
     def combo(*parts: tuple[str, int, int]) -> Combination:
         out: Combination = {}

@@ -443,9 +443,7 @@ def sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     simplification.  The factors are not checked on their own (see
     _product).  The simplified product must pass the complex check that
     ChainComplex.validate runs (InvalidComplexError), and the sequence is
-    read off its one open path.  Nothing on the way builds a ChainComplex,
-    and the answer is the one seq_to_complex, tensor, simplify_basis and
-    extract_gamma0_with_loops give.
+    read off its one open path.  Nothing on the way builds a ChainComplex.
     """
     product, gr_u, gr_v = _product(validate_seq(s1), validate_seq(s2))
     _simplify(product)

@@ -151,8 +151,8 @@ def _product(s1: Seq, s2: Seq) -> tuple[_MonoMatrix, list[int], list[int]]:
     validated sequences, as a matrix and the gradings (grU, grV) of its
     generators.
 
-    Generator (i, j) is the integer i * (len(s2) + 1) + j, the index
-    simplify_basis gives the generator ChainComplex.tensor makes of them.
+    Generator (i, j) is the integer i * (len(s2) + 1) + j, the position
+    of the generator ChainComplex.tensor makes of them.
     The factors are not checked: over UV = 0 each z_i meets one horizontal
     and one vertical arrow, so every d^2 term is mixed and dies, and
     _standard grades every arrow right by construction.
@@ -182,52 +182,24 @@ def _require_valid(mat: _MonoMatrix, gr_u: Sequence[int], gr_v: Sequence[int]) -
 # -- basis simplification ---------------------------------------------------
 
 
-def simplify_basis(cx: ChainComplex) -> ChainComplex:
+def _simplify(mat: _MonoMatrix) -> None:
     """Filtered change of basis until every generator meets at most one
     incoming and one outgoing arrow of each type.
 
     Conflicts are resolved by merging toward the shorter arrow: two arrows
     U^{k1}, U^{k2} out of one generator (k1 <= k2) are combined by replacing
     the shorter target y1 with y1 + U^{k2-k1} y2, deleting the longer arrow;
-    incoming conflicts and vertical arrows mirror this.  One deterministic
-    search runs on integer generator indices and keeps a worklist of
-    conflicted generators whose arrows, or whose neighbours' arrows, changed
-    since their candidate merges were last scored.  Each popped generator
-    takes its most entry-reducing merge.  Once no merge anywhere reduces the
-    entry count, the scored neutral and entry-adding merges are tried,
-    fewest new entries first, skipping any that return to a state already
-    visited.  These candidates wait in one heap, filled as generators are
-    scored; an entry goes stale when its generator is re-queued and is
-    dropped when it is popped, and the heap is rebuilt from its live
-    entries once stale ones outnumber them.  At a dead end, where every
-    candidate returns to a visited state, the search forgets the visited
-    states and carries on from where it stands; nothing restarts.  The
-    result does not depend on the path taken: gamma_0 and the loop count
-    are invariants of the complex.
+    incoming conflicts and vertical arrows mirror this.  _search takes the
+    most entry-reducing merge at each conflicted generator, and once none
+    reduces, neutral and entry-adding ones, fewest new entries first, that
+    reach a state not yet visited.  The result does not depend on the path
+    taken: gamma_0 and the loop count are invariants of the complex.
 
     Merges are capped at 16 per input arrow, and at no fewer than 10,000;
     a search that exhausts the cap raises SimplifyError.  A closed component
     whose local system is an indecomposable block of size two or more, such
     as a 2x2 Jordan block, comes out as one loop running twice as long.
     """
-    if cx.mode is not Mode.UVZERO:
-        raise InvalidComplexError("simplify_basis expects a UV = 0 complex")
-    names, arrows = _int_arrows(cx)
-    mat = _MonoMatrix(cx.mode)
-    for (tgt, src), (a, b) in arrows:
-        if a == 0 and b == 0:
-            raise InvalidComplexError("simplify_basis expects a reduced complex")
-        mat.add(tgt, src, a, b)
-    _simplify(mat)
-    diff = {
-        (names[tgt], names[src]): RingElem.monomial(a, b, cx.mode)
-        for (tgt, src), (a, b) in mat.items()
-    }
-    return ChainComplex(cx.gens, diff, cx.mode).require_valid()
-
-
-def _simplify(mat: _MonoMatrix) -> None:
-    """Run the search under the merge cap the input's arrow count sets."""
     _search(mat, max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * mat.count))
 
 
@@ -484,7 +456,7 @@ def _walk(start: int, incidence: list) -> tuple[list[int], list[int], bool]:
 
 def _gamma0(names: Sequence, arrows: Iterable[Item]) -> tuple[Seq, int]:
     """The sequence read off the unique open path of a simplified complex,
-    and its number of closed loops; see extract_gamma0_with_loops."""
+    and its number of closed loops; see extract_gamma0."""
     incidence, paths, loops = _components(names, arrows)
     if len(paths) != 1:
         raise KnotlikeError(f"expected one open path, found {len(paths)}")
@@ -500,20 +472,11 @@ def _gamma0(names: Sequence, arrows: Iterable[Item]) -> tuple[Seq, int]:
         raise KnotlikeError(f"extracted walk is not a knot sequence: {exc}") from exc
 
 
-def _int_arrows(cx: ChainComplex) -> tuple[list[str], list[Item]]:
-    """A complex's generator ids, and its arrows on their positions."""
-    names = cx.ids()
-    index = {name: i for i, name in enumerate(names)}
-    return names, [((index[tgt], index[src]), elem.sole_term()) for (tgt, src), elem in cx.diff.items()]
-
-
 def extract_gamma0(cx: ChainComplex) -> Seq:
-    seq, _ = extract_gamma0_with_loops(cx)
-    return seq
-
-
-def extract_gamma0_with_loops(cx: ChainComplex) -> tuple[Seq, int]:
     """Read the parameter sequence off the unique open path of a simplified
     complex, starting from the endpoint with no vertical arrow; positive
     entries record steps against an arrow, negative ones steps with it."""
-    return _gamma0(*_int_arrows(cx))
+    names = cx.ids()
+    index = {name: i for i, name in enumerate(names)}
+    arrows = [((index[tgt], index[src]), elem.sole_term()) for (tgt, src), elem in cx.diff.items()]
+    return _gamma0(names, arrows)[0]

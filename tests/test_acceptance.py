@@ -17,18 +17,19 @@ from cfkzero.cli import (
 )
 
 CRITERIA = [
-    ("criterion-1 staircase extraction", _check_staircase_extraction),
-    ("criterion-2 cabling closed forms", _check_cable_closed_forms),
-    ("criterion-3 connected-sum oracle equivalence", _check_sum_oracle),
-    ("criterion-4 local-equivalence regimes", _check_regimes),
-    ("criterion-5 cable sharpness and tau", _check_sharpness),
-    ("criterion-6 involutive identities", _check_involutive),
-    ("criterion-7 randomized property suites", _check_properties),
+    ("criterion-1 staircase extraction", _check_staircase_extraction, "3 staircases"),
+    ("criterion-2 cabling closed forms", _check_cable_closed_forms, "both printed sequences match"),
+    ("criterion-3 connected-sum oracle equivalence", _check_sum_oracle, "234 host/summand pairs agree"),
+    ("criterion-4 local-equivalence regimes", _check_regimes, "31 regime checks"),
+    ("criterion-5 cable sharpness and tau", _check_sharpness, "72 cables"),
+    ("criterion-6 involutive identities", _check_involutive, "117 lemma verifications"),
+    ("criterion-7 randomized property suites", _check_properties, "1060 randomized cases"),
 ]
 
 
-@pytest.mark.parametrize("name,check", CRITERIA, ids=[name for name, _ in CRITERIA])
-def test_acceptance_criterion(name, check):
+@pytest.mark.parametrize("name,check,want", CRITERIA, ids=[name for name, _, _ in CRITERIA])
+def test_acceptance_criterion(name, check, want):
     passed, detail = check()
     print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     assert passed, f"{name}: {detail}"
+    assert detail == want

@@ -162,6 +162,19 @@ def test_deep_nesting_exits_2(capsys, text):
     assert (code, out, err) == (2, "", "error: expression nested too deeply\n")
 
 
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("(" * 250 + "T(2,3)" + ")" * 250, "[1,-1]\n"),
+        ("-(" * 250 + "T(2,3)" + ")" * 250, "[1,-1]\n"),
+        (" # ".join(["U"] * 800), "[]\n"),
+    ],
+    ids=["250-parentheses", "250-mirrors", "800-term-sum"],
+)
+def test_nesting_below_the_interpreter_limit_evaluates(capsys, text, want):
+    assert run(capsys, "gamma0", text) == (0, want, "")
+
+
 @pytest.mark.parametrize("text,generators", [
     ("C2(100000001;T(2,3))", 100000001),
     ("C2(399;T(2,3)) # C2(401;T(2,3))", 399 * 401),

@@ -1,5 +1,5 @@
-"""Bigraded chain complexes: validation, tensor, dual, quotient, reduction,
-vertical homology."""
+"""Bigraded chain complexes: validation, tensor, dual, quotient, vertical
+homology, endomorphisms."""
 
 import functools
 
@@ -136,7 +136,7 @@ def test_tensor_of_trefoils():
     product = cx.tensor(cx)
     assert len(product) == 9
     assert product.validate() is None
-    assert product.reduce() == product  # no unit arrows to cancel
+    assert all(e.sole_term() != (0, 0) for e in product.diff.values())  # no unit arrows
     assert max(g.alexander for g in product.gens) == 2
 
 
@@ -160,42 +160,6 @@ def test_dual_is_an_involution():
     assert unknot.dual().gens[0].gr_u == 0
 
 
-def test_reduce_cancels_a_unit_pair():
-    gens = [Generator("a", -1, -1), Generator("b", 0, 0)]
-    cx = ChainComplex(gens, {("a", "b"): RingElem.one(Mode.UVZERO)}, Mode.UVZERO)
-    assert len(cx.reduce()) == 0
-
-
-def test_reduce_is_idempotent_and_preserves_invariants():
-    product = seq_to_complex((1, -1)).tensor(seq_to_complex((1, -1), prefix="w"))
-    reduced = product.reduce()
-    assert reduced.reduce() == reduced
-    assert reduced.vertical_homology() == product.vertical_homology()
-    assert max(g.alexander for g in reduced.gens) == max(g.alexander for g in product.gens)
-
-
-def test_reduce_with_corrections():
-    # b -> a unit arrow plus arrows through the pair: the zig-zag correction
-    # must connect c to d with the product power
-    gens = [
-        Generator("a", 0, 0),
-        Generator("b", 1, 1),
-        Generator("c", -3, 1),
-        Generator("d", 2, 0),
-    ]
-    diff = {
-        ("a", "b"): RingElem.one(Mode.UVZERO),
-        ("a", "c"): RingElem.monomial(2, 0, Mode.UVZERO),
-        ("d", "b"): RingElem.monomial(1, 0, Mode.UVZERO),
-    }
-    cx = ChainComplex(gens, diff, Mode.UVZERO)
-    assert cx.validate() is None
-    reduced = cx.reduce()
-    assert reduced.ids() == ["c", "d"]
-    assert reduced.diff[("d", "c")] == RingElem.monomial(3, 0, Mode.UVZERO)
-    assert reduced.validate() is None
-
-
 def test_vertical_homology_examples():
     assert seq_to_complex((1, -1)).vertical_homology() == (-1, (1,))
     assert seq_to_complex(()).vertical_homology() == (0, ())
@@ -204,7 +168,7 @@ def test_vertical_homology_examples():
 
 def test_vertical_homology_of_a_tensor():
     product = seq_to_complex((1, -1)).tensor(seq_to_complex((1, -1), prefix="w"))
-    assert product.reduce().vertical_homology() == (-2, (1, 1, 1, 1))
+    assert product.vertical_homology() == (-2, (1, 1, 1, 1))
 
 
 def test_vertical_homology_rejects_non_knotlike():

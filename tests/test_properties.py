@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from cfkzero.algebra import Mode, RingElem, alexander_torus
-from cfkzero.complexes import ChainComplex, Generator
+from cfkzero.algebra import alexander_torus
+from cfkzero.complexes import _MonoMatrix
 from cfkzero.knots import (
     Cable2,
     EvalError,
@@ -20,13 +20,16 @@ from cfkzero.knots import (
     Unknot,
     gamma0_of,
     staircase_from_alexander,
+    sum_gamma0,
 )
 from cfkzero.standard import (
+    _gamma0,
+    _product,
+    _require_valid,
+    _simplify,
     epsilon,
     extract_gamma0,
-    extract_gamma0_with_loops,
     seq_to_complex,
-    simplify_basis,
     tau,
     top_alexander,
     validate_seq,
@@ -71,7 +74,8 @@ def test_round_trip_over_random_sequences():
     rng = random.Random(101)
     for _ in range(200):
         seq = random_seq(rng, max_half=10, max_mag=5)
-        assert extract_gamma0(simplify_basis(seq_to_complex(seq))) == seq
+        assert extract_gamma0(seq_to_complex(seq)) == seq
+        assert sum_gamma0(seq, ()) == (seq, 0)
 
 
 def test_every_construction_yields_a_valid_complex():
@@ -84,9 +88,9 @@ def test_every_construction_yields_a_valid_complex():
         product = left.tensor(right)
         assert product.validate() is None
         assert product.dual().validate() is None
-        reduced = product.reduce()
-        assert reduced.validate() is None
-        assert simplify_basis(reduced).validate() is None
+        mat, gr_u, gr_v = _product(s1, s2)
+        _simplify(mat)
+        _require_valid(mat, gr_u, gr_v)
 
 
 def test_dual_is_involutive_and_negates_the_sequence():
@@ -101,40 +105,44 @@ def test_dual_is_involutive_and_negates_the_sequence():
         assert epsilon(mirrored) == -epsilon(seq)
 
 
+def simplified_gamma0(mat, size):
+    _simplify(mat)
+    return _gamma0(range(size), mat.items())
+
+
 def test_extract_is_stable_under_relabeling_and_reduction_order():
+    # relabeling the integer ids changes the order the search takes its
+    # merges in, but not gamma_0 or the loop count
     rng = random.Random(404)
     for _ in range(40):
         s1 = random_seq(rng, 3, 3)
         s2 = random_seq(rng, 3, 3)
-        base = seq_to_complex(s1, prefix="a").tensor(seq_to_complex(s2, prefix="b"))
-        reference = extract_gamma0(simplify_basis(base.reduce()))
-        relabeled = seq_to_complex(s1, prefix="p").tensor(seq_to_complex(s2, prefix="qq"))
-        assert extract_gamma0(simplify_basis(relabeled.reduce())) == reference
-        # pad with unit pairs in different id ranges: the cancellation order
-        # changes but the answer does not
-        for tag in ("0", "zz"):
-            gens = list(base.gens) + [
-                Generator(f"{tag}top", 1, 1), Generator(f"{tag}bot", 0, 0)
-            ]
-            diff = dict(base.diff)
-            diff[(f"{tag}bot", f"{tag}top")] = RingElem.one(Mode.UVZERO)
-            padded = ChainComplex(gens, diff, Mode.UVZERO)
-            assert extract_gamma0(simplify_basis(padded.reduce())) == reference
+        base, gr_u, _ = _product(s1, s2)
+        size = len(gr_u)
+        arrows = list(base.items())
+        reference = simplified_gamma0(base, size)
+        shuffled = list(range(size))
+        rng.shuffle(shuffled)
+        for label in (shuffled, list(reversed(range(size)))):
+            relabeled = _MonoMatrix(base.mode)
+            for (tgt, src), (a, b) in arrows:
+                relabeled.add(label[tgt], label[src], a, b)
+            assert simplified_gamma0(relabeled, size) == reference
 
 
 def test_tensor_is_commutative_and_associative_on_gamma0():
+    # the class of a sum depends only on the classes of its summands, so
+    # each grouping through sum_gamma0 matches the simplified triple product
     rng = random.Random(505)
     for _ in range(25):
-        seqs = [random_seq(rng, 2, 2) for _ in range(3)]
-        cs = [seq_to_complex(s, prefix=f"f{i}") for i, s in enumerate(seqs)]
-
-        def gamma(cx):
-            return extract_gamma0(simplify_basis(cx.reduce()))
-
-        assert gamma(cs[0].tensor(cs[1])) == gamma(cs[1].tensor(cs[0]))
-        assert gamma(cs[0].tensor(cs[1]).tensor(cs[2])) == gamma(
-            cs[0].tensor(cs[1].tensor(cs[2]))
-        )
+        s0, s1, s2 = (random_seq(rng, 2, 2) for _ in range(3))
+        assert sum_gamma0(s0, s1)[0] == sum_gamma0(s1, s0)[0]
+        pair, gr_u, _ = _product(s0, s1)
+        last, _, _ = _product(s2, ())  # s2's own complex: the unknot is one generator
+        triple = pair.tensor(len(gr_u), last, len(s2) + 1)
+        whole, _ = simplified_gamma0(triple, len(gr_u) * (len(s2) + 1))
+        assert sum_gamma0(sum_gamma0(s0, s1)[0], s2)[0] == whole
+        assert sum_gamma0(s0, sum_gamma0(s1, s2)[0])[0] == whole
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (4, 5)])
@@ -164,11 +172,9 @@ def test_loop_counts_account_for_all_generators():
     for _ in range(30):
         s1 = random_seq(rng, 3, 3)
         s2 = random_seq(rng, 3, 3)
-        product = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
-        simplified = simplify_basis(product.reduce())
-        seq, loops = extract_gamma0_with_loops(simplified)
+        seq, loops = sum_gamma0(s1, s2)
         # one odd open path; closed components have an even generator count
-        leftover = len(simplified) - (len(seq) + 1)
+        leftover = (len(s1) + 1) * (len(s2) + 1) - (len(seq) + 1)
         assert leftover % 2 == 0
         assert (loops == 0) == (leftover == 0)
         assert leftover >= 4 * loops  # every loop has at least four generators

@@ -1,22 +1,28 @@
 """Parameter sequences: the walk invariants, standard complexes, basis
 simplification, and gamma_0 extraction."""
 
+import random
+
 import pytest
 
 import cfkzero.standard as standard
 from cfkzero.algebra import Mode, RingElem
 from cfkzero.cli import invariant_report
-from cfkzero.complexes import ChainComplex, Generator, KnotlikeError
+from cfkzero.complexes import ChainComplex, Generator, KnotlikeError, _MonoMatrix
 from cfkzero.knots import sum_gamma0
 from cfkzero.standard import (
     SequenceError,
     SimplifyError,
+    _components,
+    _gamma0,
+    _product,
+    _require_valid,
+    _simplify,
+    _standard,
     epsilon,
     extract_gamma0,
-    extract_gamma0_with_loops,
     mirror_seq,
     seq_to_complex,
-    simplify_basis,
     tau,
     top_alexander,
     validate_seq,
@@ -90,48 +96,60 @@ def test_non_staircase_has_no_full_ring_standard_complex():
         seq_to_complex(CABLE_SEQ, Mode.FULL)
 
 
+def matrix(arrows):
+    mat = _MonoMatrix(Mode.UVZERO)
+    for arrow in arrows:
+        mat.add(*arrow)
+    return mat
+
+
+def simplified_product(s1, s2):
+    """The product of two standard complexes on integer ids, simplified and
+    checked, and its generator count."""
+    mat, gr_u, gr_v = _product(s1, s2)
+    _simplify(mat)
+    _require_valid(mat, gr_u, gr_v)
+    return mat, len(gr_u)
+
+
 def test_simplify_leaves_staircases_alone():
-    cx = seq_to_complex((1, -3, 2, -2, 3, -1))
-    assert simplify_basis(cx) == cx
+    _, _, arrows = _standard((1, -3, 2, -2, 3, -1))
+    mat = matrix(arrows)
+    _simplify(mat)
+    assert sorted(mat.items()) == sorted(((t, s), (a, b)) for t, s, a, b in arrows)
 
 
 def test_trefoil_sum_splits_into_path_and_box():
-    cx = seq_to_complex((1, -1), prefix="x")
-    product = cx.tensor(seq_to_complex((1, -1), prefix="y")).reduce()
-    simplified = simplify_basis(product)
-    assert simplified.validate() is None
-    _, paths, loops = standard._components(*standard._int_arrows(simplified))
+    mat, size = simplified_product((1, -1), (1, -1))
+    _, paths, loops = _components(range(size), mat.items())
     assert len(paths) == 1 and loops == 1
     ids, _ = paths[0]
     assert len(ids) == 5
-    seq, loop_count = extract_gamma0_with_loops(simplified)
-    assert seq == (1, -1, 1, -1)
-    assert loop_count == 1
+    assert _gamma0(range(size), mat.items()) == ((1, -1, 1, -1), 1)
 
 
 def test_simplify_reaches_a_fixpoint_on_a_mixed_tensor():
-    left = seq_to_complex((1, -1, 1, -1), prefix="x")
-    right = seq_to_complex((1, -1, -1, 1, 1, -1), prefix="y")
-    simplified = simplify_basis(left.tensor(right).reduce())
-    assert simplified.validate() is None
-    extract_gamma0_with_loops(simplified)  # raises if any generator is overloaded
+    mat, size = simplified_product((1, -1, 1, -1), (1, -1, -1, 1, 1, -1))
+    assert not mat.conflicted
+    _gamma0(range(size), mat.items())  # raises if any generator is overloaded
 
 
 def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
     # two boxes p -> q (U), p -> r (V), q -> s (V), r -> s (U), joined by an
     # extra arrow r2 -> s1 (U): a closed component whose local system is a
-    # 2x2 Jordan block, so no basis splits it into two 4-generator boxes
-    U, V = RingElem.monomial(1, 0, Mode.UVZERO), RingElem.monomial(0, 1, Mode.UVZERO)
-    gens, diff = [], {}
-    for i in (1, 2):
-        p, q, r, s = (f"{x}{i}" for x in "pqrs")
-        gens += [Generator(p, 0, 0), Generator(q, 1, -1), Generator(r, -1, 1), Generator(s, 0, 0)]
-        diff.update({(q, p): U, (r, p): V, (s, q): V, (s, r): U})
-    diff[("s1", "r2")] = U
-    cx = ChainComplex(gens, diff, Mode.UVZERO).require_valid()
-    simplified = simplify_basis(cx)
-    assert len(simplified.diff) == 8
-    _, paths, loops = standard._components(*standard._int_arrows(simplified))
+    # 2x2 Jordan block, so no basis splits it into two 4-generator boxes.
+    # Box i holds p, q, r, s as the generators 4i ... 4i + 3.
+    arrows = []
+    for p in (0, 4):
+        q, r, s = p + 1, p + 2, p + 3
+        arrows += [(q, p, 1, 0), (r, p, 0, 1), (s, q, 0, 1), (s, r, 1, 0)]
+    arrows.append((3, 6, 1, 0))
+    mat = matrix(arrows)
+    gr_u, gr_v = [0, 1, -1, 0] * 2, [0, -1, 1, 0] * 2
+    _require_valid(mat, gr_u, gr_v)
+    _simplify(mat)
+    assert mat.count == 8
+    _, paths, loops = _components(range(8), mat.items())
     assert (paths, loops) == ([], 1)
 
 
@@ -159,14 +177,24 @@ def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
     assert sum_gamma0(s1, s2) == ((1, -1), 8)
 
 
+def assert_quotient_is_product(cx, s1, s2):
+    """Over UV = 0 a full-ring complex is the integer product of s1 and s2,
+    with its generators in order as the positions."""
+    quotient = cx.quotient_uv()
+    index = {ident: i for i, ident in enumerate(quotient.ids())}
+    mat, gr_u, gr_v = _product(s1, s2)
+    assert dict(mat.items()) == {
+        (index[t], index[s]): e.sole_term() for (t, s), e in quotient.diff.items()
+    }
+    assert (gr_u, gr_v) == ([g.gr_u for g in quotient.gens], [g.gr_v for g in quotient.gens])
+
+
 def test_full_ring_pipeline_through_the_quotient():
-    # tensor over F2[U,V], then quotient, reduce, simplify, extract
+    # tensor over F2[U,V], then quotient: the integer sum path's product
     left = seq_to_complex((1, -1), Mode.FULL, prefix="x")
     product = left.tensor(seq_to_complex((1, -1), Mode.FULL, prefix="y"))
-    seq, loops = extract_gamma0_with_loops(
-        simplify_basis(product.quotient_uv().reduce())
-    )
-    assert seq == (1, -1, 1, -1) and loops == 1
+    assert_quotient_is_product(product, (1, -1), (1, -1))
+    assert sum_gamma0((1, -1), (1, -1)) == ((1, -1, 1, -1), 1)
 
 
 def test_trefoil_against_its_mirror_has_trivial_gamma0():
@@ -174,10 +202,8 @@ def test_trefoil_against_its_mirror_has_trivial_gamma0():
     right = seq_to_complex((1, -1), Mode.FULL, prefix="y").dual()
     product = left.tensor(right)
     assert len(product) == 9
-    seq, loops = extract_gamma0_with_loops(
-        simplify_basis(product.quotient_uv().reduce())
-    )
-    assert seq == () and loops == 2
+    assert_quotient_is_product(product, (1, -1), mirror_seq((1, -1)))
+    assert sum_gamma0((1, -1), (-1, 1)) == ((), 2)
 
 
 def test_extract_gamma0_of_staircase():
@@ -214,3 +240,11 @@ def test_tau_matches_vertical_homology():
     for seq in [(1, -1), (-1, 1), CABLE_SEQ, (1, -3, 2, -2, 3, -1), ()]:
         free_a, _ = seq_to_complex(seq).vertical_homology()
         assert tau(seq) == -free_a
+    # on a sum, the one check of tau that shares no code with the search
+    rng = random.Random(2606)
+    halves = [[rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(rng.randint(0, 5))]
+              for _ in range(120)]
+    seqs = [validate_seq(half + [-e for e in reversed(half)]) for half in halves]
+    for s1, s2 in zip(seqs[::2], seqs[1::2]):
+        free_a, _ = seq_to_complex(s1).tensor(seq_to_complex(s2)).vertical_homology()
+        assert free_a == -(tau(s1) + tau(s2)) == -tau(sum_gamma0(s1, s2)[0]), (s1, s2)

@@ -1,10 +1,11 @@
 """The integer sum path against the ChainComplex one.
 
 `knots.sum_gamma0` builds the tensor product of two standard complexes
-straight from the sequences on integer ids.  The library still has the
-string-id path, seq_to_complex -> tensor -> simplify_basis ->
-extract_gamma0_with_loops; both must give the same gamma_0 and loop count,
+straight from the sequences on integer ids.  That product must be the one
+seq_to_complex -> tensor builds, arrow for arrow and grading for grading,
 and the integer path's own check of the simplified product must stay live.
+The search and extraction that follow are checked against the recorded
+table in test_simplify_oracle.
 """
 
 import random
@@ -14,22 +15,21 @@ import pytest
 import cfkzero.knots as knots
 from cfkzero.algebra import RingElem
 from cfkzero.cli import _criterion3_hosts
-from cfkzero.complexes import ChainComplex, Generator, InvalidComplexError
+from cfkzero.complexes import ChainComplex, Generator, InvalidComplexError, _pair_id
 from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
-from cfkzero.standard import (
-    _product,
-    extract_gamma0_with_loops,
-    seq_to_complex,
-    simplify_basis,
-    validate_seq,
-)
+from cfkzero.standard import _product, seq_to_complex, validate_seq
 
 
-def complex_path(s1, s2):
-    product = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
-    simplified = simplify_basis(product)
-    assert simplified.validate() is None
-    return extract_gamma0_with_loops(simplified)
+def assert_same_product(s1, s2):
+    """_product(s1, s2) has the arrows and gradings of ChainComplex.tensor
+    on the two standard complexes, generator (i, j) at i * (len(s2) + 1) + j."""
+    mat, gr_u, gr_v = _product(s1, s2)
+    cx = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
+    width = len(s2) + 1
+    pos = {_pair_id(f"l{i}", f"r{j}"): i * width + j for i in range(len(s1) + 1) for j in range(width)}
+    assert dict(mat.items()) == {(pos[t], pos[s]): e.sole_term() for (t, s), e in cx.diff.items()}
+    gens = sorted(cx.gens, key=lambda g: pos[g.ident])
+    assert (gr_u, gr_v) == ([g.gr_u for g in gens], [g.gr_v for g in gens])
 
 
 def criterion3_pairs():
@@ -58,24 +58,23 @@ TOP_RUNGS = [
 
 def test_both_paths_agree_on_the_criterion3_pairs():
     for s1, s2 in criterion3_pairs():
-        assert sum_gamma0(s1, s2) == complex_path(s1, s2), (s1, s2)
+        assert_same_product(s1, s2)
 
 
 def test_both_paths_agree_on_random_pairs():
     for s1, s2 in random_pairs(60):
-        assert sum_gamma0(s1, s2) == complex_path(s1, s2), (s1, s2)
-        assert sum_gamma0(s2, s1) == complex_path(s2, s1), (s2, s1)
+        assert_same_product(s1, s2)
+        assert_same_product(s2, s1)
 
 
 @pytest.mark.parametrize("left,right", TOP_RUNGS)
 def test_both_paths_agree_on_the_bench_top_rungs(left, right):
-    s1, s2 = gamma0_of(parse_expr(left)), gamma0_of(parse_expr(right))
-    assert sum_gamma0(s1, s2) == complex_path(s1, s2)
+    assert_same_product(gamma0_of(parse_expr(left)), gamma0_of(parse_expr(right)))
 
 
 def test_the_integer_path_builds_no_complex(monkeypatch):
     s1, s2 = gamma0_of(parse_expr("C2(3;T(2,3))")), gamma0_of(parse_expr("-T(3,4)"))
-    want = complex_path(s1, s2)
+    want = sum_gamma0(s1, s2)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built on the sum path")
