@@ -276,15 +276,32 @@ class _MonoMatrix:
         self.degrees: dict[Ident, list[int]] = {}
         self.conflicted: set[Ident] = set()
 
+    @classmethod
+    def from_arrows(cls, mode: Mode, size: int, arrows: list[tuple[int, int, tuple[int, int]]]) -> "_MonoMatrix":
+        """The matrix on the integer generators 0 ... size-1 with the given
+        arrows (target, source, (U power, V power)), no two on one entry,
+        its hash, arrow counts and conflict set built in bulk."""
+        out = cls(mode)
+        out.rows = {g: {} for g in range(size)}
+        out.cols = {g: {} for g in range(size)}
+        degrees = [[0, 0, 0, 0] for _ in range(size)]
+        for tgt, src, mono in arrows:
+            out.rows[tgt][src] = mono
+            out.cols[src][tgt] = mono
+            kind = 0 if mono[0] > 0 else 1
+            degrees[tgt][kind] += 1
+            degrees[src][2 + kind] += 1
+        out.zhash = functools.reduce(operator.xor, map(hash, arrows), 0)
+        out.count = len(arrows)
+        out.degrees = dict(enumerate(degrees))
+        out.conflicted = {g for g, counts in out.degrees.items() if max(counts) > 1}
+        return out
+
     def tensor(self, size: int, other: "_MonoMatrix", other_size: int) -> "_MonoMatrix":
         """The tensor product of two matrices on the integer generators
         0 ... size-1 and 0 ... other_size-1, with (i, j) as the generator
-        i * other_size + j.
-
-        Its arrows are the arrows of each factor beside each generator of the
-        other, so none meet and the bookkeeping is built in bulk: the arrow
-        counts of (i, j) are the sums of those of i and j.
-        """
+        i * other_size + j: the arrows of each factor beside each generator
+        of the other."""
         n = size * other_size
         arrows = [
             (tgt * other_size + j, src * other_size + j, mono)
@@ -296,24 +313,7 @@ class _MonoMatrix:
             for (tgt, src), mono in other.items()
             for i in range(0, n, other_size)
         ]
-        out = _MonoMatrix(self.mode)
-        out.rows = {g: {} for g in range(n)}
-        out.cols = {g: {} for g in range(n)}
-        for tgt, src, mono in arrows:
-            out.rows[tgt][src] = mono
-            out.cols[src][tgt] = mono
-        out.zhash = functools.reduce(operator.xor, map(hash, arrows), 0)
-        out.count = len(arrows)
-        none = [0, 0, 0, 0]
-        left = [self.degrees.get(i, none) for i in range(size)]
-        right = [other.degrees.get(j, none) for j in range(other_size)]
-        out.degrees = dict(enumerate(
-            [x0 + y0, x1 + y1, x2 + y2, x3 + y3]
-            for x0, x1, x2, x3 in left
-            for y0, y1, y2, y3 in right
-        ))
-        out.conflicted = {g for g, counts in out.degrees.items() if max(counts) > 1}
-        return out
+        return _MonoMatrix.from_arrows(self.mode, n, arrows)
 
     def items(self) -> Iterable[tuple[tuple[Ident, Ident], tuple[int, int]]]:
         for tgt, row in self.rows.items():

@@ -15,8 +15,13 @@ closed-form sequence transform, verified elsewhere against the sum pipeline.
 That pipeline goes from two sequences to one on integer generator ids: the
 product is built as a matrix straight from the sequences, simplified,
 checked for gradings and d^2 = 0, and read back as a sequence, with no
-ChainComplex in between.  No torus knot, cable or sum whose complex would
-exceed MAX_GENERATORS generators is built.
+ChainComplex in between.  Each generator of a factor meets at most one
+arrow of each type, so in each direction the product is a disjoint sum of
+squares, and a square of unequal powers is built already resolved into two
+arrows of the smaller power: the change of basis that does so adds only
+terms with both U and V, which die over UV = 0.  The basis search then
+starts with only the squares of equal powers to resolve.  No torus knot,
+cable or sum whose complex would exceed MAX_GENERATORS generators is built.
 """
 
 from __future__ import annotations
@@ -438,15 +443,18 @@ def sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
 
     The product of the two standard complexes is built straight from the
     sequences as an integer matrix, generator (i, j) being the integer
-    i * (len(s2) + 1) + j.  Standard complexes have no unit arrows, and
-    neither do their tensor products, so it goes straight to basis
-    simplification.  The factors are not checked on their own (see
-    _product).  The simplified product must pass the complex check that
+    i * (len(s2) + 1) + j, in the basis where every square of unequal
+    powers is already two arrows of the smaller power (see _product): that
+    change of basis adds only terms with both U and V, which die.  Standard
+    complexes have no unit arrows, and neither do their tensor products, so
+    it goes straight to basis simplification, with the merge cap of the
+    plain product.  The factors are not checked on their own.  The
+    simplified product must pass the complex check that
     ChainComplex.validate runs (InvalidComplexError), and the sequence is
     read off its one open path.  Nothing on the way builds a ChainComplex.
     """
-    product, gr_u, gr_v = _product(validate_seq(s1), validate_seq(s2))
-    _simplify(product)
+    product, gr_u, gr_v, plain = _product(validate_seq(s1), validate_seq(s2))
+    _simplify(product, plain)
     _require_valid(product, gr_u, gr_v)
     return _gamma0(range(len(gr_u)), product.items())
 

@@ -32,7 +32,7 @@ from .complexes import (
 Seq = tuple[int, ...]
 
 SIMPLIFY_PASS_CAP = 10_000  # merge budget floor
-MERGES_PER_ARROW = 16  # merge budget per input arrow
+MERGES_PER_ARROW = 16  # merge budget per arrow of the plain product
 
 
 class SequenceError(ValueError):
@@ -146,28 +146,53 @@ def seq_to_complex(seq: Sequence[int], mode: Mode = Mode.UVZERO, prefix: str = "
     return cx
 
 
-def _product(s1: Seq, s2: Seq) -> tuple[_MonoMatrix, list[int], list[int]]:
+def _product(s1: Seq, s2: Seq) -> tuple[_MonoMatrix, list[int], list[int], int]:
     """The tensor product over UV = 0 of the standard complexes of two
-    validated sequences, as a matrix and the gradings (grU, grV) of its
-    generators.
+    validated sequences with its unequal squares resolved, as a matrix, the
+    gradings (grU, grV) of its generators, and the arrow count of the plain
+    product.
 
     Generator (i, j) is the integer i * (len(s2) + 1) + j, the position
-    of the generator ChainComplex.tensor makes of them.
-    The factors are not checked: over UV = 0 each z_i meets one horizontal
-    and one vertical arrow, so every d^2 term is mixed and dies, and
-    _standard grades every arrow right by construction.
+    of the generator ChainComplex.tensor makes of them.  Each z_i meets at
+    most one horizontal and one vertical arrow, so in each direction the
+    plain product is a disjoint sum of squares X^a (x) X^b.  For a < b the
+    change of basis that merges toward the shorter arrow leaves the two
+    X^a arrows and removes the two X^b ones; every term it adds to an arrow
+    of the other type carries both U and V, and dies.  So beside each
+    generator of one factor, an arrow of the other is kept unless that
+    generator's arrow of the same type is strictly shorter; equal powers
+    keep all four.  Ids and gradings do not move.  The factors are not
+    checked: every d^2 term is mixed and dies, and _standard grades every
+    arrow right by construction.
     """
-    factors = []
-    for s in (s1, s2):
-        gr_u, gr_v, arrows = _standard(s)
-        mat = _MonoMatrix(Mode.UVZERO)
-        for arrow in arrows:
-            mat.add(*arrow)
-        factors.append((gr_u, gr_v, mat))
-    (u1, v1, left), (u2, v2, right) = factors
+    (u1, v1, arrows1), (u2, v2, arrows2) = _standard(s1), _standard(s2)
+    n1, n2 = len(u1), len(u2)
+    powers1, powers2 = _arrow_powers(n1, arrows1), _arrow_powers(n2, arrows2)
+    arrows = [
+        (t * n2 + j, s * n2 + j, (a, b))
+        for t, s, a, b in arrows1
+        for j, other in enumerate(powers2[b > 0])
+        if not 0 < other < a + b
+    ]
+    arrows += [
+        (i * n2 + t, i * n2 + s, (a, b))
+        for t, s, a, b in arrows2
+        for i, other in enumerate(powers1[b > 0])
+        if not 0 < other < a + b
+    ]
     gr_u = [x + y for x in u1 for y in u2]
     gr_v = [x + y for x in v1 for y in v2]
-    return left.tensor(len(u1), right, len(u2)), gr_u, gr_v
+    mat = _MonoMatrix.from_arrows(Mode.UVZERO, n1 * n2, arrows)
+    return mat, gr_u, gr_v, len(arrows1) * n2 + len(arrows2) * n1
+
+
+def _arrow_powers(size: int, arrows: list[Arrow]) -> tuple[list[int], list[int]]:
+    """The power of each generator's horizontal and of its vertical arrow
+    in a standard complex, 0 where it has none."""
+    powers = ([0] * size, [0] * size)
+    for tgt, src, a, b in arrows:
+        powers[b > 0][tgt] = powers[b > 0][src] = a + b
+    return powers
 
 
 def _require_valid(mat: _MonoMatrix, gr_u: Sequence[int], gr_v: Sequence[int]) -> None:
@@ -182,7 +207,7 @@ def _require_valid(mat: _MonoMatrix, gr_u: Sequence[int], gr_v: Sequence[int]) -
 # -- basis simplification ---------------------------------------------------
 
 
-def _simplify(mat: _MonoMatrix) -> None:
+def _simplify(mat: _MonoMatrix, arrows: int) -> None:
     """Filtered change of basis until every generator meets at most one
     incoming and one outgoing arrow of each type.
 
@@ -195,12 +220,16 @@ def _simplify(mat: _MonoMatrix) -> None:
     reach a state not yet visited.  The result does not depend on the path
     taken: gamma_0 and the loop count are invariants of the complex.
 
-    Merges are capped at 16 per input arrow, and at no fewer than 10,000;
-    a search that exhausts the cap raises SimplifyError.  A closed component
-    whose local system is an indecomposable block of size two or more, such
-    as a 2x2 Jordan block, comes out as one loop running twice as long.
+    Merges are capped at 16 per arrow of the plain product, `arrows`, and
+    at no fewer than 10,000; a search that exhausts the cap raises
+    SimplifyError.  _product resolves the unequal squares before the search,
+    and counting the plain product's arrows keeps an input's cap from
+    depending on how many it resolved; a matrix that is no product passes
+    its own count.  A closed component whose local system is an
+    indecomposable block of size two or more, such as a 2x2 Jordan block,
+    comes out as one loop running twice as long.
     """
-    _search(mat, max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * mat.count))
+    _search(mat, max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * arrows))
 
 
 Move = tuple[int, int, int, bool]  # kept, absorbed, delta, horizontal

@@ -2,7 +2,9 @@
 
 Sequences are sampled symmetric by construction; expressions are sampled
 from the supported grammar and rejected when a cable lands outside the
-staircase hypothesis, the same policy evaluation itself applies.
+staircase hypothesis, the same policy evaluation itself applies.  Both
+samplers are the ones verify-paper's property check (criterion 7) uses,
+run here with other seeds.
 """
 
 import random
@@ -10,14 +12,12 @@ import random
 import pytest
 
 from cfkzero.algebra import alexander_torus
+from cfkzero.cli import _random_expr, _random_symmetric_seq
 from cfkzero.complexes import _MonoMatrix
 from cfkzero.knots import (
-    Cable2,
     EvalError,
     Mirror,
     Sum,
-    Torus,
-    Unknot,
     gamma0_of,
     staircase_from_alexander,
     sum_gamma0,
@@ -36,31 +36,10 @@ from cfkzero.standard import (
 )
 
 
-def random_seq(rng, max_half=8, max_mag=5):
-    n = rng.randint(0, max_half)
-    half = [rng.choice([1, -1]) * rng.randint(1, max_mag) for _ in range(n)]
-    return validate_seq(tuple(half + [-e for e in reversed(half)]))
-
-
-LEAVES = [Unknot(), Torus(2, 3), Torus(2, 5), Torus(2, 7), Torus(2, -3),
-          Torus(3, 4), Torus(3, -4), Torus(4, 5)]
-
-
-def random_expr(rng, depth):
-    if depth == 0 or rng.random() < 0.4:
-        return rng.choice(LEAVES)
-    roll = rng.random()
-    if roll < 0.35:
-        return Mirror(random_expr(rng, depth - 1))
-    if roll < 0.75:
-        return Sum(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
-    return Cable2(rng.choice([-3, -1, 1, 3, 5]), random_expr(rng, depth - 1))
-
-
 def sample_gamma0s(rng, count, max_len):
     out = []
     while len(out) < count:
-        expr = random_expr(rng, 2)
+        expr = _random_expr(rng, 2)
         try:
             seq = gamma0_of(expr)
         except EvalError:
@@ -73,7 +52,7 @@ def sample_gamma0s(rng, count, max_len):
 def test_round_trip_over_random_sequences():
     rng = random.Random(101)
     for _ in range(200):
-        seq = random_seq(rng, max_half=10, max_mag=5)
+        seq = _random_symmetric_seq(rng, max_half=10, max_mag=5)
         assert extract_gamma0(seq_to_complex(seq)) == seq
         assert sum_gamma0(seq, ()) == (seq, 0)
 
@@ -81,22 +60,22 @@ def test_round_trip_over_random_sequences():
 def test_every_construction_yields_a_valid_complex():
     rng = random.Random(202)
     for _ in range(120):
-        s1 = random_seq(rng, 4, 3)
-        s2 = random_seq(rng, 4, 3)
+        s1 = _random_symmetric_seq(rng, 4, 3)
+        s2 = _random_symmetric_seq(rng, 4, 3)
         left = seq_to_complex(s1, prefix="l")
         right = seq_to_complex(s2, prefix="r")
         product = left.tensor(right)
         assert product.validate() is None
         assert product.dual().validate() is None
-        mat, gr_u, gr_v = _product(s1, s2)
-        _simplify(mat)
+        mat, gr_u, gr_v, plain = _product(s1, s2)
+        _simplify(mat, plain)
         _require_valid(mat, gr_u, gr_v)
 
 
 def test_dual_is_involutive_and_negates_the_sequence():
     rng = random.Random(303)
     for _ in range(100):
-        seq = random_seq(rng, 6, 4)
+        seq = _random_symmetric_seq(rng, 6, 4)
         cx = seq_to_complex(seq)
         assert cx.dual().dual() == cx
         mirrored = extract_gamma0(cx.dual())
@@ -106,7 +85,7 @@ def test_dual_is_involutive_and_negates_the_sequence():
 
 
 def simplified_gamma0(mat, size):
-    _simplify(mat)
+    _simplify(mat, mat.count)
     return _gamma0(range(size), mat.items())
 
 
@@ -115,9 +94,9 @@ def test_extract_is_stable_under_relabeling_and_reduction_order():
     # merges in, but not gamma_0 or the loop count
     rng = random.Random(404)
     for _ in range(40):
-        s1 = random_seq(rng, 3, 3)
-        s2 = random_seq(rng, 3, 3)
-        base, gr_u, _ = _product(s1, s2)
+        s1 = _random_symmetric_seq(rng, 3, 3)
+        s2 = _random_symmetric_seq(rng, 3, 3)
+        base, gr_u, _, _ = _product(s1, s2)
         size = len(gr_u)
         arrows = list(base.items())
         reference = simplified_gamma0(base, size)
@@ -135,10 +114,10 @@ def test_tensor_is_commutative_and_associative_on_gamma0():
     # each grouping through sum_gamma0 matches the simplified triple product
     rng = random.Random(505)
     for _ in range(25):
-        s0, s1, s2 = (random_seq(rng, 2, 2) for _ in range(3))
+        s0, s1, s2 = (_random_symmetric_seq(rng, 2, 2) for _ in range(3))
         assert sum_gamma0(s0, s1)[0] == sum_gamma0(s1, s0)[0]
-        pair, gr_u, _ = _product(s0, s1)
-        last, _, _ = _product(s2, ())  # s2's own complex: the unknot is one generator
+        pair, gr_u, _, _ = _product(s0, s1)
+        last, _, _, _ = _product(s2, ())  # s2's own complex: the unknot is one generator
         triple = pair.tensor(len(gr_u), last, len(s2) + 1)
         whole, _ = simplified_gamma0(triple, len(gr_u) * (len(s2) + 1))
         assert sum_gamma0(sum_gamma0(s0, s1)[0], s2)[0] == whole
@@ -170,8 +149,8 @@ def test_sum_with_mirror_vanishes():
 def test_loop_counts_account_for_all_generators():
     rng = random.Random(808)
     for _ in range(30):
-        s1 = random_seq(rng, 3, 3)
-        s2 = random_seq(rng, 3, 3)
+        s1 = _random_symmetric_seq(rng, 3, 3)
+        s2 = _random_symmetric_seq(rng, 3, 3)
         seq, loops = sum_gamma0(s1, s2)
         # one odd open path; closed components have an even generator count
         leftover = (len(s1) + 1) * (len(s2) + 1) - (len(seq) + 1)

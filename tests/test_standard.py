@@ -9,7 +9,7 @@ import cfkzero.standard as standard
 from cfkzero.algebra import Mode, RingElem
 from cfkzero.cli import invariant_report
 from cfkzero.complexes import ChainComplex, Generator, KnotlikeError, _MonoMatrix
-from cfkzero.knots import sum_gamma0
+from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
 from cfkzero.standard import (
     SequenceError,
     SimplifyError,
@@ -106,8 +106,8 @@ def matrix(arrows):
 def simplified_product(s1, s2):
     """The product of two standard complexes on integer ids, simplified and
     checked, and its generator count."""
-    mat, gr_u, gr_v = _product(s1, s2)
-    _simplify(mat)
+    mat, gr_u, gr_v, plain = _product(s1, s2)
+    _simplify(mat, plain)
     _require_valid(mat, gr_u, gr_v)
     return mat, len(gr_u)
 
@@ -115,7 +115,7 @@ def simplified_product(s1, s2):
 def test_simplify_leaves_staircases_alone():
     _, _, arrows = _standard((1, -3, 2, -2, 3, -1))
     mat = matrix(arrows)
-    _simplify(mat)
+    _simplify(mat, mat.count)
     assert sorted(mat.items()) == sorted(((t, s), (a, b)) for t, s, a, b in arrows)
 
 
@@ -147,16 +147,16 @@ def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
     mat = matrix(arrows)
     gr_u, gr_v = [0, 1, -1, 0] * 2, [0, -1, 1, 0] * 2
     _require_valid(mat, gr_u, gr_v)
-    _simplify(mat)
+    _simplify(mat, mat.count)
     assert mat.count == 8
     _, paths, loops = _components(range(8), mat.items())
     assert (paths, loops) == ([], 1)
 
 
 def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
-    # C2(3;T(2,3)) # -C2(1;T(2,3)): the search accepts 13 entry-reducing
+    # C2(3;T(2,3)) # -C2(1;T(2,3)): the search accepts 7 entry-reducing
     # merges, then the first candidate of its first fallback step, and tries
-    # 43 merges in all
+    # 37 merges in all
     s1, s2 = (1, -2, 2, -1), (-1, 2, 1, -1, -2, 1)
     made = []
     change = standard._basis_change
@@ -167,14 +167,37 @@ def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
 
     monkeypatch.setattr(standard, "_basis_change", counted)
     monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
-    for cap in (13, 14):  # the cap runs out just before, then just after, that candidate
+    for cap in (7, 8):  # the cap runs out just before, then just after, that candidate
         made.clear()
         monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", cap)
         with pytest.raises(SimplifyError, match="merge cap"):
             sum_gamma0(s1, s2)
         assert len(made) == cap  # each try so far was accepted: one basis change
-    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 43)
+    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 36)
+    with pytest.raises(SimplifyError, match="merge cap"):
+        sum_gamma0(s1, s2)
+    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 37)
     assert sum_gamma0(s1, s2) == ((1, -1), 8)
+
+
+@pytest.mark.parametrize("text,budget", [
+    ("T(2,3) # T(2,3)", 10_000),  # 12 arrows: the floor
+    ("-C2(99;T(7,8)) # C2(101;T(7,8))", 316_768),  # 16 x 19,798, not 16 x 17,590
+])
+def test_the_merge_cap_is_set_on_the_plain_product(monkeypatch, text, budget):
+    # the search starts on fewer arrows than the plain product has, and the
+    # cap counts the plain product's
+    left, right = (gamma0_of(parse_expr(part)) for part in text.split(" # "))
+    budgets = []
+
+    def record(work, cap):
+        budgets.append(cap)
+        raise SimplifyError("recorded")
+
+    monkeypatch.setattr(standard, "_search", record)
+    with pytest.raises(SimplifyError, match="recorded"):
+        sum_gamma0(left, right)
+    assert budgets == [budget]
 
 
 def assert_quotient_is_product(cx, s1, s2):
@@ -182,7 +205,7 @@ def assert_quotient_is_product(cx, s1, s2):
     with its generators in order as the positions."""
     quotient = cx.quotient_uv()
     index = {ident: i for i, ident in enumerate(quotient.ids())}
-    mat, gr_u, gr_v = _product(s1, s2)
+    mat, gr_u, gr_v, _ = _product(s1, s2)
     assert dict(mat.items()) == {
         (index[t], index[s]): e.sole_term() for (t, s), e in quotient.diff.items()
     }

@@ -1,11 +1,13 @@
 """The integer sum path against the ChainComplex one.
 
 `knots.sum_gamma0` builds the tensor product of two standard complexes
-straight from the sequences on integer ids.  That product must be the one
-seq_to_complex -> tensor builds, arrow for arrow and grading for grading,
-and the integer path's own check of the simplified product must stay live.
-The search and extraction that follow are checked against the recorded
-table in test_simplify_oracle.
+straight from the sequences on integer ids, with each square of unequal
+powers already resolved.  That product must be the one seq_to_complex ->
+tensor builds after the merge toward the shorter arrow in each such
+square, arrow for arrow and grading for grading, and the integer path's
+own check of the simplified product must stay live.  The search and
+extraction that follow are checked against the recorded table in
+test_simplify_oracle.
 """
 
 import random
@@ -13,21 +15,46 @@ import random
 import pytest
 
 import cfkzero.knots as knots
-from cfkzero.algebra import RingElem
+from cfkzero.algebra import Mode, RingElem
 from cfkzero.cli import _criterion3_hosts
-from cfkzero.complexes import ChainComplex, Generator, InvalidComplexError, _pair_id
+from cfkzero.complexes import ChainComplex, Generator, InvalidComplexError, _MonoMatrix, _pair_id
 from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
-from cfkzero.standard import _product, seq_to_complex, validate_seq
+from cfkzero.standard import _basis_change, _product, _require_valid, seq_to_complex, validate_seq
+
+
+def unequal_squares(left, right, pos):
+    """The merge toward the shorter arrow in each square X^a (x) X^b of
+    left (x) right with a != b, as (kept, absorbed, |a - b|, horizontal):
+    of the two arrows out of the square's top corner, the target of the
+    shorter one absorbs the target of the longer one."""
+    for (t1, s1), e1 in left.diff.items():
+        for (t2, s2), e2 in right.diff.items():
+            (a1, b1), (a2, b2) = e1.sole_term(), e2.sole_term()
+            k1, k2 = a1 + b1, a2 + b2
+            if (a1 > 0) != (a2 > 0) or k1 == k2:
+                continue
+            first, second = pos[_pair_id(t1, s2)], pos[_pair_id(s1, t2)]
+            kept, absorbed = (first, second) if k1 < k2 else (second, first)
+            yield kept, absorbed, abs(k1 - k2), a1 > 0
 
 
 def assert_same_product(s1, s2):
-    """_product(s1, s2) has the arrows and gradings of ChainComplex.tensor
-    on the two standard complexes, generator (i, j) at i * (len(s2) + 1) + j."""
-    mat, gr_u, gr_v = _product(s1, s2)
-    cx = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
+    """_product(s1, s2) is ChainComplex.tensor on the two standard
+    complexes, generator (i, j) at i * (len(s2) + 1) + j, after the merge
+    toward the shorter arrow in each square of unequal powers; the gradings
+    are equal, and the plain count is the tensor's arrow count."""
+    mat, gr_u, gr_v, plain = _product(s1, s2)
+    left, right = seq_to_complex(s1, prefix="l"), seq_to_complex(s2, prefix="r")
+    cx = left.tensor(right)
     width = len(s2) + 1
     pos = {_pair_id(f"l{i}", f"r{j}"): i * width + j for i in range(len(s1) + 1) for j in range(width)}
-    assert dict(mat.items()) == {(pos[t], pos[s]): e.sole_term() for (t, s), e in cx.diff.items()}
+    want = _MonoMatrix(Mode.UVZERO)
+    for (t, s), e in cx.diff.items():
+        want.add(pos[t], pos[s], *e.sole_term())
+    assert plain == want.count
+    for move in unequal_squares(left, right, pos):
+        _basis_change(want, *move)
+    assert dict(mat.items()) == dict(want.items())
     gens = sorted(cx.gens, key=lambda g: pos[g.ident])
     assert (gr_u, gr_v) == ([g.gr_u for g in gens], [g.gr_v for g in gens])
 
@@ -72,6 +99,22 @@ def test_both_paths_agree_on_the_bench_top_rungs(left, right):
     assert_same_product(gamma0_of(parse_expr(left)), gamma0_of(parse_expr(right)))
 
 
+def test_the_product_drops_two_arrows_per_unequal_square():
+    # steps of one type pair up into squares; unequal powers leave two arrows
+    for s1, s2 in random_pairs(60):
+        for left, right in ((s1, s2), (s2, s1)):
+            mat, gr_u, gr_v, plain = _product(left, right)
+            unequal = sum(
+                1
+                for i, e1 in enumerate(left)
+                for j, e2 in enumerate(right)
+                if i % 2 == j % 2 and abs(e1) != abs(e2)
+            )
+            assert plain == len(left) * (len(right) + 1) + len(right) * (len(left) + 1)
+            assert mat.count == plain - 2 * unequal, (left, right)
+            _require_valid(mat, gr_u, gr_v)  # a complex before any search
+
+
 def test_the_integer_path_builds_no_complex(monkeypatch):
     s1, s2 = gamma0_of(parse_expr("C2(3;T(2,3))")), gamma0_of(parse_expr("-T(3,4)"))
     want = sum_gamma0(s1, s2)
@@ -88,8 +131,8 @@ def corrupt_after_search(monkeypatch, damage):
     """Make sum_gamma0's search hand back a matrix that `damage` altered."""
     search = knots._simplify
 
-    def damaged(mat):
-        search(mat)
+    def damaged(mat, arrows):
+        search(mat, arrows)
         damage(mat)
 
     monkeypatch.setattr(knots, "_simplify", damaged)
@@ -107,7 +150,7 @@ def test_the_integer_check_reports_a_wrong_arrow_power(monkeypatch):
 
 
 def test_the_integer_check_reports_a_nonzero_square(monkeypatch):
-    _, gr_u, gr_v = _product((1, -1), (1, -1))
+    _, gr_u, gr_v, _ = _product((1, -1), (1, -1))
     added = []
 
     def add_a_square(mat):
