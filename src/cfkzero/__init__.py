@@ -20,6 +20,7 @@ from .knots import (
     staircase_from_alexander,
     sum_with_T2,
     tau_cable_formula,
+    torus_staircase,
 )
 from .standard import (
     epsilon,
@@ -60,6 +61,7 @@ __all__ = [
     "staircase_from_alexander",
     "sum_with_T2",
     "tau_cable_formula",
+    "torus_staircase",
     "epsilon",
     "extract_gamma0",
     "seq_to_complex",

@@ -231,6 +231,17 @@ def _poly_divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laure
     return LaurentPoly.from_dict(quo), LaurentPoly.from_dict(rem)
 
 
+def _check_torus(p: int, q: int) -> None:
+    """Raise ValueError unless (p, q) names a torus knot: p >= 2, q nonzero,
+    coprime."""
+    if p < 2:
+        raise ValueError(f"torus parameter p must be >= 2, got {p}")
+    if q == 0:
+        raise ValueError("torus parameter q must be nonzero")
+    if gcd(p, q) != 1:
+        raise ValueError(f"torus parameters must be coprime, got ({p}, {q})")
+
+
 def alexander_torus(p: int, q: int) -> LaurentPoly:
     """Symmetrized Alexander polynomial of the (p, q) torus knot.
 
@@ -239,13 +250,8 @@ def alexander_torus(p: int, q: int) -> LaurentPoly:
     For q < 0 the result equals the one for |q|, since the Alexander polynomial
     does not see mirroring.
     """
-    if p < 2:
-        raise ValueError(f"torus parameter p must be >= 2, got {p}")
-    if q == 0:
-        raise ValueError("torus parameter q must be nonzero")
+    _check_torus(p, q)
     qa = abs(q)
-    if gcd(p, qa) != 1:
-        raise ValueError(f"torus parameters must be coprime, got ({p}, {q})")
     if qa == 1:
         return LaurentPoly.one()
     num = (LaurentPoly.t_power(p * qa) - LaurentPoly.one()) * (

@@ -45,11 +45,11 @@ from .knots import (
     sum_gamma0,
     sum_with_T2,
     tau_cable_formula,
+    torus_staircase,
 )
 from .standard import (
     SequenceError,
     SimplifyError,
-    epsilon,
     seq_to_complex,
     tau,
     top_alexander,
@@ -59,7 +59,7 @@ from .standard import (
 
 
 def format_seq(seq: Sequence[int]) -> str:
-    return "[" + ",".join(str(e) for e in seq) + "]"
+    return "[" + ",".join(map(str, seq)) + "]"
 
 
 # -- invariant report ---------------------------------------------------------
@@ -70,18 +70,18 @@ def invariant_report(text: str) -> dict:
     `invariants` prints as lines in this order or as JSON."""
     expr = parse_expr(text)
     result = eval_expr(expr)
-    seq = result.sequence
-    eps = epsilon(seq)  # the one validation of seq; tau and topA read its walk
+    seq = result.sequence  # validated where eval_expr made it
     walk = walk_values(seq)
+    top = max(walk)
     genus = genus_of(expr)
     return {
         "expr": text.strip(),
         "gamma0": seq,
         "tau": walk[0],
-        "epsilon": eps,
-        "topA": max(walk),
+        "epsilon": (1 if seq[0] > 0 else -1) if seq else 0,
+        "topA": top,
         "genus": genus,
-        "sharp": genus == max(walk),
+        "sharp": genus == top,
         "loopCount": result.loop_count,
     }
 
@@ -173,9 +173,12 @@ def _check_staircase_extraction() -> tuple[bool, str]:
         (2, 7): (1, -1, 1, -1, 1, -1),
     }
     for (p, q), want in cases.items():
-        got = staircase_from_alexander(alexander_torus(p, q))
-        if got != want:
-            return False, f"T({p},{q}) gave {list(got)}"
+        for route, got in (
+            ("semigroup", torus_staircase(p, q)),
+            ("Alexander", staircase_from_alexander(alexander_torus(p, q))),
+        ):
+            if got != want:
+                return False, f"T({p},{q}) gave {list(got)} by the {route} route"
     return True, "3 staircases"
 
 

@@ -7,8 +7,9 @@ torus knots, mirrors, connected sums, and (2, q)-cables:
     term := ['-'] atom
     atom := 'T(' int ',' int ')' | 'C2(' int ';' expr ')' | 'U' | '(' expr ')'
 
-Evaluation produces the gamma_0 parameter sequence of the knot.  Mirrors
-negate the sequence, connected sums tensor the standard-complex
+Evaluation produces the gamma_0 parameter sequence of the knot.  Torus
+knots read their staircases off the semigroup <p, |q|>, mirrors negate the
+sequence, connected sums tensor the standard-complex
 representatives of the two summands (sound because local equivalence is
 preserved by tensoring), and (2, q)-cables of staircases carry the
 closed-form sequence transform, verified elsewhere against the sum pipeline.
@@ -27,16 +28,16 @@ cable or sum whose complex would exceed MAX_GENERATORS generators is built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .algebra import LaurentPoly, alexander_torus
+from .algebra import LaurentPoly, _check_torus
 from .standard import (
     Seq,
     _gamma0,
     _product,
     _require_valid,
     _simplify,
-    mirror_seq,
     staircase_shaped,
     validate_seq,
     walk_values,
@@ -244,10 +245,30 @@ def staircase_from_alexander(delta: LaurentPoly) -> Seq:
     return validate_seq(out)
 
 
-def _staircase_pairs(seq: Seq) -> list[tuple[int, int]]:
-    if not staircase_shaped(seq):
-        raise ShapeError(f"{list(seq)} is not a staircase sequence")
-    return [(seq[i], seq[i + 1]) for i in range(0, len(seq), 2)]
+def torus_staircase(p: int, q: int) -> Seq:
+    """Staircase sequence of T(p, |q|) read off the semigroup <p, |q|>.
+
+    Up to a shift, Delta(t) = (1 - t) times the sum of t^s over the
+    semigroup, whose every element from 2g = (p - 1)(|q| - 1) on is a member.
+    So the exponents of Delta are where the runs of members in 0 ... 2g start
+    and end, and the staircase is the run lengths with the gap lengths
+    between them negated.  A sieve marks the members; it equals
+    staircase_from_alexander(alexander_torus(p, q)), the oracle.
+    """
+    _check_torus(p, q)
+    small, big = sorted((p, abs(q)))
+    top = (small - 1) * (big - 1)
+    members = bytearray(top + 1)
+    for start in range(0, top + 1, big):
+        members[start::small] = b"\x01" * ((top - start) // small + 1)
+    entries: list[int] = []
+    start = 0
+    while start < top:  # the last run starts at 2g and never ends
+        end = members.find(0, start)
+        restart = members.find(1, end)
+        entries += (end - start, end - restart)
+        start = restart
+    return validate_seq(entries)
 
 
 def cable2(seq: Seq, genus: int, q: int) -> Seq:
@@ -260,23 +281,28 @@ def cable2(seq: Seq, genus: int, q: int) -> Seq:
     which case the last vertical step doubles to 2b instead.
     """
     s = validate_seq(seq)
-    pairs = _staircase_pairs(s)
+    if not staircase_shaped(s):
+        raise ShapeError(f"{list(s)} is not a staircase sequence")
     if q % 2 == 0:
         raise ShapeError(f"cable parameter q must be odd, got {q}")
     if genus != max(walk_values(s)):
         raise ShapeError(f"genus {genus} does not match the staircase {list(s)}")
+    return _cable2(s, genus, q)
+
+
+def _cable2(s: Seq, genus: int, q: int) -> Seq:
+    """cable2 on a validated staircase ``s`` of genus ``genus`` and an odd q,
+    neither checked again; the result is validated."""
     above = q > 4 * genus  # q = 4g never occurs: q is odd and 4g even
     half: list[int] = []
-    for i, (a, b) in enumerate(pairs):
-        for j in range(2 * a - 1):
-            half.append(1 if j % 2 == 0 else -1)
-        if above or i < len(pairs) - 1:
-            half.append(2 * b - 1)
-        else:
-            half.append(2 * b)
+    for a, b in zip(s[0::2], s[1::2]):
+        half += [1, -1] * (a - 1)
+        half += (1, 2 * b - 1)
+    if half and not above:
+        half[-1] += 1  # the last vertical step doubles to 2b
     sign = 1 if above else -1
     middle = [sign, -sign] * ((abs(q - 4 * genus) - 1) // 2)
-    return validate_seq(half + middle + [-e for e in reversed(half)])
+    return validate_seq(half + middle + list(map(operator.neg, reversed(half))))
 
 
 def _central_run_pairs(seq: Seq) -> tuple[int, int]:
@@ -361,7 +387,9 @@ def tau_cable_formula(tau_k: int, eps_k: int, p: int, q: int) -> int:
         if q > 0:
             return (p - 1) * (q - 1) // 2
         return (p - 1) * (q + 1) // 2
-    raise ValueError("epsilon = -1 companions are unsupported; mirror first")
+    if eps_k == -1:  # Hom, the cabling theorem for tau
+        return p * tau_k + (p - 1) * (q + 1) // 2
+    raise ValueError(f"epsilon must be -1, 0 or 1, got {eps_k}")
 
 
 # -- evaluation --------------------------------------------------------------
@@ -376,26 +404,30 @@ class EvalResult:
 def eval_expr(expr: KnotExpr) -> EvalResult:
     """Evaluate an expression to its gamma_0 sequence.
 
-    Torus knots become staircases (negated staircases for q < 0), mirrors
+    Torus knots become semigroup staircases (negated for q < 0), mirrors
     negate, sums run the tensor pipeline on standard representatives, and
-    cables use the closed form, which requires a staircase operand; every
-    sequence is validated where it is made, so the cable branch reads its
-    operand's shape and genus without validating it again.  The loop count
-    totals the closed components discarded at every sum.  A torus knot, a
-    cable or a sum whose complex would have more than MAX_GENERATORS
-    generators raises EvalError before anything of that size is built.
+    cables use the closed form, which requires a staircase operand.  Every
+    sequence is validated exactly once, where it is made: by
+    torus_staircase, by the cable closed form and by the sum pipeline's
+    extraction.  Negation keeps every check, so a mirror is not validated
+    again, and the cable and sum branches take their operands as they come,
+    reading a cable operand's shape and genus without validating it again.
+    The loop count totals the closed components discarded at every sum.  A
+    torus knot, a cable or a sum whose complex would have more than
+    MAX_GENERATORS generators raises EvalError before anything of that size
+    is built.
     """
     if isinstance(expr, Unknot):
         return EvalResult((), 0)
     if isinstance(expr, Torus):
         _check_size(expr, torus_generators(expr.p, expr.q))
-        seq = staircase_from_alexander(alexander_torus(expr.p, expr.q))
+        seq = torus_staircase(expr.p, expr.q)
         if expr.q < 0:
-            seq = mirror_seq(seq)
+            seq = tuple(map(operator.neg, seq))
         return EvalResult(seq, 0)
     if isinstance(expr, Mirror):
         inner = eval_expr(expr.inner)
-        return EvalResult(mirror_seq(inner.sequence), inner.loop_count)
+        return EvalResult(tuple(map(operator.neg, inner.sequence)), inner.loop_count)
     if isinstance(expr, Cable2):
         inner = eval_expr(expr.inner)
         if not staircase_shaped(inner.sequence):
@@ -406,12 +438,12 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
         # cable2 gives 2a entries per step pair (a, b), then |q - 4g| - 1
         # middle entries, then the first part mirrored; plus one generator
         _check_size(expr, 4 * sum(inner.sequence[0::2]) + abs(expr.q - 4 * genus))
-        return EvalResult(cable2(inner.sequence, genus, expr.q), inner.loop_count)
+        return EvalResult(_cable2(inner.sequence, genus, expr.q), inner.loop_count)
     if isinstance(expr, Sum):
         left = eval_expr(expr.left)
         right = eval_expr(expr.right)
         _check_size(expr, (len(left.sequence) + 1) * (len(right.sequence) + 1))
-        seq, loops = sum_gamma0(left.sequence, right.sequence)
+        seq, loops = _sum_gamma0(left.sequence, right.sequence)
         return EvalResult(seq, left.loop_count + right.loop_count + loops)
     raise EvalError(f"unknown expression node {expr!r}")
 
@@ -453,7 +485,12 @@ def sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     ChainComplex.validate runs (InvalidComplexError), and the sequence is
     read off its one open path.  Nothing on the way builds a ChainComplex.
     """
-    product, gr_u, gr_v, plain = _product(validate_seq(s1), validate_seq(s2))
+    return _sum_gamma0(validate_seq(s1), validate_seq(s2))
+
+
+def _sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
+    """sum_gamma0 on two validated sequences, not checked again."""
+    product, gr_u, gr_v, plain = _product(s1, s2)
     _simplify(product, plain)
     _require_valid(product, gr_u, gr_v)
     return _gamma0(range(len(gr_u)), product.items())

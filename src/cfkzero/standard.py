@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from typing import Iterable, Sequence
 
 from .algebra import Mode, RingElem
@@ -49,7 +50,7 @@ def validate_seq(entries: Iterable[int]) -> Seq:
         raise SequenceError(f"zero entry in sequence {list(seq)}")
     if len(seq) % 2 != 0:
         raise SequenceError(f"sequence length must be even, got {list(seq)}")
-    if tuple(-e for e in reversed(seq)) != seq:
+    if tuple(map(operator.neg, seq[::-1])) != seq:
         raise SequenceError(f"sequence {list(seq)} is not reverse-negate symmetric")
     # symmetry makes the walk sum even: entries i and n-1-i add -2*seq[i]
     return seq
@@ -57,17 +58,15 @@ def validate_seq(entries: Iterable[int]) -> Seq:
 
 def _delta_a(seq: Seq) -> list[int]:
     # odd positions horizontal (ΔA = -entry), even positions vertical (+entry)
-    return [-e if i % 2 == 0 else e for i, e in enumerate(seq)]
+    deltas = list(seq)
+    deltas[0::2] = map(operator.neg, seq[0::2])
+    return deltas
 
 
 def walk_values(seq: Seq) -> list[int]:
     """Alexander gradings A(z_0), ..., A(z_n) along the sequence."""
     deltas = _delta_a(seq)
-    start = -sum(deltas) // 2
-    values = [start]
-    for d in deltas:
-        values.append(values[-1] + d)
-    return values
+    return list(itertools.accumulate(deltas, initial=-sum(deltas) // 2))
 
 
 def tau(seq: Sequence[int]) -> int:
@@ -91,13 +90,13 @@ def epsilon(seq: Sequence[int]) -> int:
 
 def mirror_seq(seq: Sequence[int]) -> Seq:
     """Sequence of the mirror knot: entrywise negation."""
-    return tuple(-e for e in validate_seq(seq))  # negation keeps every check
+    return tuple(map(operator.neg, validate_seq(seq)))  # negation keeps every check
 
 
 def staircase_shaped(seq: Seq) -> bool:
     """True when a validated sequence has the L-space staircase shape: signs
     strictly alternate +, -, +, ..."""
-    return all((e > 0) == (i % 2 == 0) for i, e in enumerate(seq))
+    return min(seq[0::2], default=1) > 0 and max(seq[1::2], default=0) <= 0
 
 
 Arrow = tuple[int, int, int, int]  # target, source, U power, V power

@@ -30,8 +30,10 @@ from cfkzero.knots import (
     sum_with_T2,
     tau_cable_formula,
     torus_generators,
+    torus_staircase,
 )
 from cfkzero.standard import (
+    mirror_seq,
     tau,
     top_alexander,
     validate_seq,
@@ -128,6 +130,26 @@ def test_staircase_from_alexander_examples():
     assert staircase_from_alexander(alexander_torus(2, 3)) == (1, -1)
     assert staircase_from_alexander(alexander_torus(2, 7)) == (1, -1, 1, -1, 1, -1)
     assert staircase_from_alexander(alexander_torus(2, 1)) == ()
+
+
+def test_torus_staircase_matches_the_alexander_route_on_a_grid():
+    # the coprime 2 <= p <= 29, 2 <= |q| <= 80 of genus at most 200 (628
+    # pairs, both signs); the Alexander side of the whole grid takes seconds
+    pairs = [(p, q) for p in range(2, 30) for q in range(2, 81)
+             if math.gcd(p, q) == 1 and (p - 1) * (q - 1) <= 400]
+    assert len(pairs) == 628
+    for p, q in pairs:
+        want = staircase_from_alexander(alexander_torus(p, q))
+        assert torus_staircase(p, q) == torus_staircase(p, -q) == want, (p, q)
+        assert torus_staircase(q, p) == want, (q, p)
+
+
+def test_torus_staircase_of_an_unknot_and_bad_parameters():
+    for p in range(2, 30):
+        assert torus_staircase(p, 1) == torus_staircase(p, -1) == ()
+    for p, q in [(2, 4), (1, 5), (3, 0), (0, 3)]:
+        with pytest.raises(ValueError):
+            torus_staircase(p, q)
 
 
 def test_staircase_rejects_non_lspace_polynomials():
@@ -245,8 +267,29 @@ def test_tau_cable_formula():
     assert tau_cable_formula(1, 1, 2, -1) == 1
     assert tau_cable_formula(0, 0, 2, 7) == 3
     assert tau_cable_formula(0, 0, 2, -3) == -1
+    assert tau_cable_formula(1, -1, 2, 3) == 4
+    assert tau_cable_formula(-1, -1, 2, -3) == -3
+    assert tau_cable_formula(-2, -1, 3, 5) == 0
+
+
+def test_tau_cable_formula_for_epsilon_minus_one_through_the_mirror():
+    # C2(q; -K) = -C2(-q; K), and -K has epsilon -1 when K is a staircase
+    cases = 0
+    for p, q0 in [(2, 3), (2, 5), (2, 7), (3, 4), (4, 5)]:
+        s = staircase_from_alexander(alexander_torus(p, q0))
+        g = top_alexander(s)
+        for q in range(-15, 16, 2):
+            got = tau(mirror_seq(cable2(s, g, -q)))
+            assert got == tau_cable_formula(-tau(s), -1, 2, q), (p, q0, q)
+            cases += 1
+    assert cases == 80
+
+
+def test_tau_cable_formula_rejects_a_bad_epsilon():
     with pytest.raises(ValueError):
-        tau_cable_formula(1, -1, 2, 3)
+        tau_cable_formula(1, 2, 2, 3)
+    with pytest.raises(ValueError):
+        tau_cable_formula(1, 1, 1, 3)
 
 
 def test_cable_genus():

@@ -7,7 +7,7 @@ import pytest
 
 import cfkzero.standard as standard
 from cfkzero.algebra import Mode, RingElem
-from cfkzero.cli import invariant_report
+from cfkzero.cli import format_seq, invariant_report
 from cfkzero.complexes import ChainComplex, Generator, KnotlikeError, _MonoMatrix
 from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
 from cfkzero.standard import (
@@ -23,6 +23,7 @@ from cfkzero.standard import (
     extract_gamma0,
     mirror_seq,
     seq_to_complex,
+    staircase_shaped,
     tau,
     top_alexander,
     validate_seq,
@@ -41,6 +42,89 @@ def test_sequence_validation():
         validate_seq([1, -1, 1])
     with pytest.raises(SequenceError):
         validate_seq([1, -2])
+
+
+# -- the sequence primitives against their earlier per-entry forms -------------
+
+
+def reference_validate_seq(entries):
+    seq = tuple(map(int, entries))
+    if 0 in seq:
+        raise SequenceError(f"zero entry in sequence {list(seq)}")
+    if len(seq) % 2 != 0:
+        raise SequenceError(f"sequence length must be even, got {list(seq)}")
+    if tuple(-e for e in reversed(seq)) != seq:
+        raise SequenceError(f"sequence {list(seq)} is not reverse-negate symmetric")
+    return seq
+
+
+def reference_walk_values(seq):
+    deltas = [-e if i % 2 == 0 else e for i, e in enumerate(seq)]
+    start = -sum(deltas) // 2
+    values = [start]
+    for d in deltas:
+        values.append(values[-1] + d)
+    return values
+
+
+def reference_staircase_shaped(seq):
+    return all((e > 0) == (i % 2 == 0) for i, e in enumerate(seq))
+
+
+def reference_format_seq(seq):
+    return "[" + ",".join(str(e) for e in seq) + "]"
+
+
+def outcome(fn, arg):
+    try:
+        return "ok", fn(arg)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_sequences(rng, count):
+    """Symmetric sequences, staircases among them, and the same broken by a
+    zero entry, an odd length or a changed entry, plus unstructured lists."""
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            half = [(1 if i % 2 == 0 else -1) * rng.randint(1, 4) for i in range(rng.randint(0, 6))]
+        else:
+            half = [rng.choice([1, -1]) * rng.randint(1, 5) for _ in range(rng.randint(0, 6))]
+        seq = half + [-e for e in reversed(half)]
+        kind = rng.choice(["valid", "zero", "odd", "broken", "raw"])
+        if kind == "zero":
+            seq.insert(rng.randint(0, len(seq)), 0)
+            seq.insert(rng.randint(0, len(seq)), 0)
+        elif kind == "odd":
+            seq.insert(rng.randint(0, len(seq)), rng.choice([1, -1]) * rng.randint(1, 5))
+        elif kind == "broken" and seq:
+            seq[rng.randrange(len(seq))] += rng.choice([-2, -1, 1, 2])
+        elif kind == "raw":
+            seq = [rng.randint(-4, 4) for _ in range(rng.randint(0, 9))]
+        out.append(seq)
+    return out
+
+
+def test_sequence_primitives_match_their_per_entry_references():
+    rng = random.Random(1307)
+    seqs = random_sequences(rng, 3000)
+    kinds = set()
+    for seq in seqs:
+        for container in (list, tuple):
+            arg = container(seq)
+            got = outcome(validate_seq, arg)
+            assert got == outcome(reference_validate_seq, arg), seq
+            kinds.add("ok" if got[0] == "ok" else
+                      next(k for k in ("zero", "even", "symmetric") if k in got[1]))
+            for new, old in ((walk_values, reference_walk_values),
+                             (staircase_shaped, reference_staircase_shaped),
+                             (format_seq, reference_format_seq)):
+                assert outcome(new, arg) == outcome(old, arg), (new.__name__, seq)
+        assert outcome(validate_seq, iter(seq)) == outcome(reference_validate_seq, iter(seq))
+    # every outcome of validation occurs: valid, zero, odd length, asymmetric
+    assert kinds == {"ok", "zero", "even", "symmetric"}
+    assert sum(staircase_shaped(s) for s in map(tuple, seqs)) > 100
 
 
 def test_walk_and_tau_and_top():
