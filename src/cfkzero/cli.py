@@ -50,6 +50,7 @@ from .knots import (
 from .standard import (
     SequenceError,
     SimplifyError,
+    _epsilon,
     seq_to_complex,
     tau,
     top_alexander,
@@ -78,7 +79,7 @@ def invariant_report(text: str) -> dict:
         "expr": text.strip(),
         "gamma0": seq,
         "tau": walk[0],
-        "epsilon": (1 if seq[0] > 0 else -1) if seq else 0,
+        "epsilon": _epsilon(seq),
         "topA": top,
         "genus": genus,
         "sharp": genus == top,

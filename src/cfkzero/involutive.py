@@ -276,17 +276,11 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
 
     Gaussian elimination restricted to unit pivots: enough to certify that
     the family extends to a free-module basis when it clears every column.
-    The columns are indexed by the rows they hold, so a pivot visits only
-    the later columns that hold it; earlier ones are never read again.
     """
     cols = [dict(e) for e in elements]
-    holders: dict[str, list[int]] = {}
-    for j, col in enumerate(cols):
-        for g in col:
-            holders.setdefault(g, []).append(j)
     used_rows: set[str] = set()
     rank = 0
-    for i, col in enumerate(cols):
+    for col in cols:
         pivot = None
         for g in sorted(col):
             if g not in used_rows and col[g].is_unit:
@@ -296,20 +290,14 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
             continue
         used_rows.add(pivot)
         rank += 1
-        for j in holders[pivot]:
-            other = cols[j]
-            if j <= i or not other.get(pivot):
+        for other in cols:
+            if other is col or pivot not in other or not other[pivot]:
                 continue
-            factor = other.pop(pivot)
+            factor = other[pivot]
             for g, e in col.items():
-                if g == pivot:
-                    continue
                 prod = factor * e
-                if g in other:
-                    other[g] = other[g] + prod
-                else:
-                    other[g] = prod
-                    holders[g].append(j)
+                other[g] = other[g] + prod if g in other else prod
+            other.pop(pivot, None)
     return rank
 
 

@@ -35,6 +35,7 @@ from .algebra import LaurentPoly, _check_torus
 from .standard import (
     Seq,
     _gamma0,
+    _negate,
     _product,
     _require_valid,
     _simplify,
@@ -248,26 +249,23 @@ def staircase_from_alexander(delta: LaurentPoly) -> Seq:
 def torus_staircase(p: int, q: int) -> Seq:
     """Staircase sequence of T(p, |q|) read off the semigroup <p, |q|>.
 
-    Up to a shift, Delta(t) = (1 - t) times the sum of t^s over the
-    semigroup, whose every element from 2g = (p - 1)(|q| - 1) on is a member.
-    So the exponents of Delta are where the runs of members in 0 ... 2g start
-    and end, and the staircase is the run lengths with the gap lengths
-    between them negated.  A sieve marks the members; it equals
+    With (p - 1)(|q| - 1) = r p + s |q| (see _semigroup_split), Lam-Leung
+    write Delta(t) = (t^{p|q|} - 1)(t - 1) / ((t^p - 1)(t^{|q|} - 1)) as
+    +t^{ip + j|q|} for 0 <= i <= r, 0 <= j <= s, and -t^{ip + j|q| - p|q|}
+    for r < i < |q|, s < j < p: one term per generator, with the signs
+    alternating in the order of the exponents.  So the staircase is the
+    differences of the sorted exponents with every second one negated, at a
+    cost proportional to the generator count, not to the genus.  It equals
     staircase_from_alexander(alexander_torus(p, q)), the oracle.
     """
     _check_torus(p, q)
-    small, big = sorted((p, abs(q)))
-    top = (small - 1) * (big - 1)
-    members = bytearray(top + 1)
-    for start in range(0, top + 1, big):
-        members[start::small] = b"\x01" * ((top - start) // small + 1)
-    entries: list[int] = []
-    start = 0
-    while start < top:  # the last run starts at 2g and never ends
-        end = members.find(0, start)
-        restart = members.find(1, end)
-        entries += (end - start, end - restart)
-        start = restart
+    q = abs(q)
+    r, s = _semigroup_split(p, q)
+    exps = [i * p + j * q for i in range(r + 1) for j in range(s + 1)]
+    exps += [i * p + j * q - p * q for i in range(r + 1, q) for j in range(s + 1, p)]
+    exps.sort()
+    entries = list(map(operator.sub, exps[1:], exps))
+    entries[1::2] = map(operator.neg, entries[1::2])
     return validate_seq(entries)
 
 
@@ -423,11 +421,11 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
         _check_size(expr, torus_generators(expr.p, expr.q))
         seq = torus_staircase(expr.p, expr.q)
         if expr.q < 0:
-            seq = tuple(map(operator.neg, seq))
+            seq = _negate(seq)
         return EvalResult(seq, 0)
     if isinstance(expr, Mirror):
         inner = eval_expr(expr.inner)
-        return EvalResult(tuple(map(operator.neg, inner.sequence)), inner.loop_count)
+        return EvalResult(_negate(inner.sequence), inner.loop_count)
     if isinstance(expr, Cable2):
         inner = eval_expr(expr.inner)
         if not staircase_shaped(inner.sequence):
@@ -449,16 +447,19 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
 
 
 def torus_generators(p: int, q: int) -> int:
-    """The generator count of the staircase of T(p, q), without building it.
+    """The generator count of the staircase of T(p, q), without building it:
+    the Alexander polynomial has 2(r + 1)(s + 1) - 1 terms (Lam-Leung), one
+    per generator of the staircase."""
+    r, s = _semigroup_split(p, abs(q))
+    return 2 * (r + 1) * (s + 1) - 1
 
-    (p - 1)(|q| - 1) = r p + s |q| has exactly one solution with r, s >= 0,
-    and the Alexander polynomial then has 2(r + 1)(s + 1) - 1 terms
-    (Lam-Leung), one per generator of the staircase.
-    """
-    q = abs(q)
+
+def _semigroup_split(p: int, q: int) -> tuple[int, int]:
+    """The one solution r, s >= 0 of (p - 1)(q - 1) = r p + s q, for coprime
+    p >= 2 and q >= 1."""
     s = (pow(q, -1, p) - 1) % p
     r = ((p - 1) * (q - 1) - s * q) // p
-    return 2 * (r + 1) * (s + 1) - 1
+    return r, s
 
 
 def _check_size(expr: KnotExpr, generators: int) -> None:

@@ -82,15 +82,25 @@ def top_alexander(seq: Sequence[int]) -> int:
 
 def epsilon(seq: Sequence[int]) -> int:
     """Sign of the first entry; 0 for the unknot class."""
-    s = validate_seq(seq)
-    if not s:
+    return _epsilon(validate_seq(seq))
+
+
+def _epsilon(seq: Seq) -> int:
+    """epsilon of a validated sequence, not checked again."""
+    if not seq:
         return 0
-    return 1 if s[0] > 0 else -1
+    return 1 if seq[0] > 0 else -1
 
 
 def mirror_seq(seq: Sequence[int]) -> Seq:
     """Sequence of the mirror knot: entrywise negation."""
-    return tuple(map(operator.neg, validate_seq(seq)))  # negation keeps every check
+    return _negate(validate_seq(seq))
+
+
+def _negate(seq: Seq) -> Seq:
+    """mirror_seq of a validated sequence, not checked again: negation keeps
+    every check."""
+    return tuple(map(operator.neg, seq))
 
 
 def staircase_shaped(seq: Seq) -> bool:

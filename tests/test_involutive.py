@@ -1,15 +1,11 @@
 """The involutive layer: basic involution, derivative endomorphisms, the
 connected-sum involution, and the distinguished-basis verification."""
 
-import random
-
 import pytest
 
 from cfkzero.algebra import Mode, RingElem
-from cfkzero.cli import _criterion3_hosts
 from cfkzero.complexes import Endomorphism
 from cfkzero.involutive import (
-    _unit_pivot_rank,
     basic_involution,
     build_xyz_basis,
     phi_psi,
@@ -181,64 +177,3 @@ def test_lemma_rejects_bad_hosts():
         verify_lemma_43_44((2, -1, 1, -2), 3)  # a horizontal step of power 2
     with pytest.raises(ShapeError):
         verify_lemma_43_44((1, -1, 1, -1), 4)
-
-
-def dense_unit_pivot_rank(elements):
-    """The earlier elimination, each pivot against every column, kept as the
-    reference for the indexed one."""
-    cols = [dict(e) for e in elements]
-    used_rows = set()
-    rank = 0
-    for col in cols:
-        pivot = None
-        for g in sorted(col):
-            if g not in used_rows and col[g].is_unit:
-                pivot = g
-                break
-        if pivot is None:
-            continue
-        used_rows.add(pivot)
-        rank += 1
-        for other in cols:
-            if other is col or pivot not in other or not other[pivot]:
-                continue
-            factor = other[pivot]
-            for g, e in col.items():
-                prod = factor * e
-                other[g] = other[g] + prod if g in other else prod
-            other.pop(pivot, None)
-    return rank
-
-
-def test_unit_pivot_rank_matches_the_dense_elimination_on_the_lemma_families():
-    families = [build_xyz_basis(host, q).all_elements()
-                for host in _criterion3_hosts() for q in (3, 5, 7)]
-    assert len(families) == 117
-    for elements in families:
-        assert _unit_pivot_rank(elements) == dense_unit_pivot_rank(elements) == len(elements)
-
-
-def random_family(rng):
-    names = [f"g{i}" for i in range(rng.randint(1, 8))]
-    family = []
-    for _ in range(rng.randint(1, 10)):
-        combo = {}
-        for g in rng.sample(names, rng.randint(1, len(names))):
-            elem = RingElem.zero(Mode.FULL)
-            for _ in range(rng.randint(1, 2)):
-                a, b = rng.choice([(0, 0), (0, 0), (1, 0), (0, 1), (1, 1), (2, 0)])
-                elem = elem + RingElem.monomial(a, b, Mode.FULL)
-            combo[g] = elem  # zero entries included
-        family.append(combo)
-    return family
-
-
-def test_unit_pivot_rank_matches_the_dense_elimination_on_random_families():
-    rng = random.Random(1313)
-    ranks = set()
-    for _ in range(400):
-        family = random_family(rng)
-        rank = _unit_pivot_rank(family)
-        assert rank == dense_unit_pivot_rank(family), family
-        ranks.add((rank, len(family)))
-    assert any(rank < size for rank, size in ranks)  # some families fall short

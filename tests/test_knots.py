@@ -2,6 +2,7 @@
 evaluation, and local equivalence."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cfkzero.algebra import LaurentPoly, alexander_torus
 from cfkzero.knots import (
+    MAX_GENERATORS,
     Cable2,
     EvalError,
     Mirror,
@@ -150,6 +152,23 @@ def test_torus_staircase_of_an_unknot_and_bad_parameters():
     for p, q in [(2, 4), (1, 5), (3, 0), (0, 3)]:
         with pytest.raises(ValueError):
             torus_staircase(p, q)
+
+
+def test_torus_staircase_memory_follows_the_generator_count():
+    # T(p, p + 1) has 2p - 1 generators but genus p(p - 1)/2, so a cost that
+    # followed the genus would need gigabytes here; its staircase is
+    # 1, -(p - 1), 2, -(p - 2), ..., p - 1, -1
+    p = 50_000
+    assert torus_generators(p, p + 1) == 2 * p - 1 <= MAX_GENERATORS
+    tracemalloc.start()
+    try:
+        seq = gamma0_of(parse_expr(f"T({p},{p + 1})"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert seq[0::2] == tuple(range(1, p))
+    assert seq[1::2] == tuple(range(1 - p, 0))
 
 
 def test_staircase_rejects_non_lspace_polynomials():
