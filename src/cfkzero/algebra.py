@@ -235,7 +235,7 @@ def _check_torus(p: int, q: int) -> None:
     """Raise ValueError unless (p, q) names a torus knot: p >= 2, q nonzero,
     coprime."""
     if p < 2:
-        raise ValueError(f"torus parameter p must be >= 2, got {p}")
+        raise ValueError(f"torus knot needs p >= 2, got {p}")
     if q == 0:
         raise ValueError("torus parameter q must be nonzero")
     if gcd(p, q) != 1:

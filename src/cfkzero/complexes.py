@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import Mode, ModeMismatchError, RingElem
 
@@ -61,28 +61,28 @@ def _pair_id(a: str, b: str) -> str:
 
 def _violation(
     names: Sequence,
-    cols: Mapping[int, Mapping[int, tuple[int, int]]],
+    cols: Sequence[Mapping[int, tuple[int, int]]],
     gr_u: Sequence[int],
     gr_v: Sequence[int],
     mode: Mode,
 ) -> ComplexViolation | None:
     """The first failure of a complex on generators 0 ... len(names)-1 with
-    single-monomial entries, `cols` mapping each source to its targets: the
-    parity of every generator, the grading of every arrow, then d^2 = 0,
-    where mixed monomials die over UV = 0 and stay over the full ring.
-    `names` labels the generators in the witness."""
+    single-monomial entries, `cols[g]` mapping the targets of g's arrows to
+    their entries: the parity of every generator, the grading of every
+    arrow, then d^2 = 0, where mixed monomials die over UV = 0 and stay
+    over the full ring.  `names` labels the generators in the witness."""
     for g, (gu, gv) in enumerate(zip(gr_u, gr_v)):
         if (gu - gv) % 2 != 0:
             return ComplexViolation("parity", f"generator {names[g]} grades ({gu},{gv})")
-    for src, col in cols.items():
+    for src, col in enumerate(cols):
         for tgt, (a, b) in col.items():
             if gr_u[tgt] - 2 * a != gr_u[src] - 1 or gr_v[tgt] - 2 * b != gr_v[src] - 1:
                 return ComplexViolation("grading", f"{names[src]} -> {names[tgt]} : U^{a} V^{b}")
     quotient = mode is Mode.UVZERO
-    for src, col in cols.items():
+    for src, col in enumerate(cols):
         square: set[tuple[int, int, int]] = set()  # (target, U power, V power), odd counts
         for mid, (a1, b1) in col.items():
-            for tgt, (a2, b2) in cols.get(mid, {}).items():
+            for tgt, (a2, b2) in cols[mid].items():
                 a, b = a1 + a2, b1 + b2
                 if quotient and a > 0 and b > 0:
                     continue  # dies in the quotient
@@ -112,15 +112,14 @@ class ChainComplex:
     ):
         self.gens: tuple[Generator, ...] = tuple(gens)
         self.mode = mode
-        by_id: dict[str, Generator] = {}
+        ids: set[str] = set()
         for g in self.gens:
-            if g.ident in by_id:
+            if g.ident in ids:
                 raise InvalidComplexError(f"duplicate generator id {g.ident!r}")
-            by_id[g.ident] = g
-        self._by_id = by_id
+            ids.add(g.ident)
         clean: dict[tuple[str, str], RingElem] = {}
         for (tgt, src), elem in diff.items():
-            if tgt not in by_id or src not in by_id:
+            if tgt not in ids or src not in ids:
                 raise InvalidComplexError(f"arrow {src!r} -> {tgt!r} references unknown id")
             if elem.mode is not mode:
                 raise ModeMismatchError(f"entry {src!r} -> {tgt!r} has wrong mode")
@@ -157,11 +156,11 @@ class ChainComplex:
         and d^2 = 0; report the first failure.  No graded entry has two
         terms, so such an entry fails the grading."""
         index = {g.ident: i for i, g in enumerate(self.gens)}
-        cols: dict[int, dict[int, tuple[int, int]]] = {}
+        cols: list[dict[int, tuple[int, int]]] = [{} for _ in self.gens]
         for (tgt, src), elem in self.diff.items():
             if len(elem.terms) > 1:
                 return ComplexViolation("grading", f"{src} -> {tgt} : {elem}")
-            cols.setdefault(index[src], {})[index[tgt]] = elem.sole_term()
+            cols[index[src]][index[tgt]] = elem.sole_term()
         gr_u = [g.gr_u for g in self.gens]
         gr_v = [g.gr_v for g in self.gens]
         return _violation(self.ids(), cols, gr_u, gr_v, self.mode)
@@ -219,21 +218,18 @@ class ChainComplex:
         """
         if self.mode is not Mode.UVZERO:
             raise ModeMismatchError("vertical homology expects a UV = 0 complex")
-        mat = _MonoMatrix(Mode.UVZERO)
+        index = {g.ident: i for i, g in enumerate(self.gens)}
+        mat = _MonoMatrix(len(self.gens))
         for (tgt, src), elem in self.diff.items():
             for a, b in elem.terms:
                 if b == 0:
                     if a == 0:
                         raise InvalidComplexError("vertical homology needs a complex without unit arrows")
-                    mat.add(tgt, src, a, 0)
+                    mat.add(index[tgt], index[src], a, 0)
         torsion: list[int] = []
-        survivors = {g.ident for g in self.gens}
+        survivors = set(range(len(self.gens)))
         while True:
-            best: tuple[int, str, str] | None = None
-            for (tgt, src), (a, _) in mat.items():
-                key = (a, src, tgt)
-                if best is None or key < best:
-                    best = key
+            best = min(((a, src, tgt) for (tgt, src), (a, _) in mat.items()), default=None)
             if best is None:
                 break
             k, src, tgt = best
@@ -245,97 +241,89 @@ class ChainComplex:
             raise KnotlikeError(
                 f"free part of vertical homology has rank {len(survivors)}, expected 1"
             )
-        free = self._by_id[next(iter(survivors))]
+        free = self.gens[next(iter(survivors))]
         return free.alexander, tuple(sorted(torsion))
 
 
-Ident = Hashable  # a generator id: str in vertical_homology(), int in the basis search
-
-
 class _MonoMatrix:
-    """Sparse differential with single-monomial entries, for cancellations.
+    """Sparse differential over F_2[U,V]/(UV) on the generators
+    0 ... size-1, with single-monomial entries, for cancellations.
 
     Graded complexes only ever have one monomial per entry, and every graded
     operation preserves that, so entries are bare (upow, vpow) pairs.  Adding
-    a monomial to an equal one cancels (char 2); adding a different one to an
-    occupied slot would break the grading and raises.
+    a monomial to an equal one cancels (char 2), a mixed one dies, and adding
+    a different one to an occupied slot would break the grading and raises.
 
-    The matrix keeps a running XOR hash of its entries and the set of
-    generators meeting more than one arrow of some type and direction, so the
-    basis-simplification search can test states and find conflicts cheaply.
-    Generator ids may be any hashable values.
+    ``rows[g]`` maps the sources of the arrows into g to their entries and
+    ``cols[g]`` the targets of the arrows out of g.  The matrix keeps a
+    running XOR hash of its entries and the set of generators meeting more
+    than one arrow of some type and direction, so the basis search can test
+    states and find conflicts cheaply.
     """
 
-    def __init__(self, mode: Mode):
-        self.mode = mode
-        self.rows: dict[Ident, dict[Ident, tuple[int, int]]] = {}
-        self.cols: dict[Ident, dict[Ident, tuple[int, int]]] = {}
+    def __init__(self, size: int):
+        self.rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(size)]
+        self.cols: list[dict[int, tuple[int, int]]] = [{} for _ in range(size)]
         self.zhash = 0
         self.count = 0
         # per generator: [H-in, V-in, H-out, V-out] arrow counts
-        self.degrees: dict[Ident, list[int]] = {}
-        self.conflicted: set[Ident] = set()
+        self.degrees = [[0, 0, 0, 0] for _ in range(size)]
+        self.conflicted: set[int] = set()
 
     @classmethod
-    def from_arrows(cls, mode: Mode, size: int, arrows: list[tuple[int, int, tuple[int, int]]]) -> "_MonoMatrix":
-        """The matrix on the integer generators 0 ... size-1 with the given
-        arrows (target, source, (U power, V power)), no two on one entry,
-        its hash, arrow counts and conflict set built in bulk."""
-        out = cls(mode)
-        out.rows = {g: {} for g in range(size)}
-        out.cols = {g: {} for g in range(size)}
-        degrees = [[0, 0, 0, 0] for _ in range(size)]
+    def from_arrows(cls, size: int, arrows: list[tuple[int, int, tuple[int, int]]]) -> "_MonoMatrix":
+        """The matrix with the given arrows (target, source, (U power,
+        V power)), none mixed and no two on one entry, its hash, arrow
+        counts and conflict set built in bulk."""
+        out = cls(size)
+        rows, cols, degrees = out.rows, out.cols, out.degrees
         for tgt, src, mono in arrows:
-            out.rows[tgt][src] = mono
-            out.cols[src][tgt] = mono
+            rows[tgt][src] = mono
+            cols[src][tgt] = mono
             kind = 0 if mono[0] > 0 else 1
             degrees[tgt][kind] += 1
             degrees[src][2 + kind] += 1
         out.zhash = functools.reduce(operator.xor, map(hash, arrows), 0)
         out.count = len(arrows)
-        out.degrees = dict(enumerate(degrees))
-        out.conflicted = {g for g, counts in out.degrees.items() if max(counts) > 1}
+        out.conflicted = {g for g, counts in enumerate(degrees) if max(counts) > 1}
         return out
 
-    def tensor(self, size: int, other: "_MonoMatrix", other_size: int) -> "_MonoMatrix":
-        """The tensor product of two matrices on the integer generators
-        0 ... size-1 and 0 ... other_size-1, with (i, j) as the generator
-        i * other_size + j: the arrows of each factor beside each generator
-        of the other."""
-        n = size * other_size
+    def tensor(self, other: "_MonoMatrix") -> "_MonoMatrix":
+        """The tensor product, with (i, j) as the generator
+        i * len(other.rows) + j: the arrows of each factor beside each
+        generator of the other."""
+        width = len(other.rows)
+        n = len(self.rows) * width
         arrows = [
-            (tgt * other_size + j, src * other_size + j, mono)
+            (tgt * width + j, src * width + j, mono)
             for (tgt, src), mono in self.items()
-            for j in range(other_size)
+            for j in range(width)
         ]
         arrows += [
             (i + tgt, i + src, mono)
             for (tgt, src), mono in other.items()
-            for i in range(0, n, other_size)
+            for i in range(0, n, width)
         ]
-        return _MonoMatrix.from_arrows(self.mode, n, arrows)
+        return _MonoMatrix.from_arrows(n, arrows)
 
-    def items(self) -> Iterable[tuple[tuple[Ident, Ident], tuple[int, int]]]:
-        for tgt, row in self.rows.items():
+    def items(self) -> Iterable[tuple[tuple[int, int], tuple[int, int]]]:
+        for tgt, row in enumerate(self.rows):
             for src, mono in row.items():
                 yield (tgt, src), mono
 
-    def entry(self, tgt: Ident, src: Ident) -> tuple[int, int] | None:
-        return self.rows.get(tgt, {}).get(src)
-
-    def add(self, tgt: Ident, src: Ident, a: int, b: int) -> None:
+    def add(self, tgt: int, src: int, a: int, b: int) -> None:
         """Add U^a V^b to the entry src -> tgt: an empty entry takes it, an
-        equal one cancels (char 2), and a mixed monomial dies over UV = 0.
-        The hash, the entry count, the arrow counts and the conflict set
-        follow each change."""
-        if a > 0 and b > 0 and self.mode is Mode.UVZERO:
+        equal one cancels (char 2), and a mixed monomial dies.  The hash,
+        the entry count, the arrow counts and the conflict set follow each
+        change."""
+        if a > 0 and b > 0:
             return
         mono = (a, b)
-        row = self.rows.setdefault(tgt, {})
+        row = self.rows[tgt]
         cur = row.get(src)
         if cur is None:
             row[src] = mono
-            self.cols.setdefault(src, {})[tgt] = mono
+            self.cols[src][tgt] = mono
             step = 1
         elif cur == mono:
             del row[src]
@@ -349,20 +337,18 @@ class _MonoMatrix:
         self.count += step
         kind = 0 if a > 0 else 1
         for gen, slot in ((tgt, kind), (src, 2 + kind)):
-            counts = self.degrees.get(gen)
-            if counts is None:
-                counts = self.degrees[gen] = [0, 0, 0, 0]
+            counts = self.degrees[gen]
             counts[slot] += step
             if counts[slot] > 1:
                 self.conflicted.add(gen)
             elif gen in self.conflicted and max(counts) < 2:
                 self.conflicted.discard(gen)
 
-    def cancel(self, tgt: Ident, src: Ident, divide_u: int = 0) -> None:
+    def cancel(self, tgt: int, src: int, divide_u: int) -> None:
         """Remove the pair (tgt, src) along the arrow between them, adding the
         zig-zag corrections d(w -> tgt) * d(src -> z) / U^divide_u."""
-        ins = [(w, m) for w, m in self.rows.get(tgt, {}).items() if w != src]
-        outs = [(z, m) for z, m in self.cols.get(src, {}).items() if z != tgt]
+        ins = [(w, m) for w, m in self.rows[tgt].items() if w != src]
+        outs = [(z, m) for z, m in self.cols[src].items() if z != tgt]
         self.drop_gen(tgt)
         self.drop_gen(src)
         for w, (a1, b1) in ins:
@@ -372,13 +358,11 @@ class _MonoMatrix:
                     raise InvalidComplexError("cancellation pivot was not minimal")
                 self.add(z, w, a, b1 + b2)
 
-    def drop_gen(self, ident: Ident) -> None:
-        for src, (a, b) in list(self.rows.get(ident, {}).items()):
-            self.add(ident, src, a, b)  # adding an entry again removes it
-        for tgt, (a, b) in list(self.cols.get(ident, {}).items()):
-            self.add(tgt, ident, a, b)
-        self.rows.pop(ident, None)
-        self.cols.pop(ident, None)
+    def drop_gen(self, gen: int) -> None:
+        for src, (a, b) in list(self.rows[gen].items()):
+            self.add(gen, src, a, b)  # adding an entry again removes it
+        for tgt, (a, b) in list(self.cols[gen].items()):
+            self.add(tgt, gen, a, b)
 
 
 @dataclass

@@ -27,7 +27,6 @@ cable or sum whose complex would exceed MAX_GENERATORS generators is built.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -75,12 +74,7 @@ class Torus:
     q: int
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"torus knot needs p >= 2, got {self.p}")
-        if self.q == 0:
-            raise ValueError("torus parameter q must be nonzero")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"torus parameters must be coprime, got ({self.p}, {self.q})")
+        _check_torus(self.p, self.q)
 
     def __str__(self) -> str:
         return f"T({self.p},{self.q})"
@@ -155,11 +149,16 @@ class _Parser:
         start = self.pos
         if self.peek() in ("+", "-"):
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # isdecimal, not isdigit: int() reads no superscript or circled digit
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            self.pos = start
+            raise self.error("integer too long") from None
 
     def expr(self) -> KnotExpr:
         node = self.term()

@@ -191,7 +191,7 @@ def _product(s1: Seq, s2: Seq) -> tuple[_MonoMatrix, list[int], list[int], int]:
     ]
     gr_u = [x + y for x in u1 for y in u2]
     gr_v = [x + y for x in v1 for y in v2]
-    mat = _MonoMatrix.from_arrows(Mode.UVZERO, n1 * n2, arrows)
+    mat = _MonoMatrix.from_arrows(n1 * n2, arrows)
     return mat, gr_u, gr_v, len(arrows1) * n2 + len(arrows2) * n1
 
 
@@ -208,7 +208,7 @@ def _require_valid(mat: _MonoMatrix, gr_u: Sequence[int], gr_v: Sequence[int]) -
     """Raise InvalidComplexError at the first failure of the complex check
     ChainComplex.validate runs, made here on a UV = 0 matrix on integer ids
     and its gradings."""
-    violation = _violation(range(len(gr_u)), mat.cols, gr_u, gr_v, mat.mode)
+    violation = _violation(range(len(gr_u)), mat.cols, gr_u, gr_v, Mode.UVZERO)
     if violation is not None:
         raise InvalidComplexError(str(violation))
 
@@ -267,8 +267,6 @@ def _search(work: _MonoMatrix, budget: int) -> None:
     stops neutral merges from undoing each other, so it is cleared, not
     dropped, at a dead end.
     """
-    if work.mode is not Mode.UVZERO:
-        raise InvalidComplexError("the basis search expects a UV = 0 matrix")
     seen = {work.zhash}
     low_water = work.count
     scored: dict[int, tuple[int, int]] = {}  # generator -> (stamp, entries in the pool)
@@ -380,13 +378,13 @@ def _scored_moves(work: _MonoMatrix, gen: int) -> list[tuple[int, Move]]:
         kept, absorbed, delta, horizontal = move
         da, db = (delta, 0) if horizontal else (0, delta)
         net = 0
-        for tgt, (a, b) in cols.get(absorbed, {}).items():
+        for tgt, (a, b) in cols[absorbed].items():
             a += da
             b += db
             if a and b:
                 continue  # dies in the quotient
             net += -1 if rows[tgt].get(kept) == (a, b) else 1
-        for src, (a, b) in rows.get(kept, {}).items():
+        for src, (a, b) in rows[kept].items():
             a += da
             b += db
             if a and b:
@@ -400,11 +398,11 @@ def _scored_moves(work: _MonoMatrix, gen: int) -> list[tuple[int, Move]]:
 def _affected(work: _MonoMatrix, kept: int, absorbed: int) -> set[int]:
     """Generators whose candidate merges a merge of `absorbed` into `kept`
     may have changed: every generator it touched, and their neighbours."""
-    touched = {kept, absorbed, *work.cols.get(absorbed, ()), *work.rows.get(kept, ())}
+    touched = {kept, absorbed, *work.cols[absorbed], *work.rows[kept]}
     out = set(touched)
     for g in touched:
-        out.update(work.rows.get(g, ()))
-        out.update(work.cols.get(g, ()))
+        out.update(work.rows[g])
+        out.update(work.cols[g])
     return out
 
 
@@ -417,9 +415,9 @@ def _basis_change(mat: _MonoMatrix, kept: int, absorbed: int, delta: int, horizo
     complex no arrow joins `kept` to `absorbed`, so the two updates commute.
     """
     a_shift, b_shift = (delta, 0) if horizontal else (0, delta)
-    for tgt, (a, b) in list(mat.cols.get(absorbed, {}).items()):
+    for tgt, (a, b) in list(mat.cols[absorbed].items()):
         mat.add(tgt, kept, a + a_shift, b + b_shift)
-    for src, (a, b) in list(mat.rows.get(kept, {}).items()):
+    for src, (a, b) in list(mat.rows[kept].items()):
         mat.add(absorbed, src, a + a_shift, b + b_shift)
 
 

@@ -152,6 +152,32 @@ def test_eval_error_exit_code(capsys):
     assert "closed form inapplicable" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gamma0", "T(2,³)"],  # '³'.isdigit() holds, but int() does not read it
+    ["gamma0", "T(2," + "1" * 5000 + ")"],  # above the interpreter's int-string limit
+    ["gamma0", "C2(" + "1" * 5000 + ";T(2,3))"],
+    ["equiv", "T(2,³)", "T(2,3)"],  # exit 1 would read as NOT EQUIVALENT
+], ids=["superscript-digit", "long-torus-parameter", "long-cable-parameter", "equiv-superscript-digit"])
+def test_an_unreadable_integer_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_digits_are_those_int_reads(capsys):
+    assert run(capsys, "gamma0", "T(2,³)")[2] == "error: expected an integer at position 4 in 'T(2,³)'\n"
+    assert run(capsys, "gamma0", "T(2,３)") == (0, "[1,-1]\n", "")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("T(1,3)", "torus knot needs p >= 2, got 1 at position 6 in 'T(1,3)'"),
+    ("T(2,0)", "torus parameter q must be nonzero at position 6 in 'T(2,0)'"),
+    ("T(4,6)", "torus parameters must be coprime, got (4, 6) at position 6 in 'T(4,6)'"),
+])
+def test_bad_torus_parameters_are_named(capsys, text, message):
+    assert run(capsys, "gamma0", text) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "text",
     ["(" * 600 + "T(2,3)" + ")" * 600, " # ".join(["T(2,3)"] * 1200)],

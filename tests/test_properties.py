@@ -103,7 +103,7 @@ def test_extract_is_stable_under_relabeling_and_reduction_order():
         shuffled = list(range(size))
         rng.shuffle(shuffled)
         for label in (shuffled, list(reversed(range(size)))):
-            relabeled = _MonoMatrix(base.mode)
+            relabeled = _MonoMatrix(size)
             for (tgt, src), (a, b) in arrows:
                 relabeled.add(label[tgt], label[src], a, b)
             assert simplified_gamma0(relabeled, size) == reference
@@ -118,7 +118,7 @@ def test_tensor_is_commutative_and_associative_on_gamma0():
         assert sum_gamma0(s0, s1)[0] == sum_gamma0(s1, s0)[0]
         pair, gr_u, _, _ = _product(s0, s1)
         last, _, _, _ = _product(s2, ())  # s2's own complex: the unknot is one generator
-        triple = pair.tensor(len(gr_u), last, len(s2) + 1)
+        triple = pair.tensor(last)
         whole, _ = simplified_gamma0(triple, len(gr_u) * (len(s2) + 1))
         assert sum_gamma0(sum_gamma0(s0, s1)[0], s2)[0] == whole
         assert sum_gamma0(s0, sum_gamma0(s1, s2)[0])[0] == whole

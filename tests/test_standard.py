@@ -7,7 +7,7 @@ import pytest
 
 import cfkzero.standard as standard
 from cfkzero.algebra import Mode, RingElem
-from cfkzero.cli import format_seq, invariant_report
+from cfkzero.cli import _random_symmetric_seq, format_seq, invariant_report
 from cfkzero.complexes import ChainComplex, Generator, KnotlikeError, _MonoMatrix
 from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
 from cfkzero.standard import (
@@ -181,7 +181,8 @@ def test_non_staircase_has_no_full_ring_standard_complex():
 
 
 def matrix(arrows):
-    mat = _MonoMatrix(Mode.UVZERO)
+    size = 1 + max(max(t, s) for t, s, _, _ in arrows)
+    mat = _MonoMatrix(size)
     for arrow in arrows:
         mat.add(*arrow)
     return mat
@@ -194,6 +195,26 @@ def simplified_product(s1, s2):
     _simplify(mat, plain)
     _require_valid(mat, gr_u, gr_v)
     return mat, len(gr_u)
+
+
+def assert_bookkeeping_matches_entries(mat, size):
+    rebuilt = _MonoMatrix.from_arrows(size, [(t, s, mono) for (t, s), mono in mat.items()])
+    assert (mat.rows, mat.cols) == (rebuilt.rows, rebuilt.cols)
+    assert (mat.zhash, mat.count) == (rebuilt.zhash, rebuilt.count)
+    assert (mat.degrees, mat.conflicted) == (rebuilt.degrees, rebuilt.conflicted)
+
+
+def test_the_kept_hash_counts_and_conflicts_match_the_entries():
+    # the search trusts zhash, count, degrees and conflicted, which add()
+    # updates one entry at a time; from_arrows rebuilds them from scratch
+    rng = random.Random(1414)
+    for _ in range(60):
+        s1, s2 = _random_symmetric_seq(rng, 4, 3), _random_symmetric_seq(rng, 4, 3)
+        mat, gr_u, _, plain = _product(s1, s2)
+        assert_bookkeeping_matches_entries(mat, len(gr_u))
+        _simplify(mat, plain)
+        assert_bookkeeping_matches_entries(mat, len(gr_u))
+        assert not mat.conflicted
 
 
 def test_simplify_leaves_staircases_alone():

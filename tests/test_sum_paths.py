@@ -15,7 +15,7 @@ import random
 import pytest
 
 import cfkzero.knots as knots
-from cfkzero.algebra import Mode, RingElem
+from cfkzero.algebra import RingElem
 from cfkzero.cli import _criterion3_hosts
 from cfkzero.complexes import ChainComplex, Generator, InvalidComplexError, _MonoMatrix, _pair_id
 from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
@@ -48,7 +48,7 @@ def assert_same_product(s1, s2):
     cx = left.tensor(right)
     width = len(s2) + 1
     pos = {_pair_id(f"l{i}", f"r{j}"): i * width + j for i in range(len(s1) + 1) for j in range(width)}
-    want = _MonoMatrix(Mode.UVZERO)
+    want = _MonoMatrix(len(gr_u))
     for (t, s), e in cx.diff.items():
         want.add(pos[t], pos[s], *e.sole_term())
     assert plain == want.count
@@ -162,7 +162,7 @@ def test_the_integer_check_reports_a_nonzero_square(monkeypatch):
             for new in range(len(gr_u)):
                 twice = gr_u[x] - gr_u[new] + 1
                 if gr_v[x] == gr_v[new] - 1 and twice > 0 and twice % 2 == 0:
-                    if mat.entry(x, new) is None:
+                    if mat.rows[x].get(new) is None:
                         mat.add(x, new, twice // 2, 0)
                         added.append((new, x))
                         return
