@@ -1,7 +1,7 @@
 """Exact-arithmetic knot Floer standard complexes and the gamma_0 invariant."""
 
 from .algebra import LaurentPoly, Mode, RingElem, alexander_torus
-from .complexes import ChainComplex, Endomorphism, Generator
+from .complexes import ChainComplex, Endomorphism
 from .involutive import basic_involution, phi_psi, tensor_involution, verify_lemma_43_44
 from .knots import (
     Cable2,
@@ -40,7 +40,6 @@ __all__ = [
     "alexander_torus",
     "ChainComplex",
     "Endomorphism",
-    "Generator",
     "basic_involution",
     "phi_psi",
     "tensor_involution",

@@ -340,7 +340,7 @@ def _check_properties() -> tuple[bool, str]:
     for _ in range(120):
         s1 = _random_symmetric_seq(rng, 4, 3)
         s2 = _random_symmetric_seq(rng, 4, 3)
-        cx = seq_to_complex(s1, prefix="l").tensor(seq_to_complex(s2, prefix="r"))
+        cx = seq_to_complex(s1).tensor(seq_to_complex(s2))
         if cx.validate() is not None or cx.dual().validate() is not None:
             return False, f"tensor of {list(s1)}, {list(s2)} invalid"
         cases += 1

@@ -8,6 +8,9 @@ Conventions, fixed once for the whole package:
   satisfies  grU(tgt) - 2a = grU(src) - 1  and  grV(tgt) - 2b = grV(src) - 1.
 * The Alexander grading of a generator is A = (grU - grV) / 2, which the
   differential preserves.
+* Every complex names its generators by position, 0 ... n-1, and the
+  generator (i, j) of a tensor product is the integer i * n2 + j, where n2
+  is the size of the second factor.
 
 Because every complex here is graded, each differential entry is a single
 monomial; the homology routine and the search matrix below exploit that.
@@ -32,21 +35,6 @@ class KnotlikeError(ValueError):
 
 
 @dataclass(frozen=True)
-class Generator:
-    ident: str
-    gr_u: int
-    gr_v: int
-
-    @property
-    def alexander(self) -> int:
-        if (self.gr_u - self.gr_v) % 2 != 0:
-            raise InvalidComplexError(
-                f"generator {self.ident} has non-integral Alexander grading"
-            )
-        return (self.gr_u - self.gr_v) // 2
-
-
-@dataclass(frozen=True)
 class ComplexViolation:
     kind: str  # "parity", "grading" or "dsquared"
     witness: str
@@ -55,29 +43,24 @@ class ComplexViolation:
         return f"{self.kind}: {self.witness}"
 
 
-def _pair_id(a: str, b: str) -> str:
-    return f"({a}|{b})"
-
-
 def _violation(
-    names: Sequence,
     cols: Sequence[Mapping[int, tuple[int, int]]],
     gr_u: Sequence[int],
     gr_v: Sequence[int],
     mode: Mode,
 ) -> ComplexViolation | None:
-    """The first failure of a complex on generators 0 ... len(names)-1 with
+    """The first failure of a complex on generators 0 ... len(gr_u)-1 with
     single-monomial entries, `cols[g]` mapping the targets of g's arrows to
     their entries: the parity of every generator, the grading of every
     arrow, then d^2 = 0, where mixed monomials die over UV = 0 and stay
-    over the full ring.  `names` labels the generators in the witness."""
+    over the full ring."""
     for g, (gu, gv) in enumerate(zip(gr_u, gr_v)):
         if (gu - gv) % 2 != 0:
-            return ComplexViolation("parity", f"generator {names[g]} grades ({gu},{gv})")
+            return ComplexViolation("parity", f"generator {g} grades ({gu},{gv})")
     for src, col in enumerate(cols):
         for tgt, (a, b) in col.items():
             if gr_u[tgt] - 2 * a != gr_u[src] - 1 or gr_v[tgt] - 2 * b != gr_v[src] - 1:
-                return ComplexViolation("grading", f"{names[src]} -> {names[tgt]} : U^{a} V^{b}")
+                return ComplexViolation("grading", f"{src} -> {tgt} : U^{a} V^{b}")
     quotient = mode is Mode.UVZERO
     for src, col in enumerate(cols):
         square: set[tuple[int, int, int]] = set()  # (target, U power, V power), odd counts
@@ -93,50 +76,55 @@ def _violation(
                     square.add(term)
         if square:
             tgt, a, b = min(square)
-            return ComplexViolation("dsquared", f"d^2({names[src]}) hits {names[tgt]} with U^{a} V^{b}")
+            return ComplexViolation("dsquared", f"d^2({src}) hits {tgt} with U^{a} V^{b}")
     return None
 
 
 class ChainComplex:
-    """A free bigraded complex with a sparse differential.
+    """A free bigraded complex on the generators 0 ... n-1 with a sparse
+    differential.
 
-    ``diff`` maps (target id, source id) to a ring element, so the column of
-    a generator g lists the arrows of the boundary of g.
+    The gradings of generator g are ``gr_u[g]`` and ``gr_v[g]``, and ``diff``
+    maps (target, source) to a ring element, so the column of a generator g
+    lists the arrows of the boundary of g.
     """
 
     def __init__(
         self,
-        gens: Sequence[Generator],
-        diff: Mapping[tuple[str, str], RingElem],
+        gr_u: Sequence[int],
+        gr_v: Sequence[int],
+        diff: Mapping[tuple[int, int], RingElem],
         mode: Mode,
     ):
-        self.gens: tuple[Generator, ...] = tuple(gens)
+        if len(gr_u) != len(gr_v):
+            raise InvalidComplexError(f"{len(gr_u)} U-gradings but {len(gr_v)} V-gradings")
+        self.gr_u, self.gr_v = list(gr_u), list(gr_v)
         self.mode = mode
-        ids: set[str] = set()
-        for g in self.gens:
-            if g.ident in ids:
-                raise InvalidComplexError(f"duplicate generator id {g.ident!r}")
-            ids.add(g.ident)
-        clean: dict[tuple[str, str], RingElem] = {}
+        size = len(self.gr_u)
+        clean: dict[tuple[int, int], RingElem] = {}
         for (tgt, src), elem in diff.items():
-            if tgt not in ids or src not in ids:
-                raise InvalidComplexError(f"arrow {src!r} -> {tgt!r} references unknown id")
+            if not (0 <= tgt < size and 0 <= src < size):
+                raise InvalidComplexError(f"arrow {src} -> {tgt} leaves the generators 0 ... {size - 1}")
             if elem.mode is not mode:
-                raise ModeMismatchError(f"entry {src!r} -> {tgt!r} has wrong mode")
+                raise ModeMismatchError(f"entry {src} -> {tgt} has wrong mode")
             if elem:
                 clean[(tgt, src)] = elem
         self.diff = clean
 
     # -- basic access -------------------------------------------------------
 
-    def ids(self) -> list[str]:
-        return [g.ident for g in self.gens]
-
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self.gr_u)
+
+    def alexander(self, g: int) -> int:
+        """The Alexander grading (grU - grV) / 2 of generator g."""
+        twice = self.gr_u[g] - self.gr_v[g]
+        if twice % 2 != 0:
+            raise InvalidComplexError(f"generator {g} has non-integral Alexander grading")
+        return twice // 2
 
     @functools.cached_property
-    def _by_source(self) -> dict[str, list[tuple[str, RingElem]]]:
+    def _by_source(self) -> dict[int, list[tuple[int, RingElem]]]:
         """The differential indexed by source; ``diff`` never changes."""
         return diff_endomorphism(self)._by_source
 
@@ -144,7 +132,8 @@ class ChainComplex:
         if not isinstance(other, ChainComplex):
             return NotImplemented
         return (
-            self.gens == other.gens
+            self.gr_u == other.gr_u
+            and self.gr_v == other.gr_v
             and self.diff == other.diff
             and self.mode is other.mode
         )
@@ -155,15 +144,12 @@ class ChainComplex:
         """Check the parity of every generator, the grading of every arrow
         and d^2 = 0; report the first failure.  No graded entry has two
         terms, so such an entry fails the grading."""
-        index = {g.ident: i for i, g in enumerate(self.gens)}
-        cols: list[dict[int, tuple[int, int]]] = [{} for _ in self.gens]
+        cols: list[dict[int, tuple[int, int]]] = [{} for _ in self.gr_u]
         for (tgt, src), elem in self.diff.items():
             if len(elem.terms) > 1:
                 return ComplexViolation("grading", f"{src} -> {tgt} : {elem}")
-            cols[index[src]][index[tgt]] = elem.sole_term()
-        gr_u = [g.gr_u for g in self.gens]
-        gr_v = [g.gr_v for g in self.gens]
-        return _violation(self.ids(), cols, gr_u, gr_v, self.mode)
+            cols[src][tgt] = elem.sole_term()
+        return _violation(cols, self.gr_u, self.gr_v, self.mode)
 
     def require_valid(self) -> "ChainComplex":
         violation = self.validate()
@@ -174,30 +160,30 @@ class ChainComplex:
     # -- constructions ------------------------------------------------------
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
-        """Tensor product over the ground ring; gradings add, no signs in char 2."""
+        """Tensor product over the ground ring, with (i, j) as the generator
+        i * len(other) + j; gradings add, no signs in char 2."""
         if self.mode is not other.mode:
             raise ModeMismatchError("tensor factors must share a coefficient mode")
-        gens = [
-            Generator(_pair_id(x.ident, y.ident), x.gr_u + y.gr_u, x.gr_v + y.gr_v)
-            for x in self.gens
-            for y in other.gens
-        ]
-        diff: dict[tuple[str, str], RingElem] = {}
+        width = len(other)
+        gr_u = [x + y for x in self.gr_u for y in other.gr_u]
+        gr_v = [x + y for x in self.gr_v for y in other.gr_v]
+        diff: dict[tuple[int, int], RingElem] = {}
         for (t, s), elem in self.diff.items():
-            for y in other.gens:
-                diff[(_pair_id(t, y.ident), _pair_id(s, y.ident))] = elem
+            for j in range(width):
+                diff[(t * width + j, s * width + j)] = elem
         for (t, s), elem in other.diff.items():
-            for x in self.gens:
-                key = (_pair_id(x.ident, t), _pair_id(x.ident, s))
+            for i in range(0, len(gr_u), width):
+                key = (i + t, i + s)
                 diff[key] = diff[key] + elem if key in diff else elem
-        return ChainComplex(gens, diff, self.mode)
+        return ChainComplex(gr_u, gr_v, diff, self.mode)
 
     def dual(self) -> "ChainComplex":
         """Mirror with reversed orientation: transpose the differential and
         negate both gradings.  Applying it twice gives back the original."""
-        gens = [Generator(g.ident, -g.gr_u, -g.gr_v) for g in self.gens]
         diff = {(s, t): e for (t, s), e in self.diff.items()}
-        return ChainComplex(gens, diff, self.mode)
+        return ChainComplex(
+            [-g for g in self.gr_u], [-g for g in self.gr_v], diff, self.mode
+        )
 
     def quotient_uv(self) -> "ChainComplex":
         """Pass to F_2[U,V]/(UV): every mixed monomial in the differential
@@ -206,7 +192,7 @@ class ChainComplex:
         if self.mode is Mode.UVZERO:
             return self
         diff = {key: e.to_quotient() for key, e in self.diff.items()}
-        return ChainComplex(self.gens, diff, Mode.UVZERO)
+        return ChainComplex(self.gr_u, self.gr_v, diff, Mode.UVZERO)
 
     # -- homology -----------------------------------------------------------
 
@@ -218,16 +204,15 @@ class ChainComplex:
         """
         if self.mode is not Mode.UVZERO:
             raise ModeMismatchError("vertical homology expects a UV = 0 complex")
-        index = {g.ident: i for i, g in enumerate(self.gens)}
-        mat = _MonoMatrix(len(self.gens))
+        mat = _MonoMatrix(len(self))
         for (tgt, src), elem in self.diff.items():
             for a, b in elem.terms:
                 if b == 0:
                     if a == 0:
                         raise InvalidComplexError("vertical homology needs a complex without unit arrows")
-                    mat.add(index[tgt], index[src], a, 0)
+                    mat.add(tgt, src, a, 0)
         torsion: list[int] = []
-        survivors = set(range(len(self.gens)))
+        survivors = set(range(len(self)))
         while True:
             best = min(((a, src, tgt) for (tgt, src), (a, _) in mat.items()), default=None)
             if best is None:
@@ -241,8 +226,7 @@ class ChainComplex:
             raise KnotlikeError(
                 f"free part of vertical homology has rank {len(survivors)}, expected 1"
             )
-        free = self.gens[next(iter(survivors))]
-        return free.alexander, tuple(sorted(torsion))
+        return self.alexander(next(iter(survivors))), tuple(sorted(torsion))
 
 
 class _MonoMatrix:
@@ -287,24 +271,6 @@ class _MonoMatrix:
         out.count = len(arrows)
         out.conflicted = {g for g, counts in enumerate(degrees) if max(counts) > 1}
         return out
-
-    def tensor(self, other: "_MonoMatrix") -> "_MonoMatrix":
-        """The tensor product, with (i, j) as the generator
-        i * len(other.rows) + j: the arrows of each factor beside each
-        generator of the other."""
-        width = len(other.rows)
-        n = len(self.rows) * width
-        arrows = [
-            (tgt * width + j, src * width + j, mono)
-            for (tgt, src), mono in self.items()
-            for j in range(width)
-        ]
-        arrows += [
-            (i + tgt, i + src, mono)
-            for (tgt, src), mono in other.items()
-            for i in range(0, n, width)
-        ]
-        return _MonoMatrix.from_arrows(n, arrows)
 
     def items(self) -> Iterable[tuple[tuple[int, int], tuple[int, int]]]:
         for tgt, row in enumerate(self.rows):
@@ -367,7 +333,8 @@ class _MonoMatrix:
 
 @dataclass
 class Endomorphism:
-    """A matrix of ring elements over a complex's generators.
+    """A matrix of ring elements over a complex's generators, keyed by
+    (target, source) positions.
 
     ``shift`` declares the bidegree; when ``skew`` is set the map exchanges
     the two gradings and conjugates coefficients by the U <-> V swap, which is
@@ -375,7 +342,7 @@ class Endomorphism:
     """
 
     cx: ChainComplex
-    entries: dict[tuple[str, str], RingElem] = field(default_factory=dict)
+    entries: dict[tuple[int, int], RingElem] = field(default_factory=dict)
     shift: tuple[int, int] = (0, 0)
     skew: bool = False
 
@@ -383,9 +350,9 @@ class Endomorphism:
         self.entries = {k: v for k, v in self.entries.items() if v}
 
     @functools.cached_property
-    def _by_source(self) -> dict[str, list[tuple[str, RingElem]]]:
+    def _by_source(self) -> dict[int, list[tuple[int, RingElem]]]:
         """The entries indexed by source, as (target, coefficient) pairs."""
-        by_src: dict[str, list[tuple[str, RingElem]]] = {}
+        by_src: dict[int, list[tuple[int, RingElem]]] = {}
         for (tgt, src), elem in self.entries.items():
             by_src.setdefault(src, []).append((tgt, elem))
         return by_src
@@ -393,10 +360,10 @@ class Endomorphism:
     def twist(self, elem: RingElem) -> RingElem:
         return elem.swap_uv() if self.skew else elem
 
-    def apply(self, combo: Mapping[str, RingElem]) -> dict[str, RingElem]:
+    def apply(self, combo: Mapping[int, RingElem]) -> dict[int, RingElem]:
         """Apply to a coefficient combination of generators; the result
         holds no zero coefficient."""
-        out: dict[str, RingElem] = {}
+        out: dict[int, RingElem] = {}
         for src, coeff in combo.items():
             twisted = self.twist(coeff)
             for tgt, elem in self._by_source.get(src, ()):
@@ -406,7 +373,7 @@ class Endomorphism:
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other."""
-        entries: dict[tuple[str, str], RingElem] = {}
+        entries: dict[tuple[int, int], RingElem] = {}
         for (mid, src), inner in other.entries.items():
             twisted = self.twist(inner)
             for tgt, outer in self._by_source.get(mid, ()):
@@ -441,7 +408,7 @@ class Endomorphism:
             for mid, inner in diff.get(src, ()):
                 swapped = [(b, a) for a, b in inner.terms] if self.skew else inner.terms
                 pairs.append((swapped, mine.get(mid, ())))
-            odd: set[tuple[str, int, int]] = set()
+            odd: set[tuple[int, int, int]] = set()
             for inner, column in pairs:
                 for tgt, outer in column:
                     for a1, b1 in inner:
@@ -459,13 +426,12 @@ class Endomorphism:
         return True
 
     def respects_grading(self) -> bool:
-        by_id = {g.ident: g for g in self.cx.gens}
+        gr_u, gr_v = self.cx.gr_u, self.cx.gr_v
         du, dv = self.shift
         for (tgt, src), elem in self.entries.items():
-            gt, gs = by_id[tgt], by_id[src]
-            src_u, src_v = (gs.gr_v, gs.gr_u) if self.skew else (gs.gr_u, gs.gr_v)
+            src_u, src_v = (gr_v[src], gr_u[src]) if self.skew else (gr_u[src], gr_v[src])
             for a, b in elem.terms:
-                if gt.gr_u - 2 * a != src_u + du or gt.gr_v - 2 * b != src_v + dv:
+                if gr_u[tgt] - 2 * a != src_u + du or gr_v[tgt] - 2 * b != src_v + dv:
                     return False
         return True
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Mode, RingElem
-from .complexes import ChainComplex, Endomorphism, InvalidComplexError, _pair_id
+from .complexes import ChainComplex, Endomorphism, InvalidComplexError
 from .knots import ShapeError, _t2_host
 from .standard import Seq, extract_gamma0, seq_to_complex, staircase_shaped, validate_seq
 
-Combination = dict[str, RingElem]
+Combination = dict[int, RingElem]
 
 
 def _coefficient_parity(b: int) -> int:
@@ -29,39 +29,29 @@ def _coefficient_parity(b: int) -> int:
     return b % 2
 
 
-def _staircase_order(cx: ChainComplex) -> list[str]:
-    """Generator ids of a staircase complex in path order, or raise.
+def _check_staircase(cx: ChainComplex) -> None:
+    """Raise unless the complex is a staircase in path order.
 
-    A staircase has generators z_0 ... z_{2n} whose differential sends each
-    odd-index generator to a U-power of its predecessor plus a V-power of its
-    successor, and nothing else.
+    A staircase has generators z_0 ... z_{2n}, z_i at position i, whose
+    differential sends each odd-index generator to a U-power of its
+    predecessor plus a V-power of its successor, and nothing else.
     """
-    ids = cx.ids()
-    n = len(ids)
+    n = len(cx)
     if n % 2 == 0:
         raise ShapeError("a staircase has an odd number of generators")
-    expected = {}
-    for i in range(1, n, 2):
-        expected[ids[i]] = {ids[i - 1]: "U", ids[i + 1]: "V"}
     for (tgt, src), elem in cx.diff.items():
-        a, b = elem.sole_term()
-        kind = expected.get(src, {}).get(tgt)
-        if kind is None or (kind == "U") != (a > 0):
+        a, _ = elem.sole_term()
+        if src % 2 == 0 or tgt != (src - 1 if a > 0 else src + 1):
             raise ShapeError(f"arrow {src} -> {tgt} breaks the staircase shape")
-    for src, targets in expected.items():
-        for tgt in targets:
-            if (tgt, src) not in cx.diff:
-                raise ShapeError(f"staircase arrow {src} -> {tgt} is missing")
-    return ids
+    if len(cx.diff) != n - 1:  # every other arrow is one of these n - 1
+        raise ShapeError(f"a staircase on {n} generators has {n - 1} arrows, not {len(cx.diff)}")
 
 
 def basic_involution(cx: ChainComplex) -> Endomorphism:
     """The involution of a staircase: z_i <-> z_{2n-i}, a skew chain map."""
-    ids = _staircase_order(cx)
-    n = len(ids)
-    entries = {
-        (ids[n - 1 - i], ids[i]): RingElem.one(cx.mode) for i in range(n)
-    }
+    _check_staircase(cx)
+    n = len(cx)
+    entries = {(n - 1 - i, i): RingElem.one(cx.mode) for i in range(n)}
     iota = Endomorphism(cx, entries, (0, 0), skew=True)
     if not iota.is_chain_map():
         raise InvalidComplexError("basic involution is not a chain map")
@@ -74,8 +64,8 @@ def phi_psi(cx: ChainComplex) -> tuple[Endomorphism, Endomorphism]:
     Phi picks out the entries U^a V^b with a odd and divides by U; Psi does
     the same in V.  Both are honest chain maps in characteristic 2.
     """
-    phi_entries: dict[tuple[str, str], RingElem] = {}
-    psi_entries: dict[tuple[str, str], RingElem] = {}
+    phi_entries: dict[tuple[int, int], RingElem] = {}
+    psi_entries: dict[tuple[int, int], RingElem] = {}
     for key, elem in cx.diff.items():
         for a, b in elem.terms:
             if a % 2 == 1:
@@ -94,10 +84,12 @@ def phi_psi(cx: ChainComplex) -> tuple[Endomorphism, Endomorphism]:
 def _tensor_endo(
     product: ChainComplex, f: Endomorphism, g: Endomorphism, skew: bool
 ) -> Endomorphism:
-    entries: dict[tuple[str, str], RingElem] = {}
+    """f (x) g on product = f.cx (x) g.cx, (i, j) at i * len(g.cx) + j."""
+    width = len(g.cx)
+    entries: dict[tuple[int, int], RingElem] = {}
     for (t1, s1), e1 in f.entries.items():
         for (t2, s2), e2 in g.entries.items():
-            key = (_pair_id(t1, t2), _pair_id(s1, s2))
+            key = (t1 * width + t2, s1 * width + s2)
             prod = e1 * e2
             entries[key] = entries[key] + prod if key in entries else prod
     shift = (f.shift[0] + g.shift[0], f.shift[1] + g.shift[1])
@@ -140,7 +132,8 @@ class BasisFamily:
     j <= k', Z and Z' over odd j <= k'-2, where k' is the largest odd number
     not exceeding k = (q-1)/2.  Elements are coefficient combinations of the
     generators (x_i|y_j) of the tensor product of the host staircase x_0 ...
-    x_{4n} and the T_{2,q} staircase y_0 ... y_{2k}.
+    x_{4n} and the T_{2,q} staircase y_0 ... y_{2k}, (x_i|y_j) at position
+    i * (2k + 1) + j.
     """
 
     n: int
@@ -190,14 +183,14 @@ def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
             raise ShapeError(f"y index {j} (primed={primed}) out of range")
         return pos
 
-    def gen(i: int, j: int, xp: bool = False, yp: bool = False) -> str:
-        return _pair_id(f"x{xpos(i, xp)}", f"y{ypos(j, yp)}")
+    def gen(i: int, j: int, xp: bool = False, yp: bool = False) -> int:
+        return xpos(i, xp) * (2 * k + 1) + ypos(j, yp)
 
-    def combo(*parts: tuple[str, int, int]) -> Combination:
+    def combo(*parts: tuple[int, int, int]) -> Combination:
         out: Combination = {}
-        for ident, a, b in parts:
+        for g, a, b in parts:
             mono = RingElem.monomial(a, b, Mode.FULL)
-            out[ident] = out[ident] + mono if ident in out else mono
+            out[g] = out[g] + mono if g in out else mono
         return {g: e for g, e in out.items() if e}
 
     # the X path of Eq-style listing: along the host at y_0, across the torus
@@ -278,7 +271,7 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
     the family extends to a free-module basis when it clears every column.
     """
     cols = [dict(e) for e in elements]
-    used_rows: set[str] = set()
+    used_rows: set[int] = set()
     rank = 0
     for col in cols:
         pivot = None
@@ -315,9 +308,9 @@ def verify_lemma_43_44(host: Seq, q: int) -> tuple[Check, ...]:
     zero mod 2, so that image is the bare generator combination.
     """
     fam = build_xyz_basis(host, q)
-    host_iota = basic_involution(seq_to_complex(host, Mode.FULL, prefix="x"))
+    host_iota = basic_involution(seq_to_complex(host, Mode.FULL))
     torus_seq = validate_seq([1, -1] * fam.k)
-    torus_iota = basic_involution(seq_to_complex(torus_seq, Mode.FULL, prefix="y"))
+    torus_iota = basic_involution(seq_to_complex(torus_seq, Mode.FULL))
     iota, iota_inv = tensor_involution(host_iota, torus_iota)
     product = iota.cx
 
@@ -329,21 +322,23 @@ def verify_lemma_43_44(host: Seq, q: int) -> tuple[Check, ...]:
     checks.append(Check("involution composes with its inverse to the identity", identity))
 
     # (a) X is a subcomplex realizing the naive insertion sequence
-    x_ids = [next(iter(e)) for e in fam.x_elements]
-    x_set = set(x_ids)
-    closed = all(
-        tgt in x_set for (tgt, src) in product.diff if src in x_set
-    )
+    x_gens = [next(iter(e)) for e in fam.x_elements]
+    where = {g: pos for pos, g in enumerate(x_gens)}  # X re-indexed in listing order
+    closed = all(tgt in where for (tgt, src) in product.diff if src in where)
     checks.append(Check("X spans a subcomplex", closed))
-    sub_gens = [g for g in product.gens if g.ident in x_set]
-    sub_diff = {
-        key: elem for key, elem in product.diff.items() if key[1] in x_set
-    }
     expected = validate_seq(
         host[: len(host) // 2] + tuple([1, -1] * ((q - 1) // 2)) + host[len(host) // 2 :]
     )
+    # an arrow leaving X gets the target len(X), which ChainComplex rejects
+    sub_diff = {
+        (where.get(t, len(where)), where[s]): elem
+        for (t, s), elem in product.diff.items()
+        if s in where
+    }
     try:
-        sub = ChainComplex(sub_gens, sub_diff, Mode.FULL).require_valid()
+        sub = ChainComplex(
+            [product.gr_u[g] for g in x_gens], [product.gr_v[g] for g in x_gens], sub_diff, Mode.FULL
+        ).require_valid()
         x_seq = extract_gamma0(sub.quotient_uv())
         seq_ok = x_seq == expected
         detail = "" if seq_ok else f"got {list(x_seq)}, wanted {list(expected)}"

@@ -45,6 +45,7 @@ from .standard import (
 
 
 MAX_GENERATORS = 100_000  # the largest complex an evaluation may build
+QUOTE_WIDTH = 80  # the most input characters a parse error quotes
 
 
 class ShapeError(ValueError):
@@ -128,7 +129,14 @@ class _Parser:
         self.pos = 0
 
     def error(self, message: str) -> ParseError:
-        return ParseError(f"{message} at position {self.pos} in {self.text!r}")
+        """The message at the current position, with the input quoted whole
+        up to QUOTE_WIDTH characters, else a window of that width around
+        the position, marked with … where it is cut."""
+        text = self.text
+        start = max(0, min(self.pos - QUOTE_WIDTH // 2, len(text) - QUOTE_WIDTH))
+        end = start + QUOTE_WIDTH
+        window = "…" * (start > 0) + text[start:end] + "…" * (end < len(text))
+        return ParseError(f"{message} at position {self.pos} in {window!r}")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -493,7 +501,7 @@ def _sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     product, gr_u, gr_v, plain = _product(s1, s2)
     _simplify(product, plain)
     _require_valid(product, gr_u, gr_v)
-    return _gamma0(range(len(gr_u)), product.items())
+    return _gamma0(len(gr_u), product.items())
 
 
 def gamma0_of(expr: KnotExpr) -> Seq:

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 from .algebra import Mode, RingElem
 from .complexes import (
     ChainComplex,
-    Generator,
     InvalidComplexError,
     KnotlikeError,
     _MonoMatrix,
@@ -135,20 +134,16 @@ def _standard(s: Seq) -> tuple[list[int], list[int], list[Arrow]]:
     return gr_u, gr_v, arrows
 
 
-def seq_to_complex(seq: Sequence[int], mode: Mode = Mode.UVZERO, prefix: str = "z") -> ChainComplex:
-    """Build the standard complex of a sequence.
+def seq_to_complex(seq: Sequence[int], mode: Mode = Mode.UVZERO) -> ChainComplex:
+    """Build the standard complex of a sequence, with z_i as the generator i.
 
     Over the full ring only staircase-shaped sequences give a complex, so
     the result is validated either way.
     """
     s = validate_seq(seq)
     gr_u, gr_v, arrows = _standard(s)
-    gens = [Generator(f"{prefix}{i}", gu, gv) for i, (gu, gv) in enumerate(zip(gr_u, gr_v))]
-    diff = {
-        (gens[tgt].ident, gens[src].ident): RingElem.monomial(a, b, mode)
-        for tgt, src, a, b in arrows
-    }
-    cx = ChainComplex(gens, diff, mode)
+    diff = {(tgt, src): RingElem.monomial(a, b, mode) for tgt, src, a, b in arrows}
+    cx = ChainComplex(gr_u, gr_v, diff, mode)
     violation = cx.validate()
     if violation is not None:
         raise SequenceError(f"sequence {list(s)} gives no {mode.value} complex: {violation}")
@@ -161,10 +156,10 @@ def _product(s1: Seq, s2: Seq) -> tuple[_MonoMatrix, list[int], list[int], int]:
     gradings (grU, grV) of its generators, and the arrow count of the plain
     product.
 
-    Generator (i, j) is the integer i * (len(s2) + 1) + j, the position
-    of the generator ChainComplex.tensor makes of them.  Each z_i meets at
-    most one horizontal and one vertical arrow, so in each direction the
-    plain product is a disjoint sum of squares X^a (x) X^b.  For a < b the
+    Generator (i, j) is the integer i * (len(s2) + 1) + j, as in
+    ChainComplex.tensor.  Each z_i meets at most one horizontal and one
+    vertical arrow, so in each direction the plain product is a disjoint
+    sum of squares X^a (x) X^b.  For a < b the
     change of basis that merges toward the shorter arrow leaves the two
     X^a arrows and removes the two X^b ones; every term it adds to an arrow
     of the other type carries both U and V, and dies.  So beside each
@@ -208,7 +203,7 @@ def _require_valid(mat: _MonoMatrix, gr_u: Sequence[int], gr_v: Sequence[int]) -
     """Raise InvalidComplexError at the first failure of the complex check
     ChainComplex.validate runs, made here on a UV = 0 matrix on integer ids
     and its gradings."""
-    violation = _violation(range(len(gr_u)), mat.cols, gr_u, gr_v, Mode.UVZERO)
+    violation = _violation(mat.cols, gr_u, gr_v, Mode.UVZERO)
     if violation is not None:
         raise InvalidComplexError(str(violation))
 
@@ -428,16 +423,15 @@ Item = tuple[tuple[int, int], tuple[int, int]]  # (target, source), (U power, V 
 Path = tuple[list[int], list[int]]  # ids along an open path, and the entry of each step
 
 
-def _components(names: Sequence, arrows: Iterable[Item]) -> tuple[list, list[Path], int]:
-    """The incidence of a simplified complex on generators 0 ... len(names)-1,
+def _components(size: int, arrows: Iterable[Item]) -> tuple[list, list[Path], int]:
+    """The incidence of a simplified complex on generators 0 ... size-1,
     its open paths as walks (ids, entries) from one end, and its number of
     closed loops.
 
     Slot 2g of the incidence holds generator g's horizontal arrow and slot
-    2g + 1 its vertical one, each as (other end, power, outgoing); `names`
-    labels the generators in errors and orders the path ends.
+    2g + 1 its vertical one, each as (other end, power, outgoing).
     """
-    incidence: list = [None] * (2 * len(names))
+    incidence: list = [None] * (2 * size)
     for (tgt, src), (a, b) in arrows:
         kind = 0 if a > 0 else 1
         power = a or b
@@ -445,13 +439,13 @@ def _components(names: Sequence, arrows: Iterable[Item]) -> tuple[list, list[Pat
             slot = 2 * here + kind
             if incidence[slot] is not None:
                 raise SimplifyError(
-                    f"generator {names[here]} meets two {'HV'[kind]} arrows; not simplified"
+                    f"generator {here} meets two {'HV'[kind]} arrows; not simplified"
                 )
             incidence[slot] = (other, power, outgoing)
-    seen = bytearray(len(names))
+    seen = bytearray(size)
     paths: list[Path] = []
     loops = 0
-    for g in range(len(names)):
+    for g in range(size):
         if seen[g]:
             continue
         ids, entries, closed = _walk(g, incidence)
@@ -490,17 +484,18 @@ def _walk(start: int, incidence: list) -> tuple[list[int], list[int], bool]:
         entries.append(-power if outgoing else power)
 
 
-def _gamma0(names: Sequence, arrows: Iterable[Item]) -> tuple[Seq, int]:
-    """The sequence read off the unique open path of a simplified complex,
-    and its number of closed loops; see extract_gamma0."""
-    incidence, paths, loops = _components(names, arrows)
+def _gamma0(size: int, arrows: Iterable[Item]) -> tuple[Seq, int]:
+    """The sequence read off the unique open path of a simplified complex
+    on generators 0 ... size-1, and its number of closed loops; see
+    extract_gamma0."""
+    incidence, paths, loops = _components(size, arrows)
     if len(paths) != 1:
         raise KnotlikeError(f"expected one open path, found {len(paths)}")
     ids, entries = paths[0]
     starts = [e for e in {ids[0], ids[-1]} if incidence[2 * e + 1] is None]
     if not starts:
         raise KnotlikeError("open path has no endpoint free of vertical arrows")
-    if min(starts, key=names.__getitem__) != ids[0]:
+    if min(starts) != ids[0]:
         entries = [-e for e in reversed(entries)]  # the same path walked from its other end
     try:
         return validate_seq(entries), loops
@@ -512,7 +507,5 @@ def extract_gamma0(cx: ChainComplex) -> Seq:
     """Read the parameter sequence off the unique open path of a simplified
     complex, starting from the endpoint with no vertical arrow; positive
     entries record steps against an arrow, negative ones steps with it."""
-    names = cx.ids()
-    index = {name: i for i, name in enumerate(names)}
-    arrows = [((index[tgt], index[src]), elem.sole_term()) for (tgt, src), elem in cx.diff.items()]
-    return _gamma0(names, arrows)[0]
+    arrows = [(key, elem.sole_term()) for key, elem in cx.diff.items()]
+    return _gamma0(len(cx), arrows)[0]

@@ -162,6 +162,7 @@ def test_an_unreadable_integer_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200  # a long input is quoted as a window
 
 
 def test_digits_are_those_int_reads(capsys):

@@ -4,7 +4,7 @@ connected-sum involution, and the distinguished-basis verification."""
 import pytest
 
 from cfkzero.algebra import Mode, RingElem
-from cfkzero.complexes import Endomorphism
+from cfkzero.complexes import ChainComplex, Endomorphism
 from cfkzero.involutive import (
     basic_involution,
     build_xyz_basis,
@@ -16,8 +16,8 @@ from cfkzero.knots import ShapeError
 from cfkzero.standard import seq_to_complex
 
 
-def staircase(seq, prefix="z"):
-    return seq_to_complex(seq, Mode.FULL, prefix=prefix)
+def staircase(seq):
+    return seq_to_complex(seq, Mode.FULL)
 
 
 def image_of(endo, src):
@@ -34,21 +34,21 @@ def unit_image(endo, src):
 
 def test_basic_involution_on_the_trefoil():
     iota = basic_involution(staircase((1, -1)))
-    assert unit_image(iota, "z0") == "z2"
-    assert unit_image(iota, "z1") == "z1"
-    assert unit_image(iota, "z2") == "z0"
+    assert unit_image(iota, 0) == 2
+    assert unit_image(iota, 1) == 1
+    assert unit_image(iota, 2) == 0
     assert iota.respects_grading()
 
 
 def test_basic_involution_on_t45():
     iota = basic_involution(staircase((1, -3, 2, -2, 3, -1)))
     for i in range(7):
-        assert unit_image(iota, f"z{i}") == f"z{6 - i}"
+        assert unit_image(iota, i) == 6 - i
 
 
 def test_basic_involution_on_the_unknot():
     iota = basic_involution(staircase(()))
-    assert unit_image(iota, "z0") == "z0"
+    assert unit_image(iota, 0) == 0
 
 
 def test_basic_involution_squares_to_the_identity():
@@ -63,13 +63,17 @@ def test_basic_involution_rejects_non_staircases():
         basic_involution(staircase((1, -1)).dual())
     with pytest.raises(ShapeError):
         basic_involution(seq_to_complex((1, -2, -1, 1, -1, 1, 2, -1)))
+    trefoil = staircase((1, -1))
+    without = {key: e for key, e in trefoil.diff.items() if key != (2, 1)}
+    with pytest.raises(ShapeError, match="has 2 arrows, not 1"):
+        basic_involution(ChainComplex(trefoil.gr_u, trefoil.gr_v, without, Mode.FULL))
 
 
 def test_phi_psi_on_the_trefoil():
     phi, psi = phi_psi(staircase((1, -1)))
-    assert unit_image(phi, "z1") == "z0"
-    assert unit_image(psi, "z1") == "z2"
-    assert not image_of(phi, "z0") and not image_of(phi, "z2")
+    assert unit_image(phi, 1) == 0
+    assert unit_image(psi, 1) == 2
+    assert not image_of(phi, 0) and not image_of(phi, 2)
 
 
 def test_phi_psi_on_the_unknot():
@@ -79,13 +83,13 @@ def test_phi_psi_on_the_unknot():
 
 def test_phi_psi_on_t45():
     phi, _ = phi_psi(staircase((1, -3, 2, -2, 3, -1)))
-    assert not image_of(phi, "z3")  # the U^2 arrow has even exponent
-    assert unit_image(phi, "z1") == "z0"
-    assert image_of(phi, "z5") == {"z4": RingElem.monomial(2, 0, Mode.FULL)}
+    assert not image_of(phi, 3)  # the U^2 arrow has even exponent
+    assert unit_image(phi, 1) == 0
+    assert image_of(phi, 5) == {4: RingElem.monomial(2, 0, Mode.FULL)}
 
 
 def test_phi_psi_anticommutator_is_a_chain_map():
-    cx = staircase((1, -2, 2, -1)).tensor(staircase((1, -1), prefix="w"))
+    cx = staircase((1, -2, 2, -1)).tensor(staircase((1, -1)))
     phi, psi = phi_psi(cx)
     anticommutator = phi.compose(psi) + psi.compose(phi)
     assert anticommutator.is_chain_map()
@@ -93,27 +97,29 @@ def test_phi_psi_anticommutator_is_a_chain_map():
 
 def test_tensor_involution_with_the_unknot_is_the_involution():
     iota, _ = tensor_involution(
-        basic_involution(staircase((1, -1), prefix="x")),
-        basic_involution(staircase((), prefix="u")),
+        basic_involution(staircase((1, -1))),
+        basic_involution(staircase(())),
     )
-    assert unit_image(iota, "(x0|u0)") == "(x2|u0)"
-    assert unit_image(iota, "(x1|u0)") == "(x1|u0)"
+    # the unknot has one generator, so (x_i, u_0) is i
+    assert unit_image(iota, 0) == 2
+    assert unit_image(iota, 1) == 1
 
 
 def test_tensor_involution_of_two_trefoils():
-    left = basic_involution(staircase((1, -1), prefix="x"))
-    right = basic_involution(staircase((1, -1), prefix="y"))
+    left = basic_involution(staircase((1, -1)))
+    right = basic_involution(staircase((1, -1)))
     iota, _ = tensor_involution(left, right)
-    # the correction lands exactly where both factor images carry odd powers
-    image = image_of(iota, "(x1|y1)")
+    # the correction lands exactly where both factor images carry odd
+    # powers; (x_i, y_j) is 3i + j
+    image = image_of(iota, 3 * 1 + 1)
     assert image == {
-        "(x1|y1)": RingElem.one(Mode.FULL),
-        "(x0|y2)": RingElem.one(Mode.FULL),
+        3 * 1 + 1: RingElem.one(Mode.FULL),
+        3 * 0 + 2: RingElem.one(Mode.FULL),
     }
     # iota^2 = id + N with N off-diagonal and N^2 = 0
     identity = Endomorphism(
         iota.cx,
-        {(g.ident, g.ident): RingElem.one(Mode.FULL) for g in iota.cx.gens},
+        {(g, g): RingElem.one(Mode.FULL) for g in range(len(iota.cx))},
         (0, 0),
         False,
     )
@@ -124,8 +130,8 @@ def test_tensor_involution_of_two_trefoils():
 
 
 def test_tensor_involution_inverse_is_exact():
-    left = basic_involution(staircase((1, -2, 1, -1, 1, -1, 2, -1), prefix="x"))
-    right = basic_involution(staircase((1, -1, 1, -1), prefix="y"))
+    left = basic_involution(staircase((1, -2, 1, -1, 1, -1, 2, -1)))
+    right = basic_involution(staircase((1, -1, 1, -1)))
     iota, inverse = tensor_involution(left, right)
     composite = iota.compose(inverse)
     assert all(t == s and e.is_unit for (t, s), e in composite.entries.items())

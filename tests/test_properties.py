@@ -62,8 +62,8 @@ def test_every_construction_yields_a_valid_complex():
     for _ in range(120):
         s1 = _random_symmetric_seq(rng, 4, 3)
         s2 = _random_symmetric_seq(rng, 4, 3)
-        left = seq_to_complex(s1, prefix="l")
-        right = seq_to_complex(s2, prefix="r")
+        left = seq_to_complex(s1)
+        right = seq_to_complex(s2)
         product = left.tensor(right)
         assert product.validate() is None
         assert product.dual().validate() is None
@@ -86,7 +86,7 @@ def test_dual_is_involutive_and_negates_the_sequence():
 
 def simplified_gamma0(mat, size):
     _simplify(mat, mat.count)
-    return _gamma0(range(size), mat.items())
+    return _gamma0(size, mat.items())
 
 
 def test_extract_is_stable_under_relabeling_and_reduction_order():
@@ -116,10 +116,9 @@ def test_tensor_is_commutative_and_associative_on_gamma0():
     for _ in range(25):
         s0, s1, s2 = (_random_symmetric_seq(rng, 2, 2) for _ in range(3))
         assert sum_gamma0(s0, s1)[0] == sum_gamma0(s1, s0)[0]
-        pair, gr_u, _, _ = _product(s0, s1)
-        last, _, _, _ = _product(s2, ())  # s2's own complex: the unknot is one generator
-        triple = pair.tensor(last)
-        whole, _ = simplified_gamma0(triple, len(gr_u) * (len(s2) + 1))
+        triple = seq_to_complex(s0).tensor(seq_to_complex(s1)).tensor(seq_to_complex(s2))
+        arrows = [(t, s, e.sole_term()) for (t, s), e in triple.diff.items()]
+        whole, _ = simplified_gamma0(_MonoMatrix.from_arrows(len(triple), arrows), len(triple))
         assert sum_gamma0(sum_gamma0(s0, s1)[0], s2)[0] == whole
         assert sum_gamma0(s0, sum_gamma0(s1, s2)[0])[0] == whole
 
