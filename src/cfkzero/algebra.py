@@ -1,10 +1,13 @@
 """Exact arithmetic for F_2[U,V], its quotient F_2[U,V]/(UV), and integer
 Laurent polynomials.
 
-Ring elements are finite sums of monomials U^a V^b with coefficients in the
-field of two elements, so a term is either present or absent.  Every element
-carries a mode flag: FULL means the polynomial ring F_2[U,V], UVZERO means
-the quotient by the ideal (UV), in which every mixed monomial is zero.
+A monomial U^a V^b is the exponent pair (a, b), and a ring element is a
+frozenset of monomials: coefficients live in the field of two elements, so
+a term is either present or absent and addition is the symmetric
+difference ``^``.  A mode flag picks the ring: FULL means the polynomial
+ring F_2[U,V], UVZERO the quotient by the ideal (UV), in which every mixed
+monomial is zero.  The mode is not stored in the elements; each complex
+carries one and passes it to ``times``.
 
 Laurent polynomials in a single variable t with integer coefficients are used
 for Alexander polynomials of torus knots.
@@ -15,7 +18,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Mapping
+
+QUOTE_WIDTH = 80  # the longest input an error message quotes whole
 
 
 class Mode(enum.Enum):
@@ -25,107 +30,35 @@ class Mode(enum.Enum):
     UVZERO = "uvzero"
 
 
-class ModeMismatchError(ValueError):
-    """Raised when combining elements of F_2[U,V] with elements of the quotient."""
+Poly = frozenset[tuple[int, int]]  # a sum of monomials U^a V^b, as pairs (a, b)
+ONE: Poly = frozenset({(0, 0)})
 
 
-def _clean_terms(terms: Iterable[tuple[int, int]], mode: Mode) -> frozenset[tuple[int, int]]:
-    out = set()
-    for a, b in terms:
-        if a < 0 or b < 0:
-            raise ValueError(f"negative exponent in monomial U^{a} V^{b}")
-        if mode is Mode.UVZERO and a > 0 and b > 0:
-            continue
-        # char 2: a repeated monomial cancels
-        if (a, b) in out:
-            out.remove((a, b))
-        else:
-            out.add((a, b))
+def times(x: Poly, y: Poly, mode: Mode) -> Poly:
+    """The product of two sums of monomials; a repeated monomial cancels
+    (char 2), and over UVZERO a mixed one dies."""
+    quotient = mode is Mode.UVZERO
+    out: set[tuple[int, int]] = set()
+    for a1, b1 in x:
+        for a2, b2 in y:
+            a, b = a1 + a2, b1 + b2
+            if not (quotient and a and b):
+                out ^= {(a, b)}
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class RingElem:
-    """An element of F_2[U,V] or F_2[U,V]/(UV).
+def swap_uv(x: Poly) -> Poly:
+    """Exchange U and V in every monomial, as skew-equivariant maps do."""
+    return frozenset((b, a) for a, b in x)
 
-    ``terms`` is the set of monomials (upow, vpow) present with coefficient 1.
-    The zero element has an empty term set.
-    """
 
-    terms: frozenset[tuple[int, int]]
-    mode: Mode
-
-    @classmethod
-    def zero(cls, mode: Mode) -> "RingElem":
-        return cls(frozenset(), mode)
-
-    @classmethod
-    def one(cls, mode: Mode) -> "RingElem":
-        return cls(frozenset({(0, 0)}), mode)
-
-    @classmethod
-    def monomial(cls, upow: int, vpow: int, mode: Mode) -> "RingElem":
-        return cls(_clean_terms([(upow, vpow)], mode), mode)
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[int, int]], mode: Mode) -> "RingElem":
-        return cls(_clean_terms(terms, mode), mode)
-
-    def _require_same_mode(self, other: "RingElem") -> None:
-        if self.mode is not other.mode:
-            raise ModeMismatchError(f"cannot combine {self.mode.value} with {other.mode.value}")
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        self._require_same_mode(other)
-        return RingElem(self.terms ^ other.terms, self.mode)
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        self._require_same_mode(other)
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            # one clean monomial times another needs no cleaning
-            ((a1, b1),), ((a2, b2),) = self.terms, other.terms
-            if self.mode is Mode.UVZERO and a1 + a2 > 0 and b1 + b2 > 0:
-                return RingElem(frozenset(), self.mode)
-            return RingElem(frozenset({(a1 + a2, b1 + b2)}), self.mode)
-        prods = [(a1 + a2, b1 + b2) for a1, b1 in self.terms for a2, b2 in other.terms]
-        return RingElem(_clean_terms(prods, self.mode), self.mode)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.terms == frozenset({(0, 0)})
-
-    def sole_term(self) -> tuple[int, int]:
-        """The unique monomial of a one-term element."""
-        if len(self.terms) != 1:
-            raise ValueError(f"not a monomial: {self}")
-        return next(iter(self.terms))
-
-    def swap_uv(self) -> "RingElem":
-        """Exchange U and V in every monomial (used by skew-equivariant maps)."""
-        # swapping keeps a clean term set clean, over either ring
-        return RingElem(frozenset((b, a) for a, b in self.terms), self.mode)
-
-    def to_quotient(self) -> "RingElem":
-        """Image in F_2[U,V]/(UV): mixed monomials are deleted."""
-        return RingElem.from_terms(self.terms, Mode.UVZERO)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for a, b in sorted(self.terms):
-            if a == 0 and b == 0:
-                parts.append("1")
-            elif b == 0:
-                parts.append(f"U^{a}")
-            elif a == 0:
-                parts.append(f"V^{b}")
-            else:
-                parts.append(f"U^{a} V^{b}")
-        return " + ".join(parts)
+def _clip(text: str, pos: int = 0) -> str:
+    """`text` whole up to QUOTE_WIDTH characters, else the characters within
+    QUOTE_WIDTH // 2 of `pos`, marked with … where they are cut."""
+    if len(text) <= QUOTE_WIDTH:
+        return text
+    start, end = max(0, pos - QUOTE_WIDTH // 2), pos + QUOTE_WIDTH // 2
+    return "…" * (start > 0) + text[start:end] + "…" * (end < len(text))
 
 
 @dataclass(frozen=True)
@@ -235,11 +168,11 @@ def _check_torus(p: int, q: int) -> None:
     """Raise ValueError unless (p, q) names a torus knot: p >= 2, q nonzero,
     coprime."""
     if p < 2:
-        raise ValueError(f"torus knot needs p >= 2, got {p}")
+        raise ValueError(f"torus knot needs p >= 2, got {_clip(str(p))}")
     if q == 0:
         raise ValueError("torus parameter q must be nonzero")
     if gcd(p, q) != 1:
-        raise ValueError(f"torus parameters must be coprime, got ({p}, {q})")
+        raise ValueError(f"torus parameters must be coprime, got ({_clip(str(p))}, {_clip(str(q))})")
 
 
 def alexander_torus(p: int, q: int) -> LaurentPoly:

@@ -13,7 +13,9 @@ Conventions, fixed once for the whole package:
   is the size of the second factor.
 
 Because every complex here is graded, each differential entry is a single
-monomial; the homology routine and the search matrix below exploit that.
+monomial U^a V^b, stored as the pair (a, b); the homology routine and the
+search matrix below read those pairs.  Endomorphisms may carry sums of
+monomials, as frozensets of pairs (see algebra).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Mode, ModeMismatchError, RingElem
+from .algebra import Mode, Poly, swap_uv, times
 
 
 class InvalidComplexError(ValueError):
@@ -85,15 +87,16 @@ class ChainComplex:
     differential.
 
     The gradings of generator g are ``gr_u[g]`` and ``gr_v[g]``, and ``diff``
-    maps (target, source) to a ring element, so the column of a generator g
-    lists the arrows of the boundary of g.
+    maps (target, source) to the monomial (U power, V power) of the arrow,
+    so the column of a generator g lists the arrows of the boundary of g.
+    Over UVZERO a mixed monomial is zero, and the constructor drops it.
     """
 
     def __init__(
         self,
         gr_u: Sequence[int],
         gr_v: Sequence[int],
-        diff: Mapping[tuple[int, int], RingElem],
+        diff: Mapping[tuple[int, int], tuple[int, int]],
         mode: Mode,
     ):
         if len(gr_u) != len(gr_v):
@@ -101,14 +104,15 @@ class ChainComplex:
         self.gr_u, self.gr_v = list(gr_u), list(gr_v)
         self.mode = mode
         size = len(self.gr_u)
-        clean: dict[tuple[int, int], RingElem] = {}
-        for (tgt, src), elem in diff.items():
+        quotient = mode is Mode.UVZERO
+        clean: dict[tuple[int, int], tuple[int, int]] = {}
+        for (tgt, src), (a, b) in diff.items():
             if not (0 <= tgt < size and 0 <= src < size):
                 raise InvalidComplexError(f"arrow {src} -> {tgt} leaves the generators 0 ... {size - 1}")
-            if elem.mode is not mode:
-                raise ModeMismatchError(f"entry {src} -> {tgt} has wrong mode")
-            if elem:
-                clean[(tgt, src)] = elem
+            if a < 0 or b < 0:
+                raise InvalidComplexError(f"negative exponent in monomial U^{a} V^{b}")
+            if not (quotient and a and b):
+                clean[(tgt, src)] = (a, b)
         self.diff = clean
 
     # -- basic access -------------------------------------------------------
@@ -124,7 +128,7 @@ class ChainComplex:
         return twice // 2
 
     @functools.cached_property
-    def _by_source(self) -> dict[int, list[tuple[int, RingElem]]]:
+    def _by_source(self) -> dict[int, list[tuple[int, Poly]]]:
         """The differential indexed by source; ``diff`` never changes."""
         return diff_endomorphism(self)._by_source
 
@@ -142,13 +146,10 @@ class ChainComplex:
 
     def validate(self) -> ComplexViolation | None:
         """Check the parity of every generator, the grading of every arrow
-        and d^2 = 0; report the first failure.  No graded entry has two
-        terms, so such an entry fails the grading."""
+        and d^2 = 0; report the first failure."""
         cols: list[dict[int, tuple[int, int]]] = [{} for _ in self.gr_u]
-        for (tgt, src), elem in self.diff.items():
-            if len(elem.terms) > 1:
-                return ComplexViolation("grading", f"{src} -> {tgt} : {elem}")
-            cols[src][tgt] = elem.sole_term()
+        for (tgt, src), mono in self.diff.items():
+            cols[src][tgt] = mono
         return _violation(cols, self.gr_u, self.gr_v, self.mode)
 
     def require_valid(self) -> "ChainComplex":
@@ -161,20 +162,22 @@ class ChainComplex:
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
         """Tensor product over the ground ring, with (i, j) as the generator
-        i * len(other) + j; gradings add, no signs in char 2."""
+        i * len(other) + j; gradings add, no signs in char 2.  An arrow of
+        the first factor changes i and one of the second keeps it, so no
+        entry is written twice."""
         if self.mode is not other.mode:
-            raise ModeMismatchError("tensor factors must share a coefficient mode")
+            raise InvalidComplexError("tensor factors must share a coefficient mode")
         width = len(other)
         gr_u = [x + y for x in self.gr_u for y in other.gr_u]
         gr_v = [x + y for x in self.gr_v for y in other.gr_v]
-        diff: dict[tuple[int, int], RingElem] = {}
-        for (t, s), elem in self.diff.items():
-            for j in range(width):
-                diff[(t * width + j, s * width + j)] = elem
-        for (t, s), elem in other.diff.items():
+        diff = {
+            (t * width + j, s * width + j): mono
+            for (t, s), mono in self.diff.items()
+            for j in range(width)
+        }
+        for (t, s), mono in other.diff.items():
             for i in range(0, len(gr_u), width):
-                key = (i + t, i + s)
-                diff[key] = diff[key] + elem if key in diff else elem
+                diff[(i + t, i + s)] = mono
         return ChainComplex(gr_u, gr_v, diff, self.mode)
 
     def dual(self) -> "ChainComplex":
@@ -187,12 +190,11 @@ class ChainComplex:
 
     def quotient_uv(self) -> "ChainComplex":
         """Pass to F_2[U,V]/(UV): every mixed monomial in the differential
-        dies.  Idempotent: a complex already over the quotient is returned
-        unchanged."""
+        dies as the constructor drops it.  Idempotent: a complex already
+        over the quotient is returned unchanged."""
         if self.mode is Mode.UVZERO:
             return self
-        diff = {key: e.to_quotient() for key, e in self.diff.items()}
-        return ChainComplex(self.gr_u, self.gr_v, diff, Mode.UVZERO)
+        return ChainComplex(self.gr_u, self.gr_v, self.diff, Mode.UVZERO)
 
     # -- homology -----------------------------------------------------------
 
@@ -203,14 +205,13 @@ class ChainComplex:
         orders).  The complex must be knot-like: the free part has rank one.
         """
         if self.mode is not Mode.UVZERO:
-            raise ModeMismatchError("vertical homology expects a UV = 0 complex")
+            raise InvalidComplexError("vertical homology expects a UV = 0 complex")
         mat = _MonoMatrix(len(self))
-        for (tgt, src), elem in self.diff.items():
-            for a, b in elem.terms:
-                if b == 0:
-                    if a == 0:
-                        raise InvalidComplexError("vertical homology needs a complex without unit arrows")
-                    mat.add(tgt, src, a, 0)
+        for (tgt, src), (a, b) in self.diff.items():
+            if b == 0:
+                if a == 0:
+                    raise InvalidComplexError("vertical homology needs a complex without unit arrows")
+                mat.add(tgt, src, a, 0)
         torsion: list[int] = []
         survivors = set(range(len(self)))
         while True:
@@ -334,7 +335,8 @@ class _MonoMatrix:
 @dataclass
 class Endomorphism:
     """A matrix of ring elements over a complex's generators, keyed by
-    (target, source) positions.
+    (target, source) positions, each a frozenset of monomials multiplied
+    in the complex's ring.
 
     ``shift`` declares the bidegree; when ``skew`` is set the map exchanges
     the two gradings and conjugates coefficients by the U <-> V swap, which is
@@ -342,7 +344,7 @@ class Endomorphism:
     """
 
     cx: ChainComplex
-    entries: dict[tuple[int, int], RingElem] = field(default_factory=dict)
+    entries: dict[tuple[int, int], Poly] = field(default_factory=dict)
     shift: tuple[int, int] = (0, 0)
     skew: bool = False
 
@@ -350,36 +352,38 @@ class Endomorphism:
         self.entries = {k: v for k, v in self.entries.items() if v}
 
     @functools.cached_property
-    def _by_source(self) -> dict[int, list[tuple[int, RingElem]]]:
+    def _by_source(self) -> dict[int, list[tuple[int, Poly]]]:
         """The entries indexed by source, as (target, coefficient) pairs."""
-        by_src: dict[int, list[tuple[int, RingElem]]] = {}
+        by_src: dict[int, list[tuple[int, Poly]]] = {}
         for (tgt, src), elem in self.entries.items():
             by_src.setdefault(src, []).append((tgt, elem))
         return by_src
 
-    def twist(self, elem: RingElem) -> RingElem:
-        return elem.swap_uv() if self.skew else elem
+    def twist(self, elem: Poly) -> Poly:
+        return swap_uv(elem) if self.skew else elem
 
-    def apply(self, combo: Mapping[int, RingElem]) -> dict[int, RingElem]:
+    def apply(self, combo: Mapping[int, Poly]) -> dict[int, Poly]:
         """Apply to a coefficient combination of generators; the result
         holds no zero coefficient."""
-        out: dict[int, RingElem] = {}
+        out: dict[int, Poly] = {}
+        mode = self.cx.mode
         for src, coeff in combo.items():
             twisted = self.twist(coeff)
             for tgt, elem in self._by_source.get(src, ()):
-                term = elem * twisted
-                out[tgt] = out[tgt] + term if tgt in out else term
+                term = times(elem, twisted, mode)
+                out[tgt] = out[tgt] ^ term if tgt in out else term
         return {t: e for t, e in out.items() if e}
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other."""
-        entries: dict[tuple[int, int], RingElem] = {}
+        entries: dict[tuple[int, int], Poly] = {}
+        mode = self.cx.mode
         for (mid, src), inner in other.entries.items():
             twisted = self.twist(inner)
             for tgt, outer in self._by_source.get(mid, ()):
                 key = (tgt, src)
-                term = outer * twisted
-                entries[key] = entries[key] + term if key in entries else term
+                term = times(outer, twisted, mode)
+                entries[key] = entries[key] ^ term if key in entries else term
         os = other.shift[::-1] if self.skew else other.shift
         shift = (self.shift[0] + os[0], self.shift[1] + os[1])
         return Endomorphism(self.cx, entries, shift, self.skew != other.skew)
@@ -389,7 +393,7 @@ class Endomorphism:
             raise ValueError("can only add endomorphisms of the same type and shift")
         entries = dict(self.entries)
         for key, elem in other.entries.items():
-            entries[key] = entries[key] + elem if key in entries else elem
+            entries[key] = entries[key] ^ elem if key in entries else elem
         return Endomorphism(self.cx, entries, self.shift, self.skew)
 
     def is_zero(self) -> bool:
@@ -404,15 +408,14 @@ class Endomorphism:
         quotient = self.cx.mode is Mode.UVZERO
         for src in mine.keys() | diff.keys():
             # (inner monomials, outer column): d after f, then f after d
-            pairs = [(inner.terms, diff.get(mid, ())) for mid, inner in mine.get(src, ())]
+            pairs = [(inner, diff.get(mid, ())) for mid, inner in mine.get(src, ())]
             for mid, inner in diff.get(src, ()):
-                swapped = [(b, a) for a, b in inner.terms] if self.skew else inner.terms
-                pairs.append((swapped, mine.get(mid, ())))
+                pairs.append((self.twist(inner), mine.get(mid, ())))
             odd: set[tuple[int, int, int]] = set()
             for inner, column in pairs:
                 for tgt, outer in column:
                     for a1, b1 in inner:
-                        for a2, b2 in outer.terms:
+                        for a2, b2 in outer:
                             a, b = a1 + a2, b1 + b2
                             if quotient and a > 0 and b > 0:
                                 continue  # dies in the quotient
@@ -430,7 +433,7 @@ class Endomorphism:
         du, dv = self.shift
         for (tgt, src), elem in self.entries.items():
             src_u, src_v = (gr_v[src], gr_u[src]) if self.skew else (gr_u[src], gr_v[src])
-            for a, b in elem.terms:
+            for a, b in elem:
                 if gr_u[tgt] - 2 * a != src_u + du or gr_v[tgt] - 2 * b != src_v + dv:
                     return False
         return True
@@ -438,4 +441,5 @@ class Endomorphism:
 
 def diff_endomorphism(cx: ChainComplex) -> Endomorphism:
     """The differential itself, as an endomorphism of bidegree (-1, -1)."""
-    return Endomorphism(cx, dict(cx.diff), (-1, -1), False)
+    entries = {key: frozenset({mono}) for key, mono in cx.diff.items()}
+    return Endomorphism(cx, entries, (-1, -1), False)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Mode, RingElem
+from .algebra import ONE, Mode, Poly, times
 from .complexes import ChainComplex, Endomorphism, InvalidComplexError
 from .knots import ShapeError, _t2_host
 from .standard import Seq, extract_gamma0, seq_to_complex, staircase_shaped, validate_seq
 
-Combination = dict[int, RingElem]
+Combination = dict[int, Poly]
 
 
 def _coefficient_parity(b: int) -> int:
@@ -39,8 +39,7 @@ def _check_staircase(cx: ChainComplex) -> None:
     n = len(cx)
     if n % 2 == 0:
         raise ShapeError("a staircase has an odd number of generators")
-    for (tgt, src), elem in cx.diff.items():
-        a, _ = elem.sole_term()
+    for (tgt, src), (a, _) in cx.diff.items():
         if src % 2 == 0 or tgt != (src - 1 if a > 0 else src + 1):
             raise ShapeError(f"arrow {src} -> {tgt} breaks the staircase shape")
     if len(cx.diff) != n - 1:  # every other arrow is one of these n - 1
@@ -51,7 +50,7 @@ def basic_involution(cx: ChainComplex) -> Endomorphism:
     """The involution of a staircase: z_i <-> z_{2n-i}, a skew chain map."""
     _check_staircase(cx)
     n = len(cx)
-    entries = {(n - 1 - i, i): RingElem.one(cx.mode) for i in range(n)}
+    entries = {(n - 1 - i, i): ONE for i in range(n)}
     iota = Endomorphism(cx, entries, (0, 0), skew=True)
     if not iota.is_chain_map():
         raise InvalidComplexError("basic involution is not a chain map")
@@ -64,16 +63,8 @@ def phi_psi(cx: ChainComplex) -> tuple[Endomorphism, Endomorphism]:
     Phi picks out the entries U^a V^b with a odd and divides by U; Psi does
     the same in V.  Both are honest chain maps in characteristic 2.
     """
-    phi_entries: dict[tuple[int, int], RingElem] = {}
-    psi_entries: dict[tuple[int, int], RingElem] = {}
-    for key, elem in cx.diff.items():
-        for a, b in elem.terms:
-            if a % 2 == 1:
-                mono = RingElem.monomial(a - 1, b, cx.mode)
-                phi_entries[key] = phi_entries[key] + mono if key in phi_entries else mono
-            if b % 2 == 1:
-                mono = RingElem.monomial(a, b - 1, cx.mode)
-                psi_entries[key] = psi_entries[key] + mono if key in psi_entries else mono
+    phi_entries = {key: frozenset({(a - 1, b)}) for key, (a, b) in cx.diff.items() if a % 2}
+    psi_entries = {key: frozenset({(a, b - 1)}) for key, (a, b) in cx.diff.items() if b % 2}
     phi = Endomorphism(cx, phi_entries, (1, -1), skew=False)
     psi = Endomorphism(cx, psi_entries, (-1, 1), skew=False)
     if not phi.is_chain_map() or not psi.is_chain_map():
@@ -84,14 +75,14 @@ def phi_psi(cx: ChainComplex) -> tuple[Endomorphism, Endomorphism]:
 def _tensor_endo(
     product: ChainComplex, f: Endomorphism, g: Endomorphism, skew: bool
 ) -> Endomorphism:
-    """f (x) g on product = f.cx (x) g.cx, (i, j) at i * len(g.cx) + j."""
+    """f (x) g on product = f.cx (x) g.cx, (i, j) at i * len(g.cx) + j, so
+    each pair of entries writes its own key."""
     width = len(g.cx)
-    entries: dict[tuple[int, int], RingElem] = {}
-    for (t1, s1), e1 in f.entries.items():
-        for (t2, s2), e2 in g.entries.items():
-            key = (t1 * width + t2, s1 * width + s2)
-            prod = e1 * e2
-            entries[key] = entries[key] + prod if key in entries else prod
+    entries = {
+        (t1 * width + t2, s1 * width + s2): times(e1, e2, product.mode)
+        for (t1, s1), e1 in f.entries.items()
+        for (t2, s2), e2 in g.entries.items()
+    }
     shift = (f.shift[0] + g.shift[0], f.shift[1] + g.shift[1])
     return Endomorphism(product, entries, shift, skew)
 
@@ -189,8 +180,8 @@ def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
     def combo(*parts: tuple[int, int, int]) -> Combination:
         out: Combination = {}
         for g, a, b in parts:
-            mono = RingElem.monomial(a, b, Mode.FULL)
-            out[g] = out[g] + mono if g in out else mono
+            mono = frozenset({(a, b)})
+            out[g] = out[g] ^ mono if g in out else mono
         return {g: e for g, e in out.items() if e}
 
     # the X path of Eq-style listing: along the host at y_0, across the torus
@@ -276,7 +267,7 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
     for col in cols:
         pivot = None
         for g in sorted(col):
-            if g not in used_rows and col[g].is_unit:
+            if g not in used_rows and col[g] == ONE:
                 pivot = g
                 break
         if pivot is None:
@@ -288,8 +279,8 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
                 continue
             factor = other[pivot]
             for g, e in col.items():
-                prod = factor * e
-                other[g] = other[g] + prod if g in other else prod
+                prod = times(factor, e, Mode.FULL)
+                other[g] = other[g] ^ prod if g in other else prod
             other.pop(pivot, None)
     return rank
 
@@ -317,7 +308,7 @@ def verify_lemma_43_44(host: Seq, q: int) -> tuple[Check, ...]:
     checks: list[Check] = []
     round_trip = iota.compose(iota_inv)
     identity = all(
-        key[0] == key[1] and elem.is_unit for key, elem in round_trip.entries.items()
+        key[0] == key[1] and elem == ONE for key, elem in round_trip.entries.items()
     ) and len(round_trip.entries) == len(product)
     checks.append(Check("involution composes with its inverse to the identity", identity))
 

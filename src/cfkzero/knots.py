@@ -30,7 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .algebra import LaurentPoly, _check_torus
+from .algebra import QUOTE_WIDTH, LaurentPoly, _check_torus, _clip
 from .standard import (
     Seq,
     _gamma0,
@@ -45,7 +45,6 @@ from .standard import (
 
 
 MAX_GENERATORS = 100_000  # the largest complex an evaluation may build
-QUOTE_WIDTH = 80  # the most input characters a parse error quotes
 
 
 class ShapeError(ValueError):
@@ -109,7 +108,7 @@ class Cable2:
 
     def __post_init__(self) -> None:
         if self.q % 2 == 0:
-            raise ValueError(f"(2,q)-cable needs odd q, got {self.q}")
+            raise ValueError(f"(2,q)-cable needs odd q, got {_clip(str(self.q))}")
 
     def __str__(self) -> str:
         return f"C2({self.q}; {self.inner})"
@@ -129,14 +128,9 @@ class _Parser:
         self.pos = 0
 
     def error(self, message: str) -> ParseError:
-        """The message at the current position, with the input quoted whole
-        up to QUOTE_WIDTH characters, else a window of that width around
-        the position, marked with … where it is cut."""
-        text = self.text
-        start = max(0, min(self.pos - QUOTE_WIDTH // 2, len(text) - QUOTE_WIDTH))
-        end = start + QUOTE_WIDTH
-        window = "…" * (start > 0) + text[start:end] + "…" * (end < len(text))
-        return ParseError(f"{message} at position {self.pos} in {window!r}")
+        """The message at the current position, with the input quoted as
+        algebra._clip quotes it around the position."""
+        return ParseError(f"{message} at position {self.pos} in {_clip(self.text, self.pos)!r}")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -437,7 +431,7 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
         inner = eval_expr(expr.inner)
         if not staircase_shaped(inner.sequence):
             raise EvalError(
-                f"closed form inapplicable: {expr.inner} is not an L-space staircase"
+                f"closed form inapplicable: {_clip(str(expr.inner))} is not an L-space staircase"
             )
         genus = max(walk_values(inner.sequence))
         # cable2 gives 2a entries per step pair (a, b), then |q - 4g| - 1
@@ -471,8 +465,11 @@ def _semigroup_split(p: int, q: int) -> tuple[int, int]:
 
 def _check_size(expr: KnotExpr, generators: int) -> None:
     if generators > MAX_GENERATORS:
+        # a count of more digits than QUOTE_WIDTH is named by its size, and
+        # one of more than the interpreter's limit could not be printed
+        count = str(generators) if generators < 10**QUOTE_WIDTH else f"over 10^{QUOTE_WIDTH}"
         raise EvalError(
-            f"{expr} needs a complex of {generators} generators, "
+            f"{_clip(str(expr))} needs a complex of {count} generators, "
             f"more than the limit of {MAX_GENERATORS}"
         )
 

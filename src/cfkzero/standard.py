@@ -20,7 +20,7 @@ import itertools
 import operator
 from typing import Iterable, Sequence
 
-from .algebra import Mode, RingElem
+from .algebra import Mode
 from .complexes import (
     ChainComplex,
     InvalidComplexError,
@@ -142,7 +142,7 @@ def seq_to_complex(seq: Sequence[int], mode: Mode = Mode.UVZERO) -> ChainComplex
     """
     s = validate_seq(seq)
     gr_u, gr_v, arrows = _standard(s)
-    diff = {(tgt, src): RingElem.monomial(a, b, mode) for tgt, src, a, b in arrows}
+    diff = {(tgt, src): (a, b) for tgt, src, a, b in arrows}
     cx = ChainComplex(gr_u, gr_v, diff, mode)
     violation = cx.validate()
     if violation is not None:
@@ -260,7 +260,9 @@ def _search(work: _MonoMatrix, budget: int) -> None:
     joins `seen`; a merge reaching a new lowest entry count is accepted
     without the lookup, since no earlier state had so few entries.  `seen`
     stops neutral merges from undoing each other, so it is cleared, not
-    dropped, at a dead end.
+    dropped, at a dead end.  A dead end with an empty pool would go round
+    again without a merge, never spending the budget, so it raises
+    SimplifyError.
     """
     seen = {work.zhash}
     low_water = work.count
@@ -332,6 +334,8 @@ def _search(work: _MonoMatrix, budget: int) -> None:
                 if accepted(entry[4]):
                     break
         else:
+            if not popped:  # nothing to try: the bookkeeping is broken
+                raise SimplifyError("the basis search reached a dead end with no merge to try")
             seen.clear()  # dead end: forget the visited states
             seen.add(work.zhash)
         for entry in popped:
@@ -507,5 +511,4 @@ def extract_gamma0(cx: ChainComplex) -> Seq:
     """Read the parameter sequence off the unique open path of a simplified
     complex, starting from the endpoint with no vertical arrow; positive
     entries record steps against an arrow, negative ones steps with it."""
-    arrows = [(key, elem.sole_term()) for key, elem in cx.diff.items()]
-    return _gamma0(len(cx), arrows)[0]
+    return _gamma0(len(cx), cx.diff.items())[0]

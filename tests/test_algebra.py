@@ -1,64 +1,62 @@
-"""Exact arithmetic: F_2[U,V] elements, Laurent polynomials, torus knot
-Alexander polynomials."""
+"""Exact arithmetic: sums of monomials over F_2[U,V] and its quotient,
+Laurent polynomials, torus knot Alexander polynomials."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from cfkzero.algebra import (
+    ONE,
     LaurentPoly,
     Mode,
-    ModeMismatchError,
-    RingElem,
     alexander_torus,
+    swap_uv,
+    times,
 )
 
-
-def mono(a, b, mode=Mode.FULL):
-    return RingElem.monomial(a, b, mode)
-
-
-U = mono(1, 0)
-V = mono(0, 1)
+U = frozenset({(1, 0)})
+V = frozenset({(0, 1)})
 
 
 def test_char_two_cancellation():
-    assert not U + U
-    assert U + V == RingElem.from_terms([(1, 0), (0, 1)], Mode.FULL)
-    assert (U + V) + V == U
-
-
-def test_mode_mismatch_raises():
-    with pytest.raises(ModeMismatchError):
-        U + mono(1, 0, Mode.UVZERO)
-    with pytest.raises(ModeMismatchError):
-        U * mono(1, 0, Mode.UVZERO)
+    assert not U ^ U
+    assert U ^ V == frozenset({(1, 0), (0, 1)})
+    assert (U ^ V) ^ V == U
+    # (U + V)^2 = U^2 + V^2: the two cross terms cancel, over either ring
+    for mode in Mode:
+        assert times(U ^ V, U ^ V, mode) == frozenset({(2, 0), (0, 2)})
 
 
 def test_multiplication():
-    assert U * V == mono(1, 1)
-    assert mono(1, 0, Mode.UVZERO) * mono(0, 1, Mode.UVZERO) == RingElem.zero(Mode.UVZERO)
-    assert mono(2, 0) * mono(3, 0) == mono(5, 0)
-    assert not U * RingElem.zero(Mode.FULL)
+    assert times(U, V, Mode.FULL) == frozenset({(1, 1)})
+    assert times(U, V, Mode.UVZERO) == frozenset()
+    assert times(frozenset({(2, 0)}), frozenset({(3, 0)}), Mode.FULL) == frozenset({(5, 0)})
+    assert times(U, ONE, Mode.UVZERO) == U
+    assert not times(U, frozenset(), Mode.FULL)
+
+
+def full_product(x, y):
+    """Independent product oracle over F_2[U,V]: count each monomial of the
+    expansion and keep those that occur an odd number of times."""
+    counts = Counter((a1 + a2, b1 + b2) for a1, b1 in x for a2, b2 in y)
+    return frozenset(mono for mono, n in counts.items() if n % 2)
 
 
 def test_quotient_multiplication_agrees_with_full():
-    # UVZERO multiplication = FULL multiplication followed by killing mixed terms
+    # over UVZERO the product is the FULL product with its mixed terms
+    # dropped, on every sum of up to two monomials of degree <= 2 in each
+    # variable
     monomials = [(a, b) for a in range(3) for b in range(3)]
-    for t1, t2 in itertools.product(monomials, repeat=2):
-        full = RingElem.from_terms([t1], Mode.FULL) * RingElem.from_terms([t2], Mode.FULL)
-        quo = (
-            RingElem.from_terms([t1], Mode.UVZERO)
-            * RingElem.from_terms([t2], Mode.UVZERO)
-        )
-        assert full.to_quotient() == quo
-
-
-def test_ring_str():
-    elem = RingElem.from_terms([(2, 0), (0, 3), (0, 0)], Mode.FULL)
-    assert str(elem) == "1 + V^3 + U^2"
-    assert str(mono(1, 2)) == "U^1 V^2"
-    assert str(RingElem.zero(Mode.FULL)) == "0"
+    sums = [frozenset(c) for n in range(3) for c in itertools.combinations(monomials, n)]
+    for x, y in itertools.product(sums, repeat=2):
+        full = times(x, y, Mode.FULL)
+        assert full == full_product(x, y) == times(y, x, Mode.FULL)
+        assert times(x, y, Mode.UVZERO) == frozenset((a, b) for a, b in full if not (a and b))
+        # the U <-> V swap is a ring automorphism and an involution
+        assert times(swap_uv(x), swap_uv(y), Mode.FULL) == swap_uv(full)
+        assert swap_uv(swap_uv(x)) == x
+    assert swap_uv(frozenset({(1, 2), (3, 0)})) == frozenset({(2, 1), (0, 3)})
 
 
 def naive_convolution(p, q):

@@ -157,7 +157,16 @@ def test_eval_error_exit_code(capsys):
     ["gamma0", "T(2," + "1" * 5000 + ")"],  # above the interpreter's int-string limit
     ["gamma0", "C2(" + "1" * 5000 + ";T(2,3))"],
     ["equiv", "T(2,³)", "T(2,3)"],  # exit 1 would read as NOT EQUIVALENT
-], ids=["superscript-digit", "long-torus-parameter", "long-cable-parameter", "equiv-superscript-digit"])
+    # integers short enough to read, echoed by the checks after parsing
+    ["gamma0", "C2(" + "2" * 4000 + ";T(2,3))"],  # an even cable parameter
+    ["gamma0", "T(" + "2" * 4000 + ",4)"],  # torus parameters not coprime
+    ["gamma0", "T(2," + "1" * 4000 + ")"],  # above the size limit
+    # a generator count of more digits than the interpreter prints
+    ["gamma0", "T(" + "3" * 3000 + "," + "2" * 3001 + ")"],
+    ["gamma0", "C2(3;" + " # ".join(["-T(2,3)"] * 40) + ")"],  # a long companion, not a staircase
+], ids=["superscript-digit", "long-torus-parameter", "long-cable-parameter", "equiv-superscript-digit",
+        "even-long-cable-parameter", "long-non-coprime-torus", "long-torus-above-the-limit",
+        "unprintable-generator-count", "long-inapplicable-companion"])
 def test_an_unreadable_integer_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

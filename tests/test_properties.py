@@ -117,7 +117,7 @@ def test_tensor_is_commutative_and_associative_on_gamma0():
         s0, s1, s2 = (_random_symmetric_seq(rng, 2, 2) for _ in range(3))
         assert sum_gamma0(s0, s1)[0] == sum_gamma0(s1, s0)[0]
         triple = seq_to_complex(s0).tensor(seq_to_complex(s1)).tensor(seq_to_complex(s2))
-        arrows = [(t, s, e.sole_term()) for (t, s), e in triple.diff.items()]
+        arrows = [(t, s, mono) for (t, s), mono in triple.diff.items()]
         whole, _ = simplified_gamma0(_MonoMatrix.from_arrows(len(triple), arrows), len(triple))
         assert sum_gamma0(sum_gamma0(s0, s1)[0], s2)[0] == whole
         assert sum_gamma0(s0, sum_gamma0(s1, s2)[0])[0] == whole
