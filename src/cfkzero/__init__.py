@@ -1,6 +1,6 @@
 """Exact-arithmetic knot Floer standard complexes and the gamma_0 invariant."""
 
-from .algebra import LaurentPoly, Mode, alexander_torus
+from .algebra import Mode, alexander_torus
 from .complexes import ChainComplex, Endomorphism
 from .involutive import basic_involution, phi_psi, tensor_involution, verify_lemma_43_44
 from .knots import (
@@ -34,7 +34,6 @@ from .standard import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentPoly",
     "Mode",
     "alexander_torus",
     "ChainComplex",

@@ -14,7 +14,7 @@ terms vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import ONE, Mode, Poly, times
 from .complexes import ChainComplex, Endomorphism, InvalidComplexError
@@ -115,52 +115,28 @@ def tensor_involution(iota1: Endomorphism, iota2: Endomorphism) -> tuple[Endomor
 # -- the distinguished basis for K # T_{2,q} ---------------------------------
 
 
-@dataclass
-class BasisFamily:
-    """The X path and the four square families over CFK(K # T_{2,q}).
-
-    Indices follow the displays: Y and Y' run over odd i <= 2n-1 and odd
-    j <= k', Z and Z' over odd j <= k'-2, where k' is the largest odd number
-    not exceeding k = (q-1)/2.  Elements are coefficient combinations of the
-    generators (x_i|y_j) of the tensor product of the host staircase x_0 ...
-    x_{4n} and the T_{2,q} staircase y_0 ... y_{2k}, (x_i|y_j) at position
-    i * (2k + 1) + j.
-    """
-
-    n: int
-    k: int
-    x_elements: list[Combination] = field(default_factory=list)
-    y: dict[tuple[int, int], list[Combination]] = field(default_factory=dict)
-    z: dict[tuple[int, int], list[Combination]] = field(default_factory=dict)
-    y_prime: dict[tuple[int, int], list[Combination]] = field(default_factory=dict)
-    z_prime: dict[tuple[int, int], list[Combination]] = field(default_factory=dict)
-
-    @property
-    def k_odd(self) -> int:
-        return self.k if self.k % 2 == 1 else self.k - 1
-
-    def all_elements(self) -> list[Combination]:
-        out = list(self.x_elements)
-        for family in (self.y, self.z, self.y_prime, self.z_prime):
-            for key in sorted(family):
-                out.extend(family[key])
-        return out
+Square = tuple[str, int, int, list[Combination], list[Combination]]
 
 
-def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
-    """Construct the distinguished basis elements for CFK(K # T_{2,q}).
+def build_xyz_basis(host: Seq, q: int) -> tuple[list[Combination], list[Square]]:
+    """The distinguished basis elements for CFK(K # T_{2,q}): the X listing,
+    and the squares, each as (letter, i, j, its four elements, the four
+    elements of its primed partner).
 
-    The host staircase must have 4n+1 generators with all horizontal steps of
-    power one; q must be an odd integer > 2.  Out-of-range primed and
-    unprimed indices resolve by position along each staircase, which
-    implements the stated index substitutions at j = k' = k.
+    The host staircase x_0 ... x_{4n} must have all horizontal steps of
+    power one, and q must be an odd integer > 2; with k = (q-1)/2 the torus
+    staircase is y_0 ... y_{2k}, and (x_i|y_j) sits at position
+    i * (2k + 1) + j of the tensor product.  Y runs over odd i <= 2n-1 and
+    odd j <= k', Z over odd i and odd j <= k'-2, where k' is the largest
+    odd number not exceeding k; Y comes first, then Z, each in (i, j) order.
+    Out-of-range primed and unprimed indices resolve by position along each
+    staircase, which implements the stated index substitutions at j = k' = k.
     """
     s = _t2_host(host, q)
     if not staircase_shaped(s):
         raise ShapeError(f"{list(s)} is not a staircase")
     n = len(s) // 4
     k = (q - 1) // 2
-    fam = BasisFamily(n, k)
 
     def xpos(i: int, primed: bool) -> int:
         pos = 4 * n - i if primed else i
@@ -186,58 +162,48 @@ def build_xyz_basis(host: Seq, q: int) -> BasisFamily:
 
     # the X path of Eq-style listing: along the host at y_0, across the torus
     # staircase at x_{2n}, and back along the primed host at y'_0
-    for i in range(0, 2 * n + 1):
-        fam.x_elements.append(combo((gen(i, 0), 0, 0)))
-    for j in range(1, k + 1):
-        fam.x_elements.append(combo((gen(2 * n, j), 0, 0)))
-    for j in range(k - 1, -1, -1):
-        fam.x_elements.append(combo((gen(2 * n, j, yp=True), 0, 0)))
-    for i in range(2 * n - 1, -1, -1):
-        fam.x_elements.append(combo((gen(i, 0, xp=True, yp=True), 0, 0)))
+    x_path = [gen(i, 0) for i in range(0, 2 * n + 1)]
+    x_path += [gen(2 * n, j) for j in range(1, k + 1)]
+    x_path += [gen(2 * n, j, yp=True) for j in range(k - 1, -1, -1)]
+    x_path += [gen(i, 0, xp=True, yp=True) for i in range(2 * n - 1, -1, -1)]
+    x_elements = [{g: ONE} for g in x_path]
+
+    def square(i: int, j: int, d: int, b: int, xp: bool, yp: bool) -> list[Combination]:
+        """One square at (i, j), stepping by d along the torus staircase;
+        its vertical power V^{b-1} reads U^{b-1} on the primed x side, where
+        the first element gains that power at (i+1, j-d) for odd b.  For Z
+        (d = -1) that generator is y_{j+1}: the printed y_{j-1} cannot
+        carry the right Alexander grading."""
+
+        def at(di: int, dj: int, a: int = 0, c: int = 0) -> tuple[int, int, int]:
+            return gen(i + di, j + dj, xp, yp), a, c
+
+        power = (b - 1, 0) if xp else (0, b - 1)
+        first = [at(0, 0)]
+        if xp and _coefficient_parity(b):
+            first.append(at(1, -d, *power))
+        return [
+            combo(*first),
+            combo(at(-1, 0), at(0, -d)),
+            combo(at(0, d), at(1, 0, *power)),
+            combo(at(-1, d), at(1, -d, *power)),
+        ]
 
     def vertical_power(i: int) -> int:
         # power of the V-arrow out of x_i in the host staircase: b_{(i+1)/2}
         return abs(s[2 * ((i + 1) // 2) - 1])
 
-    k_odd = fam.k_odd
-    for i in range(1, 2 * n, 2):
-        b = vertical_power(i)
-        parity = _coefficient_parity(b)
-        for j in range(1, k_odd + 1, 2):
-            fam.y[(i, j)] = [
-                combo((gen(i, j), 0, 0)),
-                combo((gen(i - 1, j), 0, 0), (gen(i, j - 1), 0, 0)),
-                combo((gen(i, j + 1), 0, 0), (gen(i + 1, j), 0, b - 1)),
-                combo((gen(i - 1, j + 1), 0, 0), (gen(i + 1, j - 1), 0, b - 1)),
-            ]
-            y_first = [(gen(i, j, xp=True, yp=True), 0, 0)]
-            if parity:
-                y_first.append((gen(i + 1, j - 1, xp=True, yp=True), b - 1, 0))
-            fam.y_prime[(i, j)] = [
-                combo(*y_first),
-                combo((gen(i - 1, j, xp=True, yp=True), 0, 0), (gen(i, j - 1, xp=True, yp=True), 0, 0)),
-                combo((gen(i, j + 1, xp=True, yp=True), 0, 0), (gen(i + 1, j, xp=True, yp=True), b - 1, 0)),
-                combo((gen(i - 1, j + 1, xp=True, yp=True), 0, 0), (gen(i + 1, j - 1, xp=True, yp=True), b - 1, 0)),
-            ]
-        for j in range(1, k_odd - 1, 2):
-            fam.z[(i, j)] = [
-                combo((gen(i, j, yp=True), 0, 0)),
-                combo((gen(i - 1, j, yp=True), 0, 0), (gen(i, j + 1, yp=True), 0, 0)),
-                combo((gen(i, j - 1, yp=True), 0, 0), (gen(i + 1, j, yp=True), 0, b - 1)),
-                combo((gen(i - 1, j - 1, yp=True), 0, 0), (gen(i + 1, j + 1, yp=True), 0, b - 1)),
-            ]
-            # the first element's correction generator is y_{j+1}: the
-            # printed y_{j-1} cannot carry the right Alexander grading
-            z_first = [(gen(i, j, xp=True), 0, 0)]
-            if parity:
-                z_first.append((gen(i + 1, j + 1, xp=True), b - 1, 0))
-            fam.z_prime[(i, j)] = [
-                combo(*z_first),
-                combo((gen(i - 1, j, xp=True), 0, 0), (gen(i, j + 1, xp=True), 0, 0)),
-                combo((gen(i, j - 1, xp=True), 0, 0), (gen(i + 1, j, xp=True), b - 1, 0)),
-                combo((gen(i - 1, j - 1, xp=True), 0, 0), (gen(i + 1, j + 1, xp=True), b - 1, 0)),
-            ]
-    return fam
+    k_odd = k if k % 2 else k - 1
+    squares: list[Square] = []
+    for letter, d, last in (("Y", 1, k_odd), ("Z", -1, k_odd - 2)):
+        for i in range(1, 2 * n, 2):
+            b = vertical_power(i)
+            for j in range(1, last + 1, 2):
+                # Y is unprimed on both staircases and Z on x only; the
+                # partner flips both primes
+                pair = square(i, j, d, b, False, d < 0), square(i, j, d, b, True, d > 0)
+                squares.append((letter, i, j, *pair))
+    return x_elements, squares
 
 
 @dataclass(frozen=True)
@@ -288,19 +254,21 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
 def verify_lemma_43_44(host: Seq, q: int) -> tuple[Check, ...]:
     """Check, by exact matrix computation, the distinguished-basis identities
     for K # T_{2,q}: the X path is a subcomplex carrying the inserted-run
-    sequence and the involution reverses it, the square families map onto
-    each other entry by entry, and the whole family is part of a basis (a
-    full basis when k is odd).
+    sequence and the involution reverses it, each Y and Z square maps onto
+    its primed partner entry by entry, and the whole family (X, then the
+    squares, then their partners) is part of a basis (a full basis when k is
+    odd).  There are five checks on the whole family and eight per square.
 
     The forward equations use the involution itself; the return equations on
-    the primed families are images under its exact inverse, whose correction
+    the primed partners are images under its exact inverse, whose correction
     term carries the derivative endomorphisms in the opposite order.  The
     coefficient 2b_i on the return image of the first Y'-element collapses to
     zero mod 2, so that image is the bare generator combination.
     """
-    fam = build_xyz_basis(host, q)
+    x_elements, squares = build_xyz_basis(host, q)
+    k = (q - 1) // 2
     host_iota = basic_involution(seq_to_complex(host, Mode.FULL))
-    torus_seq = validate_seq([1, -1] * fam.k)
+    torus_seq = validate_seq([1, -1] * k)
     torus_iota = basic_involution(seq_to_complex(torus_seq, Mode.FULL))
     iota, iota_inv = tensor_involution(host_iota, torus_iota)
     product = iota.cx
@@ -313,13 +281,11 @@ def verify_lemma_43_44(host: Seq, q: int) -> tuple[Check, ...]:
     checks.append(Check("involution composes with its inverse to the identity", identity))
 
     # (a) X is a subcomplex realizing the naive insertion sequence
-    x_gens = [next(iter(e)) for e in fam.x_elements]
+    x_gens = [next(iter(e)) for e in x_elements]
     where = {g: pos for pos, g in enumerate(x_gens)}  # X re-indexed in listing order
     closed = all(tgt in where for (tgt, src) in product.diff if src in where)
     checks.append(Check("X spans a subcomplex", closed))
-    expected = validate_seq(
-        host[: len(host) // 2] + tuple([1, -1] * ((q - 1) // 2)) + host[len(host) // 2 :]
-    )
+    expected = validate_seq(host[: len(host) // 2] + (1, -1) * k + host[len(host) // 2 :])
     # an arrow leaving X gets the target len(X), which ChainComplex rejects
     sub_diff = {
         (where.get(t, len(where)), where[s]): elem
@@ -338,42 +304,33 @@ def verify_lemma_43_44(host: Seq, q: int) -> tuple[Check, ...]:
     checks.append(Check("X carries the inserted-run sequence", seq_ok, detail))
 
     # (b) the involution acts on X as the basic involution (reversal)
-    size = len(fam.x_elements)
+    size = len(x_elements)
     reversal = all(
-        iota.apply(fam.x_elements[idx]) == fam.x_elements[size - 1 - idx]
+        iota.apply(x_elements[idx]) == x_elements[size - 1 - idx]
         for idx in range(size)
     )
     checks.append(Check("involution reverses the X listing", reversal))
 
-    # (c) the square families map onto each other entry by entry: forward
+    # (c) each square maps onto its primed partner entry by entry: forward
     # under the involution, return under its exact inverse, with the 2b = 0
     # collapse on the first Y' element
-    for (i, j), y in sorted(fam.y.items()):
-        y_prime = fam.y_prime[(i, j)]
+    for letter, i, j, square, partner in squares:
         for m in range(4):
-            ok = iota.apply(y[m]) == y_prime[m]
-            checks.append(Check(f"iota(Y[{i},{j}][{m}]) = Y'[{i},{j}][{m}]", ok))
+            ok = iota.apply(square[m]) == partner[m]
+            checks.append(Check(f"iota({letter}[{i},{j}][{m}]) = {letter}'[{i},{j}][{m}]", ok))
         for m in range(4):
-            ok = iota_inv.apply(y_prime[m]) == y[m]
-            name = f"iota^-1(Y'[{i},{j}][{m}]) = Y[{i},{j}][{m}]"
-            if m == 0:
+            ok = iota_inv.apply(partner[m]) == square[m]
+            name = f"iota^-1({letter}'[{i},{j}][{m}]) = {letter}[{i},{j}][{m}]"
+            if m == 0 and letter == "Y":
                 name += " (2b coefficient collapses)"
             checks.append(Check(name, ok))
-    for (i, j), z in sorted(fam.z.items()):
-        z_prime = fam.z_prime[(i, j)]
-        for m in range(4):
-            ok = iota.apply(z[m]) == z_prime[m]
-            checks.append(Check(f"iota(Z[{i},{j}][{m}]) = Z'[{i},{j}][{m}]", ok))
-        for m in range(4):
-            ok = iota_inv.apply(z_prime[m]) == z[m]
-            checks.append(Check(f"iota^-1(Z'[{i},{j}][{m}]) = Z[{i},{j}][{m}]", ok))
 
     # (d) the family is unimodular: unit-pivot elimination certifies it is
     # part of a basis, and for odd k a complete one
-    elements = fam.all_elements()
+    elements = x_elements + [e for sq in squares for e in sq[3]] + [e for sq in squares for e in sq[4]]
     rank = _unit_pivot_rank(elements)
     ok = rank == len(elements)
-    if fam.k % 2 == 1:
+    if k % 2 == 1:
         ok = ok and len(elements) == len(product)
         name = "family is a full basis"
     else:

@@ -28,9 +28,10 @@ cable or sum whose complex would exceed MAX_GENERATORS generators is built.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .algebra import QUOTE_WIDTH, LaurentPoly, _check_torus, _clip
+from .algebra import QUOTE_WIDTH, _check_torus, _clip
 from .standard import (
     Seq,
     _gamma0,
@@ -222,29 +223,27 @@ def parse_expr(text: str) -> KnotExpr:
 # -- closed-form sequence transforms ----------------------------------------
 
 
-def staircase_from_alexander(delta: LaurentPoly) -> Seq:
-    """Staircase sequence of an L-space knot read off its Alexander polynomial.
+def staircase_from_alexander(delta: Mapping[int, int]) -> Seq:
+    """Staircase sequence of an L-space knot read off its Alexander
+    polynomial, given as {exponent: coefficient}.
 
     With exponents a_0 > a_1 > ... > a_{2m} and coefficients alternating
     +1, -1, ..., +1, the sequence is the consecutive differences with
     alternating signs: (a_0 - a_1, -(a_1 - a_2), a_2 - a_3, ...).
     """
-    if not delta:
+    terms = {e: c for e, c in delta.items() if c}
+    if not terms:
         raise ShapeError("zero polynomial is not an L-space Alexander polynomial")
-    if not delta.is_symmetric:
-        raise ShapeError(f"polynomial {delta} is not symmetric")
-    exps = [e for e, _ in reversed(delta.coeffs)]
-    coeffs = [c for _, c in reversed(delta.coeffs)]
-    if len(coeffs) % 2 == 0:
-        raise ShapeError(f"polynomial {delta} has an even number of terms")
-    for i, c in enumerate(coeffs):
-        if c != (1 if i % 2 == 0 else -1):
-            raise ShapeError(f"polynomial {delta} does not alternate +1/-1")
-    out = []
-    for i in range(len(exps) - 1):
-        gap = exps[i] - exps[i + 1]
-        out.append(gap if i % 2 == 0 else -gap)
-    return validate_seq(out)
+    if any(terms.get(-e) != c for e, c in terms.items()):
+        raise ShapeError(f"polynomial {terms} is not symmetric")
+    exps = sorted(terms, reverse=True)
+    if len(exps) % 2 == 0:
+        raise ShapeError(f"polynomial {terms} has an even number of terms")
+    if any(terms[e] != (-1) ** i for i, e in enumerate(exps)):
+        raise ShapeError(f"polynomial {terms} does not alternate +1/-1")
+    entries = list(map(operator.sub, exps, exps[1:]))
+    entries[1::2] = map(operator.neg, entries[1::2])
+    return validate_seq(entries)
 
 
 def torus_staircase(p: int, q: int) -> Seq:

@@ -135,35 +135,52 @@ def test_tensor_involution_inverse_is_exact():
     assert len(composite.entries) == 9 * 5
 
 
+def square_keys(squares):
+    return [(letter, i, j) for letter, i, j, _, _ in squares]
+
+
+def element_count(x_elements, squares):
+    return len(x_elements) + sum(len(sq) + len(partner) for *_, sq, partner in squares)
+
+
 def test_basis_family_counts_q3():
-    fam = build_xyz_basis((1, -1, 1, -1), 3)
-    assert len(fam.x_elements) == 7  # 4n + q - 1 + 1 with n = 1, q = 3
-    assert sorted(fam.y) == [(1, 1)]
-    assert sorted(fam.y_prime) == [(1, 1)]
-    assert not fam.z and not fam.z_prime
+    x_elements, squares = build_xyz_basis((1, -1, 1, -1), 3)
+    assert len(x_elements) == 7  # 4n + q - 1 + 1 with n = 1, q = 3
+    assert square_keys(squares) == [("Y", 1, 1)]  # no Z square
     # j = k' = k: the substitutions keep every index in range
-    assert len(fam.all_elements()) == 15
+    assert element_count(x_elements, squares) == 15
 
 
 def test_basis_family_counts_q5():
-    fam = build_xyz_basis((1, -1, 1, -1), 5)
-    assert sorted(fam.y) == [(1, 1)]
-    assert not fam.z and not fam.z_prime
-    assert len(fam.all_elements()) == 17  # independent but not spanning: k is even
+    x_elements, squares = build_xyz_basis((1, -1, 1, -1), 5)
+    assert square_keys(squares) == [("Y", 1, 1)]  # no Z square
+    # independent but not spanning: k is even
+    assert element_count(x_elements, squares) == 17
 
 
 def test_basis_family_counts_q7():
-    fam = build_xyz_basis((1, -1, 1, -1), 7)
-    assert sorted(fam.y) == [(1, 1), (1, 3)]
-    assert sorted(fam.z) == [(1, 1)]
-    assert len(fam.all_elements()) == 5 * 7  # odd k: a full basis of the 5 x 7 product
+    x_elements, squares = build_xyz_basis((1, -1, 1, -1), 7)
+    assert square_keys(squares) == [("Y", 1, 1), ("Y", 1, 3), ("Z", 1, 1)]
+    # odd k: a full basis of the 5 x 7 product
+    assert element_count(x_elements, squares) == 5 * 7
+
+
+LEMMA_CASES = [((1, -1, 1, -1), 3), ((1, -1, 1, -1), 5), ((1, -2, 2, -1), 3),
+               ((1, -2, 1, -1, 1, -1, 2, -1), 7)]
 
 
 def test_lemma_verification_passes():
-    for host, q in [((1, -1, 1, -1), 3), ((1, -1, 1, -1), 5), ((1, -2, 2, -1), 3),
-                    ((1, -2, 1, -1, 1, -1, 2, -1), 7)]:
+    for host, q in LEMMA_CASES:
         checks = verify_lemma_43_44(host, q)
         assert all(c.passed for c in checks), "\n".join(str(c) for c in checks if not c.passed)
+
+
+def test_lemma_check_counts():
+    # five whole-family checks, plus eight per square: a Y square at each
+    # odd i <= 2n-1 and odd j <= k', a Z square at each odd j <= k'-2; the
+    # last case has n = 2 and k' = 3, so two Y and one Z square per i
+    counts = [len(verify_lemma_43_44(host, q)) for host, q in LEMMA_CASES]
+    assert counts == [5 + 8, 5 + 8, 5 + 8, 5 + 8 * 2 * 3] == [13, 13, 13, 53]
 
 
 def test_lemma_report_lines_are_structured():
