@@ -23,6 +23,14 @@ arrows of the smaller power: the change of basis that does so adds only
 terms with both U and V, which die over UV = 0.  The basis search then
 starts with only the squares of equal powers to resolve.  No torus knot,
 cable or sum whose complex would exceed MAX_GENERATORS generators is built.
+
+gamma0_of, behind `gamma0`, `equiv` and `svg`, evaluates a sum from its
+signed summands instead: gamma_0 factors through the local-equivalence
+group, so a summand cancels against a copy of its mirror without a product,
+and a T(2, q) summand joins a host in the validated domain of sum_with_T2 by
+that closed form; only what remains goes through the pipeline.  eval_expr,
+behind `invariants`, keeps the written grouping, because the loop count it
+reports is not a group invariant and depends on that grouping.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from dataclasses import dataclass
 from .algebra import QUOTE_WIDTH, _check_torus, _clip
 from .standard import (
     Seq,
+    SimplifyError,
     _gamma0,
     _negate,
     _product,
@@ -339,20 +348,52 @@ def _t2_host(seq: Seq, q: int) -> Seq:
     return s
 
 
+def _in_t2_domain(s: Seq) -> bool:
+    """Whether a validated sequence lies in the host domain of sum_with_T2.
+
+    With j, o = _central_run_pairs(s), let outer be the first half of s
+    without its last 2j entries, and epsilon the sign of outer[0] (o when
+    outer is empty).  The host needs a length divisible by four, every
+    horizontal step of outer equal to epsilon and every vertical step of
+    outer of sign -epsilon; it is refused when a central run of the other
+    orientation (o != epsilon) meets a unit vertical step at the end of
+    outer.  Every (2, q)-cable of a staircase, and every staircase with
+    unit horizontal steps, of a length divisible by four lies in it.
+    """
+    if not s or len(s) % 4:
+        return False
+    j, orientation = _central_run_pairs(s)
+    outer = s[: len(s) // 2 - 2 * j]
+    eps = (1 if outer[0] > 0 else -1) if outer else orientation
+    if any(h != eps for h in outer[0::2]) or any(v * eps > 0 for v in outer[1::2]):
+        return False
+    return not (j and orientation != eps and abs(outer[-1]) == 1)
+
+
 def sum_with_T2(seq: Seq, q: int, sign: int) -> Seq:
-    """Sequence of K # T_{2, +-q} for K with a palindromic sequence whose
-    horizontal steps all have magnitude one.
+    """Sequence of K # T_{2, +-q} for K in the host domain of _in_t2_domain.
 
     A run of (q-1)/2 alternating unit pairs is inserted at the midpoint,
     oriented 1, -1, ... for the positive torus knot and -1, 1, ... for its
     mirror.  A centered unit run of the opposite orientation in the host
     annihilates inserted pairs one for one, which is what makes the two
-    middle runs of a cable and a torus-knot summand collapse.
+    middle runs of a cable and a torus-knot summand collapse.  Outside the
+    domain (the palindromic shape with unit horizontal steps alone is not
+    enough: (1, 1, -1, -1) with -T(2, 3) gives a ten-entry sequence) it
+    raises ShapeError; inside it the closed form agrees with the sum
+    pipeline on every host tested.
     """
     s = _t2_host(seq, q)
     if sign not in (1, -1):
         raise ShapeError(f"sign must be +1 or -1, got {sign}")
-    k = (q - 1) // 2
+    if not _in_t2_domain(s):
+        raise ShapeError(f"{list(s)} is outside the host domain of the T(2,q) closed form")
+    return _fold_t2(s, (q - 1) // 2, sign)
+
+
+def _fold_t2(s: Seq, k: int, sign: int) -> Seq:
+    """sum_with_T2 for a host ``s`` in the domain and the summand
+    sign * (1, -1)^k, neither checked again; the result is validated."""
     j, orientation = _central_run_pairs(s)
     m = len(s) // 2
     if j == 0 or orientation == sign:
@@ -501,7 +542,81 @@ def _sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
 
 
 def gamma0_of(expr: KnotExpr) -> Seq:
-    return eval_expr(expr).sequence
+    """The gamma_0 sequence of an expression, a sum evaluated from its
+    signed summands.
+
+    gamma_0 factors through the local-equivalence group, so the gamma_0 of
+    a sum depends only on the sequences of its summands.  An expression with
+    no sum at the top (under any mirrors) is eval_expr's.  Otherwise the
+    summands are collected in written order through sums and mirrors, each
+    other node evaluated by eval_expr and negated under an odd number of
+    mirrors.  Empty sequences drop out, and each sequence cancels against a
+    remaining copy of its negation: K # -K is locally trivial, and the
+    pipeline sees only the standard complexes, so this is exact.  The
+    summands of the T(2, q) class, +-(1, -1)^k, are set aside; the rest are
+    tensored in written order, and each T(2, q) summand then joins the
+    result by the closed form of sum_with_T2 when the result lies in its
+    host domain, and by the sum pipeline otherwise.  Every product built
+    meets the MAX_GENERATORS limit.  If anything raises EvalError, or the
+    basis search of a planned product fails (SimplifyError: the search can
+    fail on a product that another grouping avoids), the expression is
+    evaluated by eval_expr as written, so the plan refuses nothing that the
+    written grouping evaluates, and a refusal reads as eval_expr's.
+
+    eval_expr keeps the written grouping because its loop count, which
+    `invariants` reports, depends on it.
+    """
+    top = expr
+    while isinstance(top, Mirror):
+        top = top.inner
+    if not isinstance(top, Sum):
+        return eval_expr(expr).sequence
+    try:
+        kept: list[Seq] = []
+        for seq in _signed_summands(expr, 1):
+            if not seq:
+                continue
+            negation = _negate(seq)
+            if negation in kept:
+                kept.remove(negation)
+            else:
+                kept.append(seq)
+        result: Seq = ()
+        # a stable sort: the T(2, q) summands last, both parts in written order
+        for seq in sorted(kept, key=_t2_class):
+            if _t2_class(seq) and _in_t2_domain(result):
+                result = _fold_t2(result, len(seq) // 2, seq[0])
+            else:
+                result = _planned_sum(expr, result, seq)
+        return result
+    except (EvalError, SimplifyError):
+        return eval_expr(expr).sequence
+
+
+def _signed_summands(expr: KnotExpr, sign: int) -> list[Seq]:
+    """The sequences of the summands of ``expr`` in written order, through
+    sums and mirrors, each negated under an odd number of mirrors."""
+    if isinstance(expr, Sum):
+        return _signed_summands(expr.left, sign) + _signed_summands(expr.right, sign)
+    if isinstance(expr, Mirror):
+        return _signed_summands(expr.inner, -sign)
+    seq = eval_expr(expr).sequence
+    return [seq if sign > 0 else _negate(seq)]
+
+
+def _t2_class(s: Seq) -> bool:
+    """Whether a nonempty validated sequence is +-(1, -1)^k, the gamma_0 of
+    T(2, +-(2k + 1))."""
+    return abs(s[0]) == 1 and s == (s[0], -s[0]) * (len(s) // 2)
+
+
+def _planned_sum(expr: KnotExpr, s1: Seq, s2: Seq) -> Seq:
+    """gamma_0 of the sum of two validated sequences, by the sum pipeline
+    unless one of them is empty."""
+    if not s1 or not s2:
+        return s1 or s2
+    _check_size(expr, (len(s1) + 1) * (len(s2) + 1))
+    return _sum_gamma0(s1, s2)[0]
 
 
 def locally_equivalent(e1: KnotExpr, e2: KnotExpr) -> bool:

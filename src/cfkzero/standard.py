@@ -284,9 +284,7 @@ def _search(work: _MonoMatrix, budget: int) -> None:
     def accepted(move: Move) -> bool:
         nonlocal budget, low_water
         if budget <= 0:
-            raise SimplifyError(
-                "no simplified basis within the merge cap; the input is not knot-like"
-            )
+            raise SimplifyError("no simplified basis within the merge cap")
         budget -= 1
         # a char-2 basis change is an involution, so applying it again
         # undoes a rejected candidate

@@ -6,6 +6,7 @@ and the test suite exercise the identical code paths.
 
 import pytest
 
+import cfkzero.knots as knots
 from cfkzero.cli import (
     _check_cable_closed_forms,
     _check_involutive,
@@ -33,3 +34,18 @@ def test_acceptance_criterion(name, check, want):
     print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     assert passed, f"{name}: {detail}"
     assert detail == want
+
+
+def test_criteria_4_and_7_run_the_sum_pipeline(monkeypatch):
+    # gamma0_of would answer E # -E by cancellation and T(2,q) summands by
+    # the closed form, so a fault of the pipeline would pass unseen; here
+    # the pipeline is wrong on every sum of two knots
+    real = knots._sum_gamma0
+
+    def wrong(s1, s2):
+        return real(s1, s2) if not s1 or not s2 else ((1, -1), 0)
+
+    monkeypatch.setattr(knots, "_sum_gamma0", wrong)
+    for check in (_check_regimes, _check_properties):
+        passed, detail = check()
+        assert not passed, detail

@@ -223,6 +223,17 @@ def test_inputs_above_the_size_limit_exit_2(capsys, text, generators):
     assert f"{generators} generators" in err
 
 
+def test_a_summand_cancels_its_mirror_before_any_product_is_built(capsys):
+    assert run(capsys, "gamma0", "T(2,1001) # -T(2,1001)") == (0, "[]\n", "")
+    # invariants reports the loop count of the sum as written, so it builds it
+    code, out, err = run(capsys, "invariants", "T(2,1001) # -T(2,1001)")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: T(2,1001) # -T(2,1001) needs a complex of 1002001 generators, "
+        "more than the limit of 100000\n"
+    )
+
+
 def test_a_torus_knot_under_the_size_limit_is_built(capsys):
     # T(p, p + 1) has the staircase 1, -(p - 1), 2, -(p - 2), ..., p - 1, -1
     code, out, err = run(capsys, "gamma0", "T(2000,2001)")
@@ -245,7 +256,7 @@ def test_a_failed_search_exits_2_with_one_line(monkeypatch, capsys, argv):
     monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: no simplified basis within the merge cap; the input is not knot-like\n"
+    assert err == "error: no simplified basis within the merge cap\n"
 
 
 def test_a_reused_parser_keeps_no_state_between_calls(capsys):

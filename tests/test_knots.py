@@ -2,12 +2,14 @@
 evaluation, and local equivalence."""
 
 import math
+import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfkzero.knots as knots
 from cfkzero.algebra import alexander_torus
 from cfkzero.knots import (
     MAX_GENERATORS,
@@ -285,6 +287,45 @@ def test_sum_with_t2_shape_errors():
         sum_with_T2((1, -1, 1, -1), 3, 2)
 
 
+def test_sum_with_t2_refuses_a_host_outside_the_domain():
+    # unit horizontal steps alone are not enough: the closed form would give
+    # (1, 1, -1, 1, -1, -1), the pipeline gives ten entries
+    assert pipeline((1, 1, -1, -1), (-1, 1)) == (1, 1, -1, -1, -1, 1, 1, 1, -1, -1)
+    with pytest.raises(ShapeError, match="host domain"):
+        sum_with_T2((1, 1, -1, -1), 3, -1)
+
+
+def random_t2_host(rng):
+    """A palindromic host with unit horizontal steps, mostly of one sign
+    epsilon with verticals of sign -epsilon, ending in a central unit run of
+    either orientation: near both sides of the boundary of the domain."""
+    eps = rng.choice((1, -1))
+    half = []
+    for _ in range(rng.randint(0, 4)):
+        h = eps if rng.random() < 0.8 else -eps
+        v = (-eps if rng.random() < 0.8 else eps) * rng.randint(1, 3)
+        half += [h, v]
+    run = rng.choice((1, -1))
+    half += [run, -run] * rng.randint(0, 3)
+    return validate_seq(half + [-e for e in reversed(half)])
+
+
+def test_sum_with_t2_agrees_with_the_pipeline_on_every_accepted_host():
+    rng = random.Random(2201)
+    accepted = refused = 0
+    for _ in range(600):
+        host = random_t2_host(rng)
+        q, sign = rng.choice((3, 5, 7, 9)), rng.choice((1, -1))
+        try:
+            closed = sum_with_T2(host, q, sign)
+        except ShapeError:
+            refused += 1
+            continue
+        accepted += 1
+        assert closed == pipeline(host, (sign, -sign) * ((q - 1) // 2)), (host, q, sign)
+    assert accepted > 200 and refused > 100
+
+
 # -- formulas -----------------------------------------------------------------
 
 
@@ -378,6 +419,69 @@ def test_locally_equivalent_examples():
     lhs = Sum(Cable2(3, K), Torus(2, 5))
     rhs = Sum(Cable2(5, K), Torus(2, 3))
     assert not locally_equivalent(lhs, rhs)
+
+
+def plain(expr):
+    """gamma_0 by the sum pipeline at every written '#'."""
+    return eval_expr(expr).sequence
+
+
+def test_gamma0_of_cancels_a_summand_only_against_its_mirror():
+    K = Cable2(5, Torus(3, 4))
+    assert gamma0_of(Sum(Sum(K, Torus(2, 3)), Mirror(K))) == (1, -1)
+    assert gamma0_of(Mirror(Sum(Mirror(K), Sum(Unknot(), K)))) == ()
+    twice = Sum(Torus(3, 4), Torus(3, 4))
+    assert gamma0_of(twice) == plain(twice) == (1, -2, 1, -2, 2, -1, 2, -1)
+
+
+@pytest.mark.parametrize("text,products", [
+    ("T(2,21) # -T(2,21)", 0),  # cancelled
+    ("C2(5;T(2,3)) # T(2,9)", 0),  # folded into a cable host
+    ("T(2,5) # C2(5;T(2,3))", 0),  # the T(2,q) summand waits for its host
+    ("T(2,5) # T(2,3)", 0),  # (1,-1,1,-1) is a host
+    ("T(2,3) # T(2,3)", 1),  # a length-2 host is refused
+    # (1,-3,-1,2,-2,1,3,-1) has horizontal steps of both signs: outside the
+    # domain, so T(2,5) joins it through the pipeline
+    ("C2(5;T(2,3)) # -T(3,4) # T(2,5)", 2),
+    ("C2(7;T(2,3)) # -C2(5;T(2,3)) # T(2,5) # -T(2,7)", 3),
+])
+def test_gamma0_of_builds_a_product_only_where_no_closed_form_applies(monkeypatch, text, products):
+    built = []
+    real = knots._sum_gamma0
+    monkeypatch.setattr(knots, "_sum_gamma0", lambda s1, s2: built.append(1) or real(s1, s2))
+    expr = parse_expr(text)
+    got = gamma0_of(expr)
+    assert len(built) == products
+    monkeypatch.setattr(knots, "_sum_gamma0", real)
+    assert got == plain(expr)
+
+
+_PLAN_LEAVES = st.one_of(
+    st.just(Unknot()),
+    st.sampled_from([3, 5, 7, 9, 11]).map(lambda q: Torus(2, q)),
+    st.sampled_from([(3, 4), (3, 5), (4, 5), (3, 7)]).map(lambda pq: Torus(*pq)),
+    st.builds(
+        Cable2,
+        st.sampled_from([-5, -3, -1, 1, 3, 5, 7, 9, 13]),
+        st.sampled_from([Torus(2, 3), Torus(2, 5), Torus(3, 4)]),
+    ),
+)
+_PLAN_EXPRS = st.recursive(
+    _PLAN_LEAVES,
+    lambda inner: st.one_of(st.builds(Mirror, inner), st.builds(Sum, inner, inner)),
+    max_leaves=5,
+).filter(lambda e: genus_of(e) <= 24)  # keeps every product small
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_PLAN_EXPRS, _PLAN_EXPRS)
+def test_gamma0_of_equals_the_pipeline_on_random_sums(e1, e2):
+    g1, g2 = gamma0_of(e1), gamma0_of(e2)
+    assert g1 == plain(e1)
+    assert g2 == plain(e2)
+    assert locally_equivalent(e1, e2) == (g1 == g2)
+    assert locally_equivalent(Sum(e1, e2), Sum(e2, Mirror(Mirror(e1))))
+    assert gamma0_of(Sum(e1, Mirror(Sum(e2, e1)))) == gamma0_of(Mirror(e2))
 
 
 def test_p_knot_structure():

@@ -18,6 +18,7 @@ from cfkzero.knots import (
     EvalError,
     Mirror,
     Sum,
+    eval_expr,
     gamma0_of,
     staircase_from_alexander,
     sum_gamma0,
@@ -143,6 +144,8 @@ def test_sum_with_mirror_vanishes():
     for expr, seq in sample_gamma0s(rng, 25, max_len=14):
         result = gamma0_of(Sum(expr, Mirror(expr)))
         assert result == (), str(expr)
+        # gamma0_of cancels E against -E; the pipeline must find [] too
+        assert eval_expr(Sum(expr, Mirror(expr))).sequence == (), str(expr)
 
 
 def test_loop_counts_account_for_all_generators():
