@@ -147,10 +147,15 @@ class ChainComplex:
     def validate(self) -> ComplexViolation | None:
         """Check the parity of every generator, the grading of every arrow
         and d^2 = 0; report the first failure."""
+        return _violation(self._cols(), self.gr_u, self.gr_v, self.mode)
+
+    def _cols(self) -> list[dict[int, tuple[int, int]]]:
+        """The differential by source: entry g maps the targets of g's
+        arrows to their entries."""
         cols: list[dict[int, tuple[int, int]]] = [{} for _ in self.gr_u]
         for (tgt, src), mono in self.diff.items():
             cols[src][tgt] = mono
-        return _violation(cols, self.gr_u, self.gr_v, self.mode)
+        return cols
 
     def require_valid(self) -> "ChainComplex":
         violation = self.validate()

@@ -528,7 +528,8 @@ def sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     plain product.  The factors are not checked on their own.  The
     simplified product must pass the complex check that
     ChainComplex.validate runs (InvalidComplexError), and the sequence is
-    read off its one open path.  Nothing on the way builds a ChainComplex.
+    read off its one open path, the extraction reading the simplified
+    matrix's columns in place.  Nothing on the way builds a ChainComplex.
     """
     return _sum_gamma0(validate_seq(s1), validate_seq(s2))
 
@@ -538,7 +539,7 @@ def _sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     product, gr_u, gr_v, plain = _product(s1, s2)
     _simplify(product, plain)
     _require_valid(product, gr_u, gr_v)
-    return _gamma0(len(gr_u), product.items())
+    return _gamma0(product.cols)
 
 
 def gamma0_of(expr: KnotExpr) -> Seq:
@@ -561,19 +562,23 @@ def gamma0_of(expr: KnotExpr) -> Seq:
     basis search of a planned product fails (SimplifyError: the search can
     fail on a product that another grouping avoids), the expression is
     evaluated by eval_expr as written, so the plan refuses nothing that the
-    written grouping evaluates, and a refusal reads as eval_expr's.
+    written grouping evaluates, and a refusal reads as eval_expr's.  The
+    one exception: when the plan built exactly the written grouping's
+    products (nothing dropped, cancelled or folded, the summands tensored in
+    written order, and ``expr`` the left-grouped chain the parser makes with
+    mirrors only on its summands), eval_expr would run the same failing
+    search again, so the SimplifyError is raised as it is.
 
     eval_expr keeps the written grouping because its loop count, which
     `invariants` reports, depends on it.
     """
-    top = expr
-    while isinstance(top, Mirror):
-        top = top.inner
-    if not isinstance(top, Sum):
+    if not isinstance(_unmirrored(expr), Sum):
         return eval_expr(expr).sequence
+    as_written = False  # whether the plan builds the written grouping's products
     try:
+        summands = _signed_summands(expr, 1)
         kept: list[Seq] = []
-        for seq in _signed_summands(expr, 1):
+        for seq in summands:
             if not seq:
                 continue
             negation = _negate(seq)
@@ -581,16 +586,40 @@ def gamma0_of(expr: KnotExpr) -> Seq:
                 kept.remove(negation)
             else:
                 kept.append(seq)
-        result: Seq = ()
         # a stable sort: the T(2, q) summands last, both parts in written order
-        for seq in sorted(kept, key=_t2_class):
+        order = sorted(kept, key=_t2_class)
+        as_written = order == summands and _left_chain(expr)
+        result: Seq = ()
+        for seq in order:
             if _t2_class(seq) and _in_t2_domain(result):
                 result = _fold_t2(result, len(seq) // 2, seq[0])
+                as_written = False
             else:
                 result = _planned_sum(expr, result, seq)
         return result
-    except (EvalError, SimplifyError):
+    except SimplifyError:
+        if as_written:
+            raise  # the written grouping would run the same failing search
         return eval_expr(expr).sequence
+    except EvalError:
+        return eval_expr(expr).sequence
+
+
+def _unmirrored(expr: KnotExpr) -> KnotExpr:
+    """``expr`` without the mirrors on top of it."""
+    while isinstance(expr, Mirror):
+        expr = expr.inner
+    return expr
+
+
+def _left_chain(expr: KnotExpr) -> bool:
+    """Whether ``expr`` is a left-grouped chain of sums, as the parser reads
+    A # B # C, with mirrors only on its summands."""
+    while isinstance(expr, Sum):
+        if isinstance(_unmirrored(expr.right), Sum):
+            return False
+        expr = expr.left
+    return not isinstance(_unmirrored(expr), Sum)
 
 
 def _signed_summands(expr: KnotExpr, sign: int) -> list[Seq]:

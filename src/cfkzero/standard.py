@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import Mode
 from .complexes import (
@@ -351,45 +351,64 @@ def _scored_moves(work: _MonoMatrix, gen: int) -> list[tuple[int, Move]]:
     change, so both take the horizontal form, and the fallback pool holds
     it once; otherwise the second would be tried after the first and lead
     straight back to the previous state.
+
+    Merging `absorbed` into `kept` adds the targets of `absorbed` to those
+    of `kept` and the sources of `kept` to those of `absorbed`: an entry
+    equal to one already there cancels, any other adds one.  At delta 0
+    nothing shifts and nothing dies, and the entries the two generators
+    share are the same in both orientations, so they are counted once for
+    the pair.
     """
     rows, cols = work.rows, work.cols
     h_in, v_in, h_out, v_out = work.degrees[gen]
-    moves: list[Move] = []
+    out: list[tuple[int, Move]] = []
     for horizontal, n_out, n_in in ((True, h_out, h_in), (False, v_out, v_in)):
-        if n_out > 1:
-            arrows = sorted((a or b, y) for y, (a, b) in cols[gen].items() if (a > 0) == horizontal)
-            for (k1, y1), (k2, y2) in itertools.combinations(arrows, 2):
-                if k1 == k2:
-                    moves += ((y1, y2, 0, True), (y2, y1, 0, True))
-                else:
-                    moves.append((y1, y2, k2 - k1, horizontal))
-        if n_in > 1:
-            arrows = sorted((a or b, y) for y, (a, b) in rows[gen].items() if (a > 0) == horizontal)
-            for (k1, y1), (k2, y2) in itertools.combinations(arrows, 2):
-                if k1 == k2:
-                    moves += ((y2, y1, 0, True), (y1, y2, 0, True))
-                else:
-                    moves.append((y2, y1, k2 - k1, horizontal))
-    out = []
-    for move in moves:
-        kept, absorbed, delta, horizontal = move
-        da, db = (delta, 0) if horizontal else (0, delta)
-        net = 0
-        for tgt, (a, b) in cols[absorbed].items():
-            a += da
-            b += db
-            if a and b:
-                continue  # dies in the quotient
-            net += -1 if rows[tgt].get(kept) == (a, b) else 1
-        for src, (a, b) in rows[kept].items():
-            a += da
-            b += db
-            if a and b:
+        for n, side, outgoing in ((n_out, cols, True), (n_in, rows, False)):
+            if n < 2:
                 continue
-            net += -1 if cols[src].get(absorbed) == (a, b) else 1
-        out.append((net, move))
-    out.sort(key=lambda sm: sm[0])
+            if horizontal:
+                arrows = sorted([(a, y) for y, (a, b) in side[gen].items() if a])
+            else:
+                arrows = sorted([(b, y) for y, (a, b) in side[gen].items() if not a])
+            for (k1, y1), (k2, y2) in itertools.combinations(arrows, 2):
+                if not outgoing:  # of two sources, the longer arrow's is kept
+                    y1, y2 = y2, y1
+                if k1 == k2:
+                    c1, c2, r1, r2 = cols[y1], cols[y2], rows[y1], rows[y2]
+                    shared = 0
+                    for key, mono in c2.items():
+                        if c1.get(key) == mono:
+                            shared += 2
+                    for key, mono in r2.items():
+                        if r1.get(key) == mono:
+                            shared += 2
+                    out.append((len(c2) + len(r1) - shared, (y1, y2, 0, True)))
+                    out.append((len(c1) + len(r2) - shared, (y2, y1, 0, True)))
+                else:
+                    delta = k2 - k1
+                    net = (_shifted_net(cols[y2], cols[y1], delta, horizontal)
+                           + _shifted_net(rows[y1], rows[y2], delta, horizontal))
+                    out.append((net, (y1, y2, delta, horizontal)))
+    out.sort(key=operator.itemgetter(0))
     return out
+
+
+def _shifted_net(moved: Mapping[int, tuple[int, int]], into: Mapping[int, tuple[int, int]],
+                 delta: int, horizontal: bool) -> int:
+    """The entries gained when X^delta times the entries `moved` are added
+    to the entries `into`, keyed alike, for delta > 0.  An entry of the
+    other type becomes mixed and dies, so it is skipped before any shifted
+    pair is built."""
+    net = 0
+    if horizontal:
+        for key, (a, b) in moved.items():
+            if not b:
+                net += -1 if into.get(key) == (a + delta, 0) else 1
+    else:
+        for key, (a, b) in moved.items():
+            if not a:
+                net += -1 if into.get(key) == (0, b + delta) else 1
+    return net
 
 
 def _affected(work: _MonoMatrix, kept: int, absorbed: int) -> set[int]:
@@ -421,80 +440,98 @@ def _basis_change(mat: _MonoMatrix, kept: int, absorbed: int, delta: int, horizo
 # -- gamma_0 extraction -----------------------------------------------------
 
 
-Item = tuple[tuple[int, int], tuple[int, int]]  # (target, source), (U power, V power)
+Cols = Sequence[Mapping[int, tuple[int, int]]]  # per source: target -> (U power, V power)
 Path = tuple[list[int], list[int]]  # ids along an open path, and the entry of each step
 
 
-def _components(size: int, arrows: Iterable[Item]) -> tuple[list, list[Path], int]:
-    """The incidence of a simplified complex on generators 0 ... size-1,
-    its open paths as walks (ids, entries) from one end, and its number of
-    closed loops.
+def _components(cols: Cols) -> tuple[list[int], list[Path], int]:
+    """The vertical partner of each generator of a simplified complex on
+    generators 0 ... len(cols)-1, `cols[g]` mapping the targets of g's
+    arrows to their entries, its open paths as walks (ids, entries) from one
+    end, and its number of closed loops.
 
-    Slot 2g of the incidence holds generator g's horizontal arrow and slot
-    2g + 1 its vertical one, each as (other end, power, outgoing).
+    The columns are read in place into four flat lists, one int per
+    generator each: its horizontal and its vertical partner, the other end
+    of that arrow or -1, and the entry of the step along each, negative out
+    of the generator and positive into it.  A generator meeting two arrows
+    of one type raises SimplifyError.  Each component is walked from its
+    first generator, a closed one counted once as a loop; an open one is
+    walked again, whole, from the end the first walk stopped at.
     """
-    incidence: list = [None] * (2 * size)
-    for (tgt, src), (a, b) in arrows:
-        kind = 0 if a > 0 else 1
-        power = a or b
-        for here, other, outgoing in ((src, tgt, True), (tgt, src, False)):
-            slot = 2 * here + kind
-            if incidence[slot] is not None:
-                raise SimplifyError(
-                    f"generator {here} meets two {'HV'[kind]} arrows; not simplified"
-                )
-            incidence[slot] = (other, power, outgoing)
+    size = len(cols)
+    h_other, v_other = [-1] * size, [-1] * size
+    h_step, v_step = [0] * size, [0] * size
+    for src, col in enumerate(cols):
+        for tgt, (a, b) in col.items():
+            if a:
+                if h_other[src] >= 0 or h_other[tgt] >= 0:
+                    raise _overloaded(src if h_other[src] >= 0 else tgt, "H")
+                h_other[src], h_other[tgt] = tgt, src
+                h_step[src], h_step[tgt] = -a, a
+            else:
+                if v_other[src] >= 0 or v_other[tgt] >= 0:
+                    raise _overloaded(src if v_other[src] >= 0 else tgt, "V")
+                v_other[src], v_other[tgt] = tgt, src
+                v_step[src], v_step[tgt] = -b, b
     seen = bytearray(size)
     paths: list[Path] = []
     loops = 0
     for g in range(size):
         if seen[g]:
             continue
-        ids, entries, closed = _walk(g, incidence)
+        ids, entries, closed = _walk(g, h_other, v_other, h_step, v_step)
         if closed:
             loops += 1
         else:
             # that walk ended at one end of the path; walk it whole from there
-            ids, entries, _ = _walk(ids[-1], incidence)
+            ids, entries, _ = _walk(ids[-1], h_other, v_other, h_step, v_step)
             paths.append((ids, entries))
         for i in ids:
             seen[i] = 1
-    return incidence, paths, loops
+    return v_other, paths, loops
 
 
-def _walk(start: int, incidence: list) -> tuple[list[int], list[int], bool]:
-    """Follow arrows from `start`, horizontal first and never back along the
-    arrow just taken, to an endpoint or around a cycle.
+def _overloaded(gen: int, kind: str) -> SimplifyError:
+    return SimplifyError(f"generator {gen} meets two {kind} arrows; not simplified")
+
+
+def _walk(start: int, h_other: list[int], v_other: list[int],
+          h_step: list[int], v_step: list[int]) -> tuple[list[int], list[int], bool]:
+    """Follow arrows from `start` on the partner and step lists of
+    _components, horizontal first and then alternating, to an endpoint or
+    around a cycle.
 
     Returns the ids visited, the sequence entry of each step (positive
     against an arrow, negative with it) and whether the walk closed up.
     """
     ids = [start]
     entries: list[int] = []
-    here, came_by = start, -1
+    here = start
+    horizontal = h_other[start] >= 0
     while True:
-        if came_by != 0 and incidence[2 * here] is not None:
-            came_by = 0
-        elif came_by != 1 and incidence[2 * here + 1] is not None:
-            came_by = 1
+        if horizontal:
+            there, step = h_other[here], h_step[here]
         else:
+            there, step = v_other[here], v_step[here]
+        if there < 0:
             return ids, entries, False
-        here, power, outgoing = incidence[2 * here + came_by]
-        if here == start:
+        if there == start:
             return ids, entries, True
-        ids.append(here)
-        entries.append(-power if outgoing else power)
+        ids.append(there)
+        entries.append(step)
+        here = there
+        horizontal = not horizontal
 
 
-def _gamma0(size: int, arrows: Iterable[Item]) -> tuple[Seq, int]:
+def _gamma0(cols: Cols) -> tuple[Seq, int]:
     """The sequence read off the unique open path of a simplified complex
-    on generators 0 ... size-1, and its number of closed loops; see
-    extract_gamma0."""
-    incidence, paths, loops = _components(size, arrows)
+    given by its columns, as _components reads them, and its number of
+    closed loops; see extract_gamma0."""
+    vertical, paths, loops = _components(cols)
     if len(paths) != 1:
         raise KnotlikeError(f"expected one open path, found {len(paths)}")
     ids, entries = paths[0]
-    starts = [e for e in {ids[0], ids[-1]} if incidence[2 * e + 1] is None]
+    starts = [e for e in {ids[0], ids[-1]} if vertical[e] < 0]
     if not starts:
         raise KnotlikeError("open path has no endpoint free of vertical arrows")
     if min(starts) != ids[0]:
@@ -508,5 +545,7 @@ def _gamma0(size: int, arrows: Iterable[Item]) -> tuple[Seq, int]:
 def extract_gamma0(cx: ChainComplex) -> Seq:
     """Read the parameter sequence off the unique open path of a simplified
     complex, starting from the endpoint with no vertical arrow; positive
-    entries record steps against an arrow, negative ones steps with it."""
-    return _gamma0(len(cx), cx.diff.items())[0]
+    entries record steps against an arrow, negative ones steps with it.
+    The complex is read through its columns, built as ChainComplex.validate
+    builds them."""
+    return _gamma0(cx._cols())[0]

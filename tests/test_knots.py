@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import cfkzero.knots as knots
 from cfkzero.algebra import alexander_torus
+from cfkzero.cli import main
 from cfkzero.knots import (
     MAX_GENERATORS,
     Cable2,
@@ -434,6 +435,14 @@ def test_gamma0_of_cancels_a_summand_only_against_its_mirror():
     assert gamma0_of(twice) == plain(twice) == (1, -2, 1, -2, 2, -1, 2, -1)
 
 
+def count_searches(monkeypatch):
+    """Make every call of knots._sum_gamma0 append to the returned list."""
+    built = []
+    real = knots._sum_gamma0
+    monkeypatch.setattr(knots, "_sum_gamma0", lambda s1, s2: built.append(1) or real(s1, s2))
+    return built
+
+
 @pytest.mark.parametrize("text,products", [
     ("T(2,21) # -T(2,21)", 0),  # cancelled
     ("C2(5;T(2,3)) # T(2,9)", 0),  # folded into a cable host
@@ -446,13 +455,34 @@ def test_gamma0_of_cancels_a_summand_only_against_its_mirror():
     ("C2(7;T(2,3)) # -C2(5;T(2,3)) # T(2,5) # -T(2,7)", 3),
 ])
 def test_gamma0_of_builds_a_product_only_where_no_closed_form_applies(monkeypatch, text, products):
-    built = []
-    real = knots._sum_gamma0
-    monkeypatch.setattr(knots, "_sum_gamma0", lambda s1, s2: built.append(1) or real(s1, s2))
+    built = count_searches(monkeypatch)
     expr = parse_expr(text)
     got = gamma0_of(expr)
     assert len(built) == products
-    monkeypatch.setattr(knots, "_sum_gamma0", real)
+    assert got == plain(expr)
+
+
+@pytest.mark.parametrize("text,searches", [
+    ("T(3,4) # -T(5,48)", 1),
+    ("T(3,4) # T(5,52)", 1),
+    ("C2(3;T(3,4)) # -T(5,6) # -T(5,6)", 2),  # the second product fails
+])
+def test_a_failed_search_of_the_written_products_runs_once(monkeypatch, capsys, text, searches):
+    # the plan builds exactly the written grouping's products, so its
+    # failure is final and the written grouping is not searched again
+    built = count_searches(monkeypatch)
+    assert main(["gamma0", text]) == 2
+    assert capsys.readouterr().err == "error: no simplified basis within the merge cap\n"
+    assert len(built) == searches
+
+
+def test_a_failed_search_of_a_regrouped_plan_falls_back_to_the_written_grouping(monkeypatch):
+    # the plan tensors the summands left to right, and its second product
+    # fails; the written grouping builds other products and finishes
+    built = count_searches(monkeypatch)
+    expr = parse_expr("-T(5,6) # (C2(3;T(3,4)) # -T(5,6))")
+    got = gamma0_of(expr)
+    assert len(built) == 4  # plan: ok, fail; written grouping: ok, ok
     assert got == plain(expr)
 
 

@@ -85,9 +85,9 @@ def test_dual_is_involutive_and_negates_the_sequence():
         assert epsilon(mirrored) == -epsilon(seq)
 
 
-def simplified_gamma0(mat, size):
+def simplified_gamma0(mat):
     _simplify(mat, mat.count)
-    return _gamma0(size, mat.items())
+    return _gamma0(mat.cols)
 
 
 def test_extract_is_stable_under_relabeling_and_reduction_order():
@@ -100,14 +100,14 @@ def test_extract_is_stable_under_relabeling_and_reduction_order():
         base, gr_u, _, _ = _product(s1, s2)
         size = len(gr_u)
         arrows = list(base.items())
-        reference = simplified_gamma0(base, size)
+        reference = simplified_gamma0(base)
         shuffled = list(range(size))
         rng.shuffle(shuffled)
         for label in (shuffled, list(reversed(range(size)))):
             relabeled = _MonoMatrix(size)
             for (tgt, src), (a, b) in arrows:
                 relabeled.add(label[tgt], label[src], a, b)
-            assert simplified_gamma0(relabeled, size) == reference
+            assert simplified_gamma0(relabeled) == reference
 
 
 def test_tensor_is_commutative_and_associative_on_gamma0():
@@ -119,7 +119,7 @@ def test_tensor_is_commutative_and_associative_on_gamma0():
         assert sum_gamma0(s0, s1)[0] == sum_gamma0(s1, s0)[0]
         triple = seq_to_complex(s0).tensor(seq_to_complex(s1)).tensor(seq_to_complex(s2))
         arrows = [(t, s, mono) for (t, s), mono in triple.diff.items()]
-        whole, _ = simplified_gamma0(_MonoMatrix.from_arrows(len(triple), arrows), len(triple))
+        whole, _ = simplified_gamma0(_MonoMatrix.from_arrows(len(triple), arrows))
         assert sum_gamma0(sum_gamma0(s0, s1)[0], s2)[0] == whole
         assert sum_gamma0(s0, sum_gamma0(s1, s2)[0])[0] == whole
 
