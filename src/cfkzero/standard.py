@@ -220,8 +220,14 @@ def _simplify(mat: _MonoMatrix, arrows: int) -> None:
     the shorter target y1 with y1 + U^{k2-k1} y2, deleting the longer arrow;
     incoming conflicts and vertical arrows mirror this.  _search takes the
     most entry-reducing merge at each conflicted generator, and once none
-    reduces, neutral and entry-adding ones, fewest new entries first, that
-    reach a state not yet visited.  The result does not depend on the path
+    reduces, neutral and entry-adding ones that reach a state not yet
+    visited: fewest new entries first, and among equal ones those of the
+    generator scored last, where the last merge made or moved a conflict.
+    So the search goes on sliding the arrow it just moved, as arrow sliding
+    does (Hanselman-Rasmussen-Watson, arXiv:1604.03466), instead of jumping
+    to the lowest-numbered conflict: taken by number, the path would follow
+    the operand order of the product, and in one order some valid sums
+    would spend the whole cap.  The result does not depend on the path
     taken: gamma_0 and the loop count are invariants of the complex.
 
     Merges are capped at 16 per arrow of the plain product, `arrows`, and
@@ -244,10 +250,13 @@ def _search(work: _MonoMatrix, budget: int) -> None:
     """Merge until `work` has no conflict; SimplifyError once `budget`
     merges have been tried.
 
-    `scored` maps every conflicted generator that is not queued to a stamp
-    and a count n: its scored candidate merges wait in the heap `pool` as n
-    entries (score, generator, index, stamp, move), so the fallback tries
-    them fewest new entries first, then by generator, then in list order.
+    `scored` maps every conflicted generator that is not queued to a stamp,
+    counting up as generators are scored, and a count n: its scored
+    candidate merges wait in the heap `pool` as n entries (score, -stamp,
+    index, generator, move).  So the fallback tries them fewest new entries
+    first, then the latest scored generator's first, then in list order;
+    the latest scored generators are the ones the last merges changed, so
+    the fallback stays where the search last merged (see _simplify).
     A merge changes only the arrows at the two merged generators, at the
     targets of the absorbed one and at the sources of the kept one, and a
     candidate's score reads only the arrows at its own two generators, so
@@ -314,9 +323,9 @@ def _search(work: _MonoMatrix, budget: int) -> None:
                 scored[gen] = (stamp, len(moves))
                 live += len(moves)
                 for index, (score, move) in enumerate(moves):
-                    heapq.heappush(pool, (score, gen, index, stamp, move))
+                    heapq.heappush(pool, (score, -stamp, index, gen, move))
                 if len(pool) > 2 * live:  # stale entries outnumber live ones
-                    pool[:] = [e for e in pool if scored.get(e[1], _UNSCORED)[0] == e[3]]
+                    pool[:] = [e for e in pool if scored.get(e[3], _UNSCORED)[0] == -e[1]]
                     heapq.heapify(pool)
             continue
         # no reducing merge is left: every conflicted generator is scored
@@ -324,7 +333,7 @@ def _search(work: _MonoMatrix, budget: int) -> None:
         tried: set[Move] = set()
         while pool:
             entry = heapq.heappop(pool)
-            if scored.get(entry[1], _UNSCORED)[0] != entry[3]:
+            if scored.get(entry[3], _UNSCORED)[0] != -entry[1]:
                 continue
             popped.append(entry)
             if entry[4] not in tried:
@@ -337,7 +346,7 @@ def _search(work: _MonoMatrix, budget: int) -> None:
             seen.clear()  # dead end: forget the visited states
             seen.add(work.zhash)
         for entry in popped:
-            if scored.get(entry[1], _UNSCORED)[0] == entry[3]:
+            if scored.get(entry[3], _UNSCORED)[0] == -entry[1]:
                 heapq.heappush(pool, entry)
 
 
@@ -455,8 +464,10 @@ def _components(cols: Cols) -> tuple[list[int], list[Path], int]:
     of that arrow or -1, and the entry of the step along each, negative out
     of the generator and positive into it.  A generator meeting two arrows
     of one type raises SimplifyError.  Each component is walked from its
-    first generator, a closed one counted once as a loop; an open one is
-    walked again, whole, from the end the first walk stopped at.
+    first generator, horizontal first, a closed one counted once as a loop.
+    An open one is walked once: from its first generator to one end, then
+    from that generator the other way to the other end, and the two walks
+    are joined into one path from the end the first walk stopped at.
     """
     size = len(cols)
     h_other, v_other = [-1] * size, [-1] * size
@@ -479,12 +490,16 @@ def _components(cols: Cols) -> tuple[list[int], list[Path], int]:
     for g in range(size):
         if seen[g]:
             continue
-        ids, entries, closed = _walk(g, h_other, v_other, h_step, v_step)
+        horizontal = h_other[g] >= 0
+        ids, entries, closed = _walk(g, horizontal, h_other, v_other, h_step, v_step)
         if closed:
             loops += 1
         else:
-            # that walk ended at one end of the path; walk it whole from there
-            ids, entries, _ = _walk(ids[-1], h_other, v_other, h_step, v_step)
+            # that walk ended at one end of the path; the rest lies the other way
+            rest, rest_entries, _ = _walk(g, not horizontal, h_other, v_other, h_step, v_step)
+            ids.reverse()
+            ids += rest[1:]
+            entries = [-e for e in reversed(entries)] + rest_entries
             paths.append((ids, entries))
         for i in ids:
             seen[i] = 1
@@ -495,19 +510,19 @@ def _overloaded(gen: int, kind: str) -> SimplifyError:
     return SimplifyError(f"generator {gen} meets two {kind} arrows; not simplified")
 
 
-def _walk(start: int, h_other: list[int], v_other: list[int],
+def _walk(start: int, horizontal: bool, h_other: list[int], v_other: list[int],
           h_step: list[int], v_step: list[int]) -> tuple[list[int], list[int], bool]:
     """Follow arrows from `start` on the partner and step lists of
-    _components, horizontal first and then alternating, to an endpoint or
-    around a cycle.
+    _components, along an arrow of the type `horizontal` names first and
+    then alternating, to an endpoint or around a cycle.
 
     Returns the ids visited, the sequence entry of each step (positive
-    against an arrow, negative with it) and whether the walk closed up.
+    against an arrow, negative with it; a step walked back has the negated
+    entry) and whether the walk closed up.
     """
     ids = [start]
     entries: list[int] = []
     here = start
-    horizontal = h_other[start] >= 0
     while True:
         if horizontal:
             there, step = h_other[here], h_step[here]

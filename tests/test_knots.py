@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfkzero.knots as knots
+import cfkzero.standard as standard
 from cfkzero.algebra import alexander_torus
 from cfkzero.cli import main
 from cfkzero.knots import (
@@ -38,6 +39,7 @@ from cfkzero.knots import (
     torus_staircase,
 )
 from cfkzero.standard import (
+    SimplifyError,
     mirror_seq,
     tau,
     top_alexander,
@@ -435,11 +437,19 @@ def test_gamma0_of_cancels_a_summand_only_against_its_mirror():
     assert gamma0_of(twice) == plain(twice) == (1, -2, 1, -2, 2, -1, 2, -1)
 
 
-def count_searches(monkeypatch):
-    """Make every call of knots._sum_gamma0 append to the returned list."""
+def count_searches(monkeypatch, fail_at=None):
+    """Make every call of knots._sum_gamma0 append to the returned list; the
+    call numbered `fail_at` (from 1) raises SimplifyError instead."""
     built = []
     real = knots._sum_gamma0
-    monkeypatch.setattr(knots, "_sum_gamma0", lambda s1, s2: built.append(1) or real(s1, s2))
+
+    def counted(s1, s2):
+        built.append(1)
+        if len(built) == fail_at:
+            raise SimplifyError("no simplified basis within the merge cap")
+        return real(s1, s2)
+
+    monkeypatch.setattr(knots, "_sum_gamma0", counted)
     return built
 
 
@@ -462,28 +472,73 @@ def test_gamma0_of_builds_a_product_only_where_no_closed_form_applies(monkeypatc
     assert got == plain(expr)
 
 
-@pytest.mark.parametrize("text,searches", [
-    ("T(3,4) # -T(5,48)", 1),
-    ("T(3,4) # T(5,52)", 1),
-    ("C2(3;T(3,4)) # -T(5,6) # -T(5,6)", 2),  # the second product fails
+@pytest.mark.parametrize("text", [
+    "T(3,4) # -T(5,48)",
+    "T(3,4) # T(5,52)",
+    "C2(3;T(3,4)) # -T(5,6) # -T(5,6)",
 ])
-def test_a_failed_search_of_the_written_products_runs_once(monkeypatch, capsys, text, searches):
+def test_a_failed_search_of_the_written_products_runs_once(monkeypatch, capsys, text):
     # the plan builds exactly the written grouping's products, so its
     # failure is final and the written grouping is not searched again
+    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 0)
+    monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
     built = count_searches(monkeypatch)
     assert main(["gamma0", text]) == 2
     assert capsys.readouterr().err == "error: no simplified basis within the merge cap\n"
-    assert len(built) == searches
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("text,other", [
+    ("T(3,4) # -T(5,48)", "-T(5,48) # T(3,4)"),
+    ("T(3,4) # T(5,52)", "T(5,52) # T(3,4)"),
+    ("C2(3;T(3,4)) # -T(5,6) # -T(5,6)", "-T(5,6) # (C2(3;T(3,4)) # -T(5,6))"),
+])
+def test_a_sum_that_once_failed_agrees_with_its_swapped_form(capsys, text, other):
+    # the basis search once spent its merge cap on the first form of each
+    def report(expr):
+        assert main(["invariants", expr]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line for line in lines if line.startswith(("gamma0:", "loopCount:"))]
+
+    got = report(text)
+    assert len(got) == 2
+    assert got == report(other)
 
 
 def test_a_failed_search_of_a_regrouped_plan_falls_back_to_the_written_grouping(monkeypatch):
     # the plan tensors the summands left to right, and its second product
-    # fails; the written grouping builds other products and finishes
-    built = count_searches(monkeypatch)
+    # is made to fail; the written grouping builds other products and
+    # finishes
+    built = count_searches(monkeypatch, fail_at=2)
     expr = parse_expr("-T(5,6) # (C2(3;T(3,4)) # -T(5,6))")
     got = gamma0_of(expr)
     assert len(built) == 4  # plan: ok, fail; written grouping: ok, ok
     assert got == plain(expr)
+
+
+# torus knots T(p,q), 2 <= p <= 7 and p < q <= 120, by their staircase's generator count
+_TORUS_GENS = {(p, q): torus_generators(p, q)
+               for p in range(2, 8) for q in range(p + 1, 121) if math.gcd(p, q) == 1}
+_PRODUCT_GENS = 2_000  # keeps each search small
+
+
+@st.composite
+def _torus_pairs(draw):
+    """Two signed torus staircases whose product has at most _PRODUCT_GENS
+    generators; the smallest staircase, T(2,3)'s, has 3."""
+    first = draw(st.sampled_from([k for k, n in _TORUS_GENS.items() if 3 * n <= _PRODUCT_GENS]))
+    room = _PRODUCT_GENS // _TORUS_GENS[first]
+    second = draw(st.sampled_from([k for k, n in _TORUS_GENS.items() if n <= room]))
+    signs = draw(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])))
+    return tuple(torus_staircase(*k) if sign > 0 else mirror_seq(torus_staircase(*k))
+                 for k, sign in zip((first, second), signs))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_torus_pairs())
+def test_the_sum_of_two_torus_knots_does_not_depend_on_the_operand_order(pair):
+    a, b = pair
+    assert sum_gamma0(a, b) == sum_gamma0(b, a)
 
 
 _PLAN_LEAVES = st.one_of(

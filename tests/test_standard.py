@@ -326,8 +326,9 @@ def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
 
 def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
     # C2(3;T(2,3)) # -C2(1;T(2,3)): the search accepts 7 entry-reducing
-    # merges, then the first candidate of its first fallback step, and tries
-    # 37 merges in all
+    # merges, then the first candidate of its first fallback step.  Its
+    # fourth fallback step rejects its first candidate (try 12) and accepts
+    # the next; it tries 21 merges in 8 fallback steps in all
     s1, s2 = (1, -2, 2, -1), (-1, 2, 1, -1, -2, 1)
     made = []
     change = standard._basis_change
@@ -338,16 +339,19 @@ def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
 
     monkeypatch.setattr(standard, "_basis_change", counted)
     monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
-    for cap in (7, 8):  # the cap runs out just before, then just after, that candidate
+    # the cap runs out just before, then just after, the first fallback
+    # candidate, and then right after the rejected try inside a fallback
+    # step: a rejected try makes two basis changes, the second undoing it
+    for cap, changes in ((7, 7), (8, 8), (12, 13)):
         made.clear()
         monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", cap)
         with pytest.raises(SimplifyError, match="merge cap"):
             sum_gamma0(s1, s2)
-        assert len(made) == cap  # each try so far was accepted: one basis change
-    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 36)
+        assert len(made) == changes
+    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 20)
     with pytest.raises(SimplifyError, match="merge cap"):
         sum_gamma0(s1, s2)
-    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 37)
+    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 21)
     assert sum_gamma0(s1, s2) == ((1, -1), 8)
 
 
