@@ -133,6 +133,8 @@ def build_xyz_basis(host: Seq, q: int) -> tuple[list[Combination], list[Square]]
     staircase, which implements the stated index substitutions at j = k' = k.
     """
     s = _t2_host(host, q)
+    if len(s) % 4:
+        raise ShapeError(f"{list(s)} has a length of 2 mod 4")
     if not staircase_shaped(s):
         raise ShapeError(f"{list(s)} is not a staircase")
     n = len(s) // 4

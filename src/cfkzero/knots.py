@@ -312,37 +312,29 @@ def _cable2(s: Seq, genus: int, q: int) -> Seq:
     return validate_seq(half + middle + list(map(operator.neg, reversed(half))))
 
 
-def _central_run_pairs(seq: Seq) -> tuple[int, int]:
-    """Length in (H, V) pairs and orientation of the alternating +-1 run
-    centered on the midpoint (0 if there is none)."""
-    m = len(seq) // 2
-    j = 0
-    while 2 * (j + 1) <= m:
-        lo = m - 2 * (j + 1)
-        window = seq[lo : m]
-        if abs(window[0]) != 1 or abs(window[1]) != 1:
-            break
-        if window[0] != -window[1]:
-            break
-        if j > 0 and window[1] != -seq[lo + 2]:
-            break
-        j += 1
-    if j == 0:
-        return 0, 0
-    return j, seq[m - 2 * j]
+def _central_run(s: Seq) -> tuple[int, int, int]:
+    """The central unit run of a validated sequence as (lo, L, o): s[lo:m],
+    m = len(s) // 2, is the longest suffix of the first half that starts on
+    a horizontal step (lo even) and reads (o, -o, o, ...) with |o| = 1, and
+    with its mirror image s[m:len(s) - lo] it holds L = m - lo unit pairs of
+    orientation o.  With no run, lo = m and L = o = 0.  For a length of 2
+    mod 4 the run holds the middle (H, V) pair, so L is odd."""
+    m = lo = len(s) // 2
+    while lo and abs(s[lo - 1]) == 1 and s[lo - 1] == -s[lo]:
+        lo -= 1
+    lo = min(lo + lo % 2, m)
+    return lo, m - lo, s[lo] if lo < m else 0
 
 
 def _t2_host(seq: Seq, q: int) -> Seq:
-    """A host sequence for a sum with T(2, +-q), validated: it has the
-    palindromic (a_1, b_1, ..., -b_1, -a_1) shape with every |a_i| = 1, and
-    q is odd and > 2."""
+    """A host sequence for a sum with T(2, +-q), validated: it is nonempty,
+    every horizontal step of its first half has magnitude 1, and q is odd
+    and > 2."""
     s = validate_seq(seq)
     if q <= 2 or q % 2 == 0:
         raise ShapeError(f"torus summand needs odd q > 2, got {q}")
-    if not s or len(s) % 4 != 0:
-        raise ShapeError(
-            f"{list(s)} is not of the palindromic (a_1, b_1, ..., -b_1, -a_1) shape"
-        )
+    if not s:
+        raise ShapeError("a host for a sum with T(2, q) needs a nonempty sequence")
     if any(abs(a) != 1 for a in s[: len(s) // 2 : 2]):
         raise ShapeError(f"{list(s)} has a horizontal step of magnitude > 1")
     return s
@@ -351,37 +343,39 @@ def _t2_host(seq: Seq, q: int) -> Seq:
 def _in_t2_domain(s: Seq) -> bool:
     """Whether a validated sequence lies in the host domain of sum_with_T2.
 
-    With j, o = _central_run_pairs(s), let outer be the first half of s
-    without its last 2j entries, and epsilon the sign of outer[0] (o when
-    outer is empty).  The host needs a length divisible by four, every
-    horizontal step of outer equal to epsilon and every vertical step of
-    outer of sign -epsilon; it is refused when a central run of the other
-    orientation (o != epsilon) meets a unit vertical step at the end of
-    outer.  Every (2, q)-cable of a staircase, and every staircase with
-    unit horizontal steps, of a length divisible by four lies in it.
+    With lo, L, o = _central_run(s), let outer be s[:lo], the first half
+    without the run, and epsilon the sign of outer[0] (o when outer is
+    empty).  The host needs to be nonempty, every horizontal step of outer
+    equal to epsilon and every vertical step of outer of sign -epsilon; it
+    is refused when a central run of the other orientation (o != epsilon)
+    meets a unit vertical step at the end of outer.  A host of length 2 mod
+    4 with no run is refused too: its middle horizontal step, the last entry
+    of outer, is not a unit.  Every (2, q)-cable of a staircase, and every
+    staircase with unit horizontal steps, lies in it.
     """
-    if not s or len(s) % 4:
+    if not s:
         return False
-    j, orientation = _central_run_pairs(s)
-    outer = s[: len(s) // 2 - 2 * j]
+    lo, pairs, orientation = _central_run(s)
+    outer = s[:lo]
     eps = (1 if outer[0] > 0 else -1) if outer else orientation
     if any(h != eps for h in outer[0::2]) or any(v * eps > 0 for v in outer[1::2]):
         return False
-    return not (j and orientation != eps and abs(outer[-1]) == 1)
+    return not (pairs and orientation != eps and abs(outer[-1]) == 1)
 
 
 def sum_with_T2(seq: Seq, q: int, sign: int) -> Seq:
     """Sequence of K # T_{2, +-q} for K in the host domain of _in_t2_domain.
 
-    A run of (q-1)/2 alternating unit pairs is inserted at the midpoint,
-    oriented 1, -1, ... for the positive torus knot and -1, 1, ... for its
-    mirror.  A centered unit run of the opposite orientation in the host
-    annihilates inserted pairs one for one, which is what makes the two
-    middle runs of a cable and a torus-knot summand collapse.  Outside the
-    domain (the palindromic shape with unit horizontal steps alone is not
-    enough: (1, 1, -1, -1) with -T(2, 3) gives a ten-entry sequence) it
-    raises ShapeError; inside it the closed form agrees with the sum
-    pipeline on every host tested.
+    The host's central unit run of L pairs of orientation o (see
+    _central_run) and the (q-1)/2 unit pairs of the summand, oriented
+    1, -1, ... for the positive torus knot and -1, 1, ... for its mirror,
+    add as signed pair counts: pairs of opposite orientations annihilate one
+    for one, which is what makes the two middle runs of a cable and a
+    torus-knot summand collapse.  Hosts of either length mod 4 are taken.
+    Outside the domain (unit horizontal steps alone are not enough:
+    (1, 1, -1, -1) with -T(2, 3) gives a ten-entry sequence) it raises
+    ShapeError; inside it the closed form agrees with the sum pipeline on
+    every host tested.
     """
     s = _t2_host(seq, q)
     if sign not in (1, -1):
@@ -393,18 +387,13 @@ def sum_with_T2(seq: Seq, q: int, sign: int) -> Seq:
 
 def _fold_t2(s: Seq, k: int, sign: int) -> Seq:
     """sum_with_T2 for a host ``s`` in the domain and the summand
-    sign * (1, -1)^k, neither checked again; the result is validated."""
-    j, orientation = _central_run_pairs(s)
-    m = len(s) // 2
-    if j == 0 or orientation == sign:
-        middle = [sign, -sign] * k
-        return validate_seq(s[:m] + tuple(middle) + s[m:])
-    # opposite orientations annihilate pairwise
-    if k >= 2 * j:
-        middle = [sign, -sign] * (k - 2 * j)
-    else:
-        middle = [orientation, -orientation] * (2 * j - k)
-    return validate_seq(s[: m - 2 * j] + tuple(middle) + s[m + 2 * j :])
+    sign * (1, -1)^k, neither checked again; the result is validated.  With
+    lo, L, o = _central_run(s) and c = L o + k sign, the run becomes
+    |c| unit pairs of the sign t of c: s[:lo] + (t, -t)^|c| + s[len - lo:]."""
+    lo, pairs, orientation = _central_run(s)
+    c = pairs * orientation + k * sign
+    t = 1 if c > 0 else -1
+    return validate_seq(s[:lo] + (t, -t) * abs(c) + s[len(s) - lo :])
 
 
 def cable_genus(genus: int, p: int, q: int) -> int:
@@ -557,17 +546,19 @@ def gamma0_of(expr: KnotExpr) -> Seq:
     summands of the T(2, q) class, +-(1, -1)^k, are set aside; the rest are
     tensored in written order, and each T(2, q) summand then joins the
     result by the closed form of sum_with_T2 when the result lies in its
-    host domain, and by the sum pipeline otherwise.  Every product built
-    meets the MAX_GENERATORS limit.  If anything raises EvalError, or the
-    basis search of a planned product fails (SimplifyError: the search can
-    fail on a product that another grouping avoids), the expression is
-    evaluated by eval_expr as written, so the plan refuses nothing that the
-    written grouping evaluates, and a refusal reads as eval_expr's.  The
-    one exception: when the plan built exactly the written grouping's
-    products (nothing dropped, cancelled or folded, the summands tensored in
-    written order, and ``expr`` the left-grouped chain the parser makes with
-    mirrors only on its summands), eval_expr would run the same failing
-    search again, so the SimplifyError is raised as it is.
+    host domain, of either length mod 4 (so T(2, q) summands join each
+    other, and the cables whose length is 2 mod 4), and by the sum pipeline
+    otherwise.  Every product built meets the MAX_GENERATORS limit.  If
+    anything raises EvalError, or the basis search of a planned product
+    fails (SimplifyError: the search can fail on a product that another
+    grouping avoids), the expression is evaluated by eval_expr as written,
+    so the plan refuses nothing that the written grouping evaluates, and a
+    refusal reads as eval_expr's.  The one exception: when the plan built
+    exactly the written grouping's products (nothing dropped, cancelled or
+    folded, the summands tensored in written order, and ``expr`` the
+    left-grouped chain the parser makes with mirrors only on its summands),
+    eval_expr would run the same failing search again, so the SimplifyError
+    is raised as it is.
 
     eval_expr keeps the written grouping because its loop count, which
     `invariants` reports, depends on it.

@@ -249,8 +249,9 @@ def test_a_sum_with_hundreds_of_fallback_steps(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gamma0", "T(2,3) # T(2,3)"],
-    ["equiv", "T(2,3) # T(2,3)", "T(2,5)"],
+    # no T(2,q) summand, so the sum is a product whatever the plan
+    ["gamma0", "T(3,4) # T(3,5)"],
+    ["equiv", "T(3,4) # T(3,5)", "T(2,5)"],
 ])
 def test_a_failed_search_exits_2_with_one_line(monkeypatch, capsys, argv):
     monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 0)

@@ -278,10 +278,11 @@ def test_sum_with_t2_agrees_with_the_pipeline():
 
 
 def test_sum_with_t2_shape_errors():
-    with pytest.raises(ShapeError):
-        sum_with_T2((1, -1), 3, 1)  # too short for the pairing shape
-    with pytest.raises(ShapeError):
-        sum_with_T2((1, -2, -1, 1, 2, -1), 3, 1)  # length 2 mod 4
+    # hosts of length 2 mod 4 are taken: their central run holds the middle pair
+    assert sum_with_T2((1, -1), 3, 1) == pipeline((1, -1), (1, -1))
+    assert sum_with_T2((1, -2, -1, 1, 2, -1), 3, 1) == pipeline((1, -2, -1, 1, 2, -1), (1, -1))
+    with pytest.raises(ShapeError, match="nonempty"):
+        sum_with_T2((), 3, 1)
     with pytest.raises(ShapeError):
         sum_with_T2((2, -1, 1, -2), 3, 1)  # horizontal step of power 2
     with pytest.raises(ShapeError):
@@ -296,12 +297,19 @@ def test_sum_with_t2_refuses_a_host_outside_the_domain():
     assert pipeline((1, 1, -1, -1), (-1, 1)) == (1, 1, -1, -1, -1, 1, 1, 1, -1, -1)
     with pytest.raises(ShapeError, match="host domain"):
         sum_with_T2((1, 1, -1, -1), 3, -1)
+    # a central run of the other orientation after a unit vertical step: the
+    # closed form would give (1, -1, 1, -1), the pipeline gives sixteen entries
+    assert len(pipeline((1, -1, -1, 1, 1, -1), (1, -1))) == 16
+    with pytest.raises(ShapeError, match="host domain"):
+        sum_with_T2((1, -1, -1, 1, 1, -1), 3, 1)
 
 
-def random_t2_host(rng):
+def random_t2_host(rng, odd=False):
     """A palindromic host with unit horizontal steps, mostly of one sign
     epsilon with verticals of sign -epsilon, ending in a central unit run of
-    either orientation: near both sides of the boundary of the domain."""
+    either orientation: near both sides of the boundary of the domain.  With
+    ``odd`` the first half has odd length, so the host's length is 2 mod 4:
+    it ends on a middle horizontal step that mostly extends the run."""
     eps = rng.choice((1, -1))
     half = []
     for _ in range(rng.randint(0, 4)):
@@ -310,14 +318,19 @@ def random_t2_host(rng):
         half += [h, v]
     run = rng.choice((1, -1))
     half += [run, -run] * rng.randint(0, 3)
+    if odd:
+        half.append(run * (1 if rng.random() < 0.8 else 2))
     return validate_seq(half + [-e for e in reversed(half)])
 
 
-def test_sum_with_t2_agrees_with_the_pipeline_on_every_accepted_host():
-    rng = random.Random(2201)
+def accepted_and_refused(rng, odd):
+    """Fold 600 random hosts (of length 2 mod 4 with ``odd``) with a random
+    T(2, q), require every accepted fold to equal the pipeline, and return
+    the counts of accepted and refused hosts."""
     accepted = refused = 0
     for _ in range(600):
-        host = random_t2_host(rng)
+        host = random_t2_host(rng, odd)
+        assert len(host) % 4 == 2 * odd
         q, sign = rng.choice((3, 5, 7, 9)), rng.choice((1, -1))
         try:
             closed = sum_with_T2(host, q, sign)
@@ -326,6 +339,16 @@ def test_sum_with_t2_agrees_with_the_pipeline_on_every_accepted_host():
             continue
         accepted += 1
         assert closed == pipeline(host, (sign, -sign) * ((q - 1) // 2)), (host, q, sign)
+    return accepted, refused
+
+
+def test_sum_with_t2_agrees_with_the_pipeline_on_every_accepted_host():
+    accepted, refused = accepted_and_refused(random.Random(2201), odd=False)
+    assert accepted > 200 and refused > 100
+
+
+def test_sum_with_t2_agrees_with_the_pipeline_on_every_accepted_host_of_length_2_mod_4():
+    accepted, refused = accepted_and_refused(random.Random(2602), odd=True)
     assert accepted > 200 and refused > 100
 
 
@@ -458,11 +481,16 @@ def count_searches(monkeypatch, fail_at=None):
     ("C2(5;T(2,3)) # T(2,9)", 0),  # folded into a cable host
     ("T(2,5) # C2(5;T(2,3))", 0),  # the T(2,q) summand waits for its host
     ("T(2,5) # T(2,3)", 0),  # (1,-1,1,-1) is a host
-    ("T(2,3) # T(2,3)", 1),  # a length-2 host is refused
+    ("T(2,3) # T(2,3)", 0),  # so is (1,-1), of length 2 mod 4
+    ("C2(11;T(2,3)) # T(2,5)", 0),  # a cable host of length 2 mod 4
+    # (1,-3,2,-2,3,-1) has a middle horizontal step of 2 and no central run:
+    # outside the domain, so T(2,3) joins it through the pipeline
+    ("T(4,5) # T(2,3)", 1),
     # (1,-3,-1,2,-2,1,3,-1) has horizontal steps of both signs: outside the
     # domain, so T(2,5) joins it through the pipeline
     ("C2(5;T(2,3)) # -T(3,4) # T(2,5)", 2),
-    ("C2(7;T(2,3)) # -C2(5;T(2,3)) # T(2,5) # -T(2,7)", 3),
+    # the cable difference is the one product; both T(2,q) summands fold
+    ("C2(7;T(2,3)) # -C2(5;T(2,3)) # T(2,5) # -T(2,7)", 1),
 ])
 def test_gamma0_of_builds_a_product_only_where_no_closed_form_applies(monkeypatch, text, products):
     built = count_searches(monkeypatch)
