@@ -12,7 +12,6 @@ from .knots import (
     cable2,
     cable_genus,
     eval_expr,
-    gamma0_of,
     genus_of,
     locally_equivalent,
     p_knot,
@@ -50,7 +49,6 @@ __all__ = [
     "cable2",
     "cable_genus",
     "eval_expr",
-    "gamma0_of",
     "genus_of",
     "locally_equivalent",
     "p_knot",

@@ -9,28 +9,25 @@ torus knots, mirrors, connected sums, and (2, q)-cables:
 
 Evaluation produces the gamma_0 parameter sequence of the knot.  Torus
 knots read their staircases off the semigroup <p, |q|>, mirrors negate the
-sequence, connected sums tensor the standard-complex
-representatives of the two summands (sound because local equivalence is
-preserved by tensoring), and (2, q)-cables of staircases carry the
-closed-form sequence transform, verified elsewhere against the sum pipeline.
-That pipeline goes from two sequences to one on integer generator ids: the
-product is built as a matrix straight from the sequences, simplified,
-checked for gradings and d^2 = 0, and read back as a sequence, with no
-ChainComplex in between.  Each generator of a factor meets at most one
-arrow of each type, so in each direction the product is a disjoint sum of
-squares, and a square of unequal powers is built already resolved into two
-arrows of the smaller power: the change of basis that does so adds only
-terms with both U and V, which die over UV = 0.  The basis search then
-starts with only the squares of equal powers to resolve.  No torus knot,
-cable or sum whose complex would exceed MAX_GENERATORS generators is built.
-
-gamma0_of, behind `gamma0`, `equiv` and `svg`, evaluates a sum from its
-signed summands instead: gamma_0 factors through the local-equivalence
-group, so a summand cancels against a copy of its mirror without a product,
-and a T(2, q) summand joins a host in the validated domain of sum_with_T2 by
-that closed form; only what remains goes through the pipeline.  eval_expr,
-behind `invariants`, keeps the written grouping, because the loop count it
-reports is not a group invariant and depends on that grouping.
+sequence, and (2, q)-cables of staircases, or of mirrored staircases by
+C2(q; -K) = -C2(-q; K), carry the closed-form sequence transform, verified
+elsewhere against the sum pipeline.  A connected sum, under any mirrors, is
+evaluated from its signed summands: gamma_0 factors through the
+local-equivalence group, so a summand cancels against a copy of its mirror
+without a product, the T(2, q) summands add into one signed pair count that
+joins a host in the validated domain of sum_with_T2 by that closed form,
+and only what remains is tensored through the sum pipeline (sound because
+local equivalence is preserved by tensoring).  That pipeline goes from two
+sequences to one on integer generator ids: the product is built as a
+matrix straight from the sequences, simplified, checked for gradings and
+d^2 = 0, and read back as a sequence, with no ChainComplex in between.
+Each generator of a factor meets at most one arrow of each type, so in
+each direction the product is a disjoint sum of squares, and a square of
+unequal powers is built already resolved into two arrows of the smaller
+power: the change of basis that does so adds only terms with both U and V,
+which die over UV = 0.  The basis search then starts with only the squares
+of equal powers to resolve.  No torus knot, cable or product whose complex
+would exceed MAX_GENERATORS generators is built.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from dataclasses import dataclass
 from .algebra import QUOTE_WIDTH, _check_torus, _clip
 from .standard import (
     Seq,
-    SimplifyError,
     _gamma0,
     _negate,
     _product,
@@ -430,20 +426,22 @@ class EvalResult:
 
 
 def eval_expr(expr: KnotExpr) -> EvalResult:
-    """Evaluate an expression to its gamma_0 sequence.
+    """Evaluate an expression to its gamma_0 sequence and loop count.
 
     Torus knots become semigroup staircases (negated for q < 0), mirrors
-    negate, sums run the tensor pipeline on standard representatives, and
-    cables use the closed form, which requires a staircase operand.  Every
+    negate, and cables use the closed form, which requires a staircase
+    operand or the mirror of one: C2(q; -K) = -C2(-q; K).  A sum, under any
+    mirrors, is evaluated from its signed summands (see _eval_sum).  Every
     sequence is validated exactly once, where it is made: by
-    torus_staircase, by the cable closed form and by the sum pipeline's
-    extraction.  Negation keeps every check, so a mirror is not validated
-    again, and the cable and sum branches take their operands as they come,
-    reading a cable operand's shape and genus without validating it again.
-    The loop count totals the closed components discarded at every sum.  A
-    torus knot, a cable or a sum whose complex would have more than
-    MAX_GENERATORS generators raises EvalError before anything of that size
-    is built.
+    torus_staircase, by the cable closed form, by the T(2, q) closed form
+    and by the sum pipeline's extraction.  Negation keeps every check, so a
+    mirror is not validated again, and the cable branch takes its operand as
+    it comes, reading its shape and genus without validating it again.  The
+    loop count totals the closed components discarded by the products the
+    evaluation builds, so it depends on the signed summands and not on how
+    the sum is grouped.  A torus knot, a cable or a product whose complex
+    would have more than MAX_GENERATORS generators raises EvalError before
+    anything of that size is built.
     """
     if isinstance(expr, Unknot):
         return EvalResult((), 0)
@@ -453,27 +451,82 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
         if expr.q < 0:
             seq = _negate(seq)
         return EvalResult(seq, 0)
+    if isinstance(expr, Cable2):
+        inner = eval_expr(expr.inner)
+        seq, q = inner.sequence, expr.q
+        mirrored = not staircase_shaped(seq)
+        if mirrored:
+            seq, q = _negate(seq), -q  # C2(q; -K) = -C2(-q; K)
+            if not staircase_shaped(seq):
+                raise EvalError(
+                    f"closed form inapplicable: {_clip(str(expr.inner))} is not an L-space staircase"
+                )
+        genus = max(walk_values(seq))
+        # cable2 gives 2a entries per step pair (a, b), then |q - 4g| - 1
+        # middle entries, then the first part mirrored; plus one generator
+        _check_size(expr, 4 * sum(seq[0::2]) + abs(q - 4 * genus))
+        cabled = _cable2(seq, genus, q)
+        return EvalResult(_negate(cabled) if mirrored else cabled, inner.loop_count)
+    if isinstance(_unmirrored(expr), Sum):
+        return _eval_sum(expr)
     if isinstance(expr, Mirror):
         inner = eval_expr(expr.inner)
         return EvalResult(_negate(inner.sequence), inner.loop_count)
-    if isinstance(expr, Cable2):
-        inner = eval_expr(expr.inner)
-        if not staircase_shaped(inner.sequence):
-            raise EvalError(
-                f"closed form inapplicable: {_clip(str(expr.inner))} is not an L-space staircase"
-            )
-        genus = max(walk_values(inner.sequence))
-        # cable2 gives 2a entries per step pair (a, b), then |q - 4g| - 1
-        # middle entries, then the first part mirrored; plus one generator
-        _check_size(expr, 4 * sum(inner.sequence[0::2]) + abs(expr.q - 4 * genus))
-        return EvalResult(_cable2(inner.sequence, genus, expr.q), inner.loop_count)
-    if isinstance(expr, Sum):
-        left = eval_expr(expr.left)
-        right = eval_expr(expr.right)
-        _check_size(expr, (len(left.sequence) + 1) * (len(right.sequence) + 1))
-        seq, loops = _sum_gamma0(left.sequence, right.sequence)
-        return EvalResult(seq, left.loop_count + right.loop_count + loops)
     raise EvalError(f"unknown expression node {expr!r}")
+
+
+def _eval_sum(expr: KnotExpr) -> EvalResult:
+    """eval_expr on a sum under any mirrors, from its signed summands.
+
+    gamma_0 factors through the local-equivalence group, so it depends only
+    on the summands' sequences, and the plan is the same however the sum is
+    grouped and wherever its mirrors stand.  Unknots drop out.  The T(2, q)
+    summands, +-(1, -1)^k, add into one signed pair count c.  Every other
+    summand cancels against a remaining copy of its negation (K # -K is
+    locally trivial, and the pipeline sees only the standard complexes, so
+    this is exact), and the rest are tensored in written order.  c joins the
+    running result by the closed form of sum_with_T2 as soon as that result
+    lies in its host domain; if it never does, c joins last as
+    (t, -t)^|c|, t the sign of c, by one product, or is the result when
+    nothing else is left.  Every product built meets the MAX_GENERATORS
+    limit, and its failure, EvalError or SimplifyError, is final.
+    """
+    summands = _signed_summands(expr, 1)
+    loops = sum(summand.loop_count for summand in summands)
+    pairs = 0
+    kept: list[Seq] = []
+    for seq in (summand.sequence for summand in summands):
+        if not seq:
+            continue
+        if _t2_class(seq):
+            pairs += len(seq) // 2 * seq[0]
+            continue
+        negation = _negate(seq)
+        if negation in kept:
+            kept.remove(negation)
+        else:
+            kept.append(seq)
+    result: Seq = ()
+    for seq in kept:
+        result, shed = _join(expr, result, seq)
+        loops += shed
+        if pairs and _in_t2_domain(result):
+            result, pairs = _fold_t2(result, abs(pairs), 1 if pairs > 0 else -1), 0
+    if pairs:
+        t = 1 if pairs > 0 else -1
+        result, shed = _join(expr, result, (t, -t) * abs(pairs))
+        loops += shed
+    return EvalResult(result, loops)
+
+
+def _join(expr: KnotExpr, s1: Seq, s2: Seq) -> tuple[Seq, int]:
+    """The sum of two validated sequences and the loops it sheds, by the sum
+    pipeline unless one of them is empty; the product meets the
+    MAX_GENERATORS limit, which names ``expr``."""
+    if not s1 or not s2:
+        return s1 or s2, 0
+    _check_size(expr, (len(s1) + 1) * (len(s2) + 1))
+    return _sum_gamma0(s1, s2)
 
 
 def torus_generators(p: int, q: int) -> int:
@@ -531,71 +584,6 @@ def _sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     return _gamma0(product.cols)
 
 
-def gamma0_of(expr: KnotExpr) -> Seq:
-    """The gamma_0 sequence of an expression, a sum evaluated from its
-    signed summands.
-
-    gamma_0 factors through the local-equivalence group, so the gamma_0 of
-    a sum depends only on the sequences of its summands.  An expression with
-    no sum at the top (under any mirrors) is eval_expr's.  Otherwise the
-    summands are collected in written order through sums and mirrors, each
-    other node evaluated by eval_expr and negated under an odd number of
-    mirrors.  Empty sequences drop out, and each sequence cancels against a
-    remaining copy of its negation: K # -K is locally trivial, and the
-    pipeline sees only the standard complexes, so this is exact.  The
-    summands of the T(2, q) class, +-(1, -1)^k, are set aside; the rest are
-    tensored in written order, and each T(2, q) summand then joins the
-    result by the closed form of sum_with_T2 when the result lies in its
-    host domain, of either length mod 4 (so T(2, q) summands join each
-    other, and the cables whose length is 2 mod 4), and by the sum pipeline
-    otherwise.  Every product built meets the MAX_GENERATORS limit.  If
-    anything raises EvalError, or the basis search of a planned product
-    fails (SimplifyError: the search can fail on a product that another
-    grouping avoids), the expression is evaluated by eval_expr as written,
-    so the plan refuses nothing that the written grouping evaluates, and a
-    refusal reads as eval_expr's.  The one exception: when the plan built
-    exactly the written grouping's products (nothing dropped, cancelled or
-    folded, the summands tensored in written order, and ``expr`` the
-    left-grouped chain the parser makes with mirrors only on its summands),
-    eval_expr would run the same failing search again, so the SimplifyError
-    is raised as it is.
-
-    eval_expr keeps the written grouping because its loop count, which
-    `invariants` reports, depends on it.
-    """
-    if not isinstance(_unmirrored(expr), Sum):
-        return eval_expr(expr).sequence
-    as_written = False  # whether the plan builds the written grouping's products
-    try:
-        summands = _signed_summands(expr, 1)
-        kept: list[Seq] = []
-        for seq in summands:
-            if not seq:
-                continue
-            negation = _negate(seq)
-            if negation in kept:
-                kept.remove(negation)
-            else:
-                kept.append(seq)
-        # a stable sort: the T(2, q) summands last, both parts in written order
-        order = sorted(kept, key=_t2_class)
-        as_written = order == summands and _left_chain(expr)
-        result: Seq = ()
-        for seq in order:
-            if _t2_class(seq) and _in_t2_domain(result):
-                result = _fold_t2(result, len(seq) // 2, seq[0])
-                as_written = False
-            else:
-                result = _planned_sum(expr, result, seq)
-        return result
-    except SimplifyError:
-        if as_written:
-            raise  # the written grouping would run the same failing search
-        return eval_expr(expr).sequence
-    except EvalError:
-        return eval_expr(expr).sequence
-
-
 def _unmirrored(expr: KnotExpr) -> KnotExpr:
     """``expr`` without the mirrors on top of it."""
     while isinstance(expr, Mirror):
@@ -603,25 +591,15 @@ def _unmirrored(expr: KnotExpr) -> KnotExpr:
     return expr
 
 
-def _left_chain(expr: KnotExpr) -> bool:
-    """Whether ``expr`` is a left-grouped chain of sums, as the parser reads
-    A # B # C, with mirrors only on its summands."""
-    while isinstance(expr, Sum):
-        if isinstance(_unmirrored(expr.right), Sum):
-            return False
-        expr = expr.left
-    return not isinstance(_unmirrored(expr), Sum)
-
-
-def _signed_summands(expr: KnotExpr, sign: int) -> list[Seq]:
-    """The sequences of the summands of ``expr`` in written order, through
-    sums and mirrors, each negated under an odd number of mirrors."""
+def _signed_summands(expr: KnotExpr, sign: int) -> list[EvalResult]:
+    """The evaluated summands of ``expr`` in written order, through sums and
+    mirrors, each sequence negated under an odd number of mirrors."""
     if isinstance(expr, Sum):
         return _signed_summands(expr.left, sign) + _signed_summands(expr.right, sign)
     if isinstance(expr, Mirror):
         return _signed_summands(expr.inner, -sign)
-    seq = eval_expr(expr).sequence
-    return [seq if sign > 0 else _negate(seq)]
+    result = eval_expr(expr)
+    return [result if sign > 0 else EvalResult(_negate(result.sequence), result.loop_count)]
 
 
 def _t2_class(s: Seq) -> bool:
@@ -630,19 +608,10 @@ def _t2_class(s: Seq) -> bool:
     return abs(s[0]) == 1 and s == (s[0], -s[0]) * (len(s) // 2)
 
 
-def _planned_sum(expr: KnotExpr, s1: Seq, s2: Seq) -> Seq:
-    """gamma_0 of the sum of two validated sequences, by the sum pipeline
-    unless one of them is empty."""
-    if not s1 or not s2:
-        return s1 or s2
-    _check_size(expr, (len(s1) + 1) * (len(s2) + 1))
-    return _sum_gamma0(s1, s2)[0]
-
-
 def locally_equivalent(e1: KnotExpr, e2: KnotExpr) -> bool:
     """Two expressions are locally equivalent iff their gamma_0 sequences
     agree."""
-    return gamma0_of(e1) == gamma0_of(e2)
+    return eval_expr(e1).sequence == eval_expr(e2).sequence
 
 
 def p_knot(companion: KnotExpr, q1: int, q2: int) -> KnotExpr:

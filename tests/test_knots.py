@@ -1,6 +1,7 @@
 """Knot expressions: the parser, the cabling and connected-sum closed forms,
 evaluation, and local equivalence."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 import cfkzero.knots as knots
 import cfkzero.standard as standard
 from cfkzero.algebra import alexander_torus
-from cfkzero.cli import main
+from cfkzero.cli import _written_grouping, main
 from cfkzero.knots import (
     MAX_GENERATORS,
     Cable2,
     EvalError,
+    EvalResult,
     Mirror,
     ParseError,
     ShapeError,
@@ -26,7 +28,6 @@ from cfkzero.knots import (
     cable2,
     cable_genus,
     eval_expr,
-    gamma0_of,
     genus_of,
     locally_equivalent,
     p_knot,
@@ -39,7 +40,6 @@ from cfkzero.knots import (
     torus_staircase,
 )
 from cfkzero.standard import (
-    SimplifyError,
     mirror_seq,
     tau,
     top_alexander,
@@ -167,7 +167,7 @@ def test_torus_staircase_memory_follows_the_generator_count():
     assert torus_generators(p, p + 1) == 2 * p - 1 <= MAX_GENERATORS
     tracemalloc.start()
     try:
-        seq = gamma0_of(parse_expr(f"T({p},{p + 1})"))
+        seq = eval_expr(parse_expr(f"T({p},{p + 1})")).sequence
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,26 +402,28 @@ def test_cable_genus_is_half_the_entry_sum_of_the_cable_sequence():
 
 
 def test_eval_examples():
-    assert gamma0_of(Torus(2, 3)) == (1, -1)
-    assert gamma0_of(Sum(Torus(2, 3), Mirror(Torus(2, 3)))) == ()
-    assert gamma0_of(Cable2(-1, Torus(2, 3))) == (1, -2, -1, 1, -1, 1, 2, -1)
-    assert gamma0_of(Torus(2, -3)) == (-1, 1)
-    assert gamma0_of(Unknot()) == ()
+    assert eval_expr(Torus(2, 3)).sequence == (1, -1)
+    assert eval_expr(Sum(Torus(2, 3), Mirror(Torus(2, 3)))).sequence == ()
+    assert eval_expr(Cable2(-1, Torus(2, 3))).sequence == (1, -2, -1, 1, -1, 1, 2, -1)
+    assert eval_expr(Torus(2, -3)).sequence == (-1, 1)
+    assert eval_expr(Unknot()).sequence == ()
 
 
 def test_torus_generators_counts_the_built_staircase():
     pairs = [(p, q) for p in range(2, 14) for q in range(p + 1, 45) if math.gcd(p, q) == 1]
     assert len(pairs) == 272
     for p, q in pairs:
-        built = len(gamma0_of(Torus(p, q))) + 1
+        built = len(eval_expr(Torus(p, q)).sequence) + 1
         assert torus_generators(p, q) == torus_generators(p, -q) == built, (p, q)
     assert torus_generators(2000, 2001) == 3999
 
 
 def test_eval_reports_loops():
-    result = eval_expr(Sum(Torus(2, 3), Torus(2, 3)))
-    assert result.sequence == (1, -1, 1, -1)
-    assert result.loop_count == 1
+    # T(2,3) # T(2,3) folds by the closed form and sheds none; this builds
+    # one product
+    result = eval_expr(Sum(Torus(3, 4), Torus(3, 4)))
+    assert result.sequence == (1, -2, 1, -2, 2, -1, 2, -1)
+    assert result.loop_count == 4
 
 
 def test_eval_cable_requires_a_staircase():
@@ -431,9 +433,10 @@ def test_eval_cable_requires_a_staircase():
 
 def test_eval_iterated_cable():
     inner = Cable2(7, Torus(2, 3))  # q = 7 > 4g = 4 keeps an L-space staircase
-    assert gamma0_of(inner) == (1, -3, 1, -1, 3, -1)
+    seq = eval_expr(inner).sequence
+    assert seq == (1, -3, 1, -1, 3, -1)
     outer = eval_expr(Cable2(5, inner))
-    assert top_alexander(outer.sequence) == cable_genus(top_alexander(gamma0_of(inner)), 2, 5)
+    assert top_alexander(outer.sequence) == cable_genus(top_alexander(seq), 2, 5)
 
 
 def test_locally_equivalent_examples():
@@ -449,27 +452,24 @@ def test_locally_equivalent_examples():
 
 def plain(expr):
     """gamma_0 by the sum pipeline at every written '#'."""
-    return eval_expr(expr).sequence
+    return _written_grouping(expr)[0]
 
 
 def test_gamma0_of_cancels_a_summand_only_against_its_mirror():
     K = Cable2(5, Torus(3, 4))
-    assert gamma0_of(Sum(Sum(K, Torus(2, 3)), Mirror(K))) == (1, -1)
-    assert gamma0_of(Mirror(Sum(Mirror(K), Sum(Unknot(), K)))) == ()
+    assert eval_expr(Sum(Sum(K, Torus(2, 3)), Mirror(K))).sequence == (1, -1)
+    assert eval_expr(Mirror(Sum(Mirror(K), Sum(Unknot(), K)))).sequence == ()
     twice = Sum(Torus(3, 4), Torus(3, 4))
-    assert gamma0_of(twice) == plain(twice) == (1, -2, 1, -2, 2, -1, 2, -1)
+    assert eval_expr(twice).sequence == plain(twice) == (1, -2, 1, -2, 2, -1, 2, -1)
 
 
-def count_searches(monkeypatch, fail_at=None):
-    """Make every call of knots._sum_gamma0 append to the returned list; the
-    call numbered `fail_at` (from 1) raises SimplifyError instead."""
+def count_searches(monkeypatch):
+    """Make every call of knots._sum_gamma0 append to the returned list."""
     built = []
     real = knots._sum_gamma0
 
     def counted(s1, s2):
         built.append(1)
-        if len(built) == fail_at:
-            raise SimplifyError("no simplified basis within the merge cap")
         return real(s1, s2)
 
     monkeypatch.setattr(knots, "_sum_gamma0", counted)
@@ -486,16 +486,18 @@ def count_searches(monkeypatch, fail_at=None):
     # (1,-3,2,-2,3,-1) has a middle horizontal step of 2 and no central run:
     # outside the domain, so T(2,3) joins it through the pipeline
     ("T(4,5) # T(2,3)", 1),
-    # (1,-3,-1,2,-2,1,3,-1) has horizontal steps of both signs: outside the
-    # domain, so T(2,5) joins it through the pipeline
-    ("C2(5;T(2,3)) # -T(3,4) # T(2,5)", 2),
+    # T(2,5) folds into the cable host before -T(3,4) joins it: one product
+    ("C2(5;T(2,3)) # -T(3,4) # T(2,5)", 1),
+    # the pair count 2 + 5 joins the host (1,-3,2,-2,3,-1), outside the
+    # domain, as T(2,15) by one product
+    ("T(2,5) # T(2,11) # T(4,5)", 1),
     # the cable difference is the one product; both T(2,q) summands fold
     ("C2(7;T(2,3)) # -C2(5;T(2,3)) # T(2,5) # -T(2,7)", 1),
 ])
 def test_gamma0_of_builds_a_product_only_where_no_closed_form_applies(monkeypatch, text, products):
     built = count_searches(monkeypatch)
     expr = parse_expr(text)
-    got = gamma0_of(expr)
+    got = eval_expr(expr).sequence
     assert len(built) == products
     assert got == plain(expr)
 
@@ -506,10 +508,9 @@ def test_gamma0_of_builds_a_product_only_where_no_closed_form_applies(monkeypatc
     ("C2(3;T(3,4)) # -T(5,6) # -T(5,6)", 2),  # the second product fails
 ])
 def test_a_failed_search_of_the_written_products_runs_once(monkeypatch, capsys, text, searches):
-    # the plan builds exactly the written grouping's products, so its
-    # failure is final and the written grouping is not searched again; a
-    # budget of 100 merges whatever the size lets the first product of the
-    # three-summand sum through and stops its second
+    # a failure of a planned product is final, and nothing is searched
+    # again; a budget of 100 merges whatever the size lets the first product
+    # of the three-summand sum through and stops its second
     monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 100)
     monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
     built = count_searches(monkeypatch)
@@ -535,15 +536,50 @@ def test_a_sum_that_once_failed_agrees_with_its_swapped_form(capsys, text, other
     assert got == report(other)
 
 
-def test_a_failed_search_of_a_regrouped_plan_falls_back_to_the_written_grouping(monkeypatch):
-    # the plan tensors the summands left to right, and its second product
-    # is made to fail; the written grouping builds other products and
-    # finishes
-    built = count_searches(monkeypatch, fail_at=2)
-    expr = parse_expr("-T(5,6) # (C2(3;T(3,4)) # -T(5,6))")
-    got = gamma0_of(expr)
-    assert len(built) == 4  # plan: ok, fail; written grouping: ok, ok
-    assert got == plain(expr)
+@pytest.mark.parametrize("text", [
+    "C2(27;T(4,5)) # -C2(25;T(4,5)) # T(2,25) # -T(2,27)",
+    "(C2(27;T(4,5)) # -C2(25;T(4,5))) # (T(2,25) # -T(2,27))",
+    "C2(27;T(4,5)) # T(2,25) # -C2(25;T(4,5)) # -T(2,27)",
+])
+def test_the_loop_count_does_not_depend_on_the_grouping(capsys, text):
+    # with the pipeline run at every written '#', these shed 346, 322 and
+    # 634 loops
+    assert main(["invariants", text]) == 0
+    out = capsys.readouterr().out
+    assert "gamma0: []\n" in out and "loopCount: 140\n" in out
+
+
+def test_a_t2_pair_count_folds_before_the_product_that_would_exceed_the_limit(monkeypatch, capsys):
+    # the cable tensored with T(7,149) would need 102,711 generators; with
+    # T(2,199) folded into it first, the cable host has 6 entries, and the
+    # one product 3,577 generators
+    text = "C2(201;T(2,3)) # -T(2,199) # T(7,149)"
+    built = count_searches(monkeypatch)
+    assert main(["gamma0", text]) == 0
+    seq = capsys.readouterr().out
+    assert len(built) == 1
+    assert main(["invariants", text]) == 0
+    assert f"gamma0: {seq}" in capsys.readouterr().out
+    assert len(built) == 2
+    assert seq.count(",") + 1 == 680
+    assert seq == f"[{','.join(map(str, plain(parse_expr(text))))}]\n"
+
+
+@pytest.mark.parametrize("companion", ["T(2,3)", "T(2,5)", "T(3,4)", "T(3,5)", "T(4,5)", "C2(9;T(2,3))"])
+def test_a_cable_of_a_mirrored_staircase_meets_the_cabling_formulas(companion):
+    # C2(q; -K) = -C2(-q; K); tau by Hom's formula with epsilon(-K) = -1
+    K = parse_expr(companion)
+    tau_k, genus = -tau(eval_expr(K).sequence), genus_of(K)
+    for q in range(-41, 42, 2):
+        seq = eval_expr(Cable2(q, Mirror(K))).sequence
+        assert tau(seq) == tau_cable_formula(tau_k, -1, 2, q), q
+        assert top_alexander(seq) <= cable_genus(genus, 2, q), q
+
+
+def test_a_cable_of_a_mirror_cancels_the_mirror_of_its_identity(monkeypatch):
+    built = count_searches(monkeypatch)
+    assert eval_expr(parse_expr("C2(5;-T(2,3)) # C2(-5;T(2,3))")) == EvalResult((), 0)
+    assert built == []
 
 
 # torus knots T(p,q), 2 <= p <= 7 and p < q <= 120, by their staircase's generator count
@@ -591,12 +627,38 @@ _PLAN_EXPRS = st.recursive(
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_PLAN_EXPRS, _PLAN_EXPRS)
 def test_gamma0_of_equals_the_pipeline_on_random_sums(e1, e2):
-    g1, g2 = gamma0_of(e1), gamma0_of(e2)
+    g1, g2 = eval_expr(e1).sequence, eval_expr(e2).sequence
     assert g1 == plain(e1)
     assert g2 == plain(e2)
     assert locally_equivalent(e1, e2) == (g1 == g2)
     assert locally_equivalent(Sum(e1, e2), Sum(e2, Mirror(Mirror(e1))))
-    assert gamma0_of(Sum(e1, Mirror(Sum(e2, e1)))) == gamma0_of(Mirror(e2))
+    assert eval_expr(Sum(e1, Mirror(Sum(e2, e1)))).sequence == eval_expr(Mirror(e2)).sequence
+
+
+def _chain(summands, left=True):
+    """The sum of the summands, grouped from the left or from the right."""
+    if left:
+        return functools.reduce(Sum, summands)
+    return functools.reduce(lambda acc, e: Sum(e, acc), reversed(summands))
+
+
+_SIGNED_LEAVES = st.builds(lambda leaf, mirrored: Mirror(leaf) if mirrored else leaf,
+                           _PLAN_LEAVES, st.booleans())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_SIGNED_LEAVES, min_size=2, max_size=4).filter(
+    lambda summands: sum(map(genus_of, summands)) <= 24), st.data())
+def test_the_evaluation_does_not_depend_on_the_grouping(summands, data):
+    # the same signed summands, left-chained, right-chained and with a
+    # mirror pulled over a sub-sum, give the same sequence and loop count
+    i = data.draw(st.integers(0, len(summands) - 2))
+    j = data.draw(st.integers(i + 2, len(summands)))
+    negated = [e.inner if isinstance(e, Mirror) else Mirror(e) for e in summands[i:j]]
+    pulled = summands[:i] + [Mirror(_chain(negated))] + summands[j:]
+    want = eval_expr(_chain(summands))
+    assert eval_expr(_chain(summands, left=False)) == want
+    assert eval_expr(_chain(pulled)) == want
 
 
 def test_p_knot_structure():
@@ -621,6 +683,6 @@ def test_genus_of():
 
 
 def test_tau_additivity_under_eval():
-    seq = gamma0_of(Sum(Cable2(-1, Torus(2, 3)), Torus(2, 5)))
+    seq = eval_expr(Sum(Cable2(-1, Torus(2, 3)), Torus(2, 5))).sequence
     assert tau(seq) == 1 + 2
     assert seq == (1, -2, 2, -1)

@@ -12,14 +12,13 @@ import random
 import pytest
 
 from cfkzero.algebra import alexander_torus
-from cfkzero.cli import _random_expr, _random_symmetric_seq
+from cfkzero.cli import _random_expr, _random_symmetric_seq, _written_grouping
 from cfkzero.complexes import _MonoMatrix
 from cfkzero.knots import (
     EvalError,
     Mirror,
     Sum,
     eval_expr,
-    gamma0_of,
     staircase_from_alexander,
     sum_gamma0,
 )
@@ -42,7 +41,7 @@ def sample_gamma0s(rng, count, max_len):
     while len(out) < count:
         expr = _random_expr(rng, 2)
         try:
-            seq = gamma0_of(expr)
+            seq = eval_expr(expr).sequence
         except EvalError:
             continue
         if len(seq) <= max_len:
@@ -142,10 +141,10 @@ def test_gamma0_of_expressions_is_symmetric_with_bounded_tau():
 def test_sum_with_mirror_vanishes():
     rng = random.Random(707)
     for expr, seq in sample_gamma0s(rng, 25, max_len=14):
-        result = gamma0_of(Sum(expr, Mirror(expr)))
+        result = eval_expr(Sum(expr, Mirror(expr))).sequence
         assert result == (), str(expr)
-        # gamma0_of cancels E against -E; the pipeline must find [] too
-        assert eval_expr(Sum(expr, Mirror(expr))).sequence == (), str(expr)
+        # eval_expr cancels E against -E; the pipeline must find [] too
+        assert _written_grouping(Sum(expr, Mirror(expr)))[0] == (), str(expr)
 
 
 def test_loop_counts_account_for_all_generators():

@@ -10,7 +10,7 @@ import cfkzero.standard as standard
 from cfkzero.algebra import Mode
 from cfkzero.cli import _random_symmetric_seq, format_seq, invariant_report
 from cfkzero.complexes import ChainComplex, KnotlikeError, _MonoMatrix
-from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
+from cfkzero.knots import eval_expr, parse_expr, sum_gamma0
 from cfkzero.standard import (
     SequenceError,
     SimplifyError,
@@ -372,7 +372,7 @@ def test_a_dead_end_with_nothing_to_try_raises():
 def test_the_merge_cap_is_set_on_the_plain_product(monkeypatch, text, budget):
     # the search starts on fewer arrows than the plain product has, and the
     # cap counts the plain product's
-    left, right = (gamma0_of(parse_expr(part)) for part in text.split(" # "))
+    left, right = (eval_expr(parse_expr(part)).sequence for part in text.split(" # "))
     budgets = []
 
     def record(work, cap):

@@ -17,7 +17,7 @@ import pytest
 import cfkzero.knots as knots
 from cfkzero.cli import _criterion3_hosts
 from cfkzero.complexes import ChainComplex, Endomorphism, InvalidComplexError, _MonoMatrix
-from cfkzero.knots import gamma0_of, parse_expr, sum_gamma0
+from cfkzero.knots import eval_expr, parse_expr, sum_gamma0
 from cfkzero.standard import _basis_change, _product, _require_valid, seq_to_complex, validate_seq
 
 
@@ -92,7 +92,7 @@ def test_both_paths_agree_on_random_pairs():
 
 @pytest.mark.parametrize("left,right", TOP_RUNGS)
 def test_both_paths_agree_on_the_bench_top_rungs(left, right):
-    assert_same_product(gamma0_of(parse_expr(left)), gamma0_of(parse_expr(right)))
+    assert_same_product(eval_expr(parse_expr(left)).sequence, eval_expr(parse_expr(right)).sequence)
 
 
 def test_the_product_drops_two_arrows_per_unequal_square():
@@ -112,7 +112,7 @@ def test_the_product_drops_two_arrows_per_unequal_square():
 
 
 def test_the_integer_path_builds_no_complex(monkeypatch):
-    s1, s2 = gamma0_of(parse_expr("C2(3;T(2,3))")), gamma0_of(parse_expr("-T(3,4)"))
+    s1, s2 = eval_expr(parse_expr("C2(3;T(2,3))")).sequence, eval_expr(parse_expr("-T(3,4)")).sequence
     want = sum_gamma0(s1, s2)
 
     def refuse(self, *args, **kwargs):
