@@ -226,13 +226,16 @@ def _check_sum_oracle() -> tuple[bool, str]:
 
 def _written_grouping(expr) -> tuple[tuple[int, ...], int]:
     """gamma_0 and the loop count of an expression with the public sum
-    pipeline run at every '#' as written, and eval_expr below the sums: the
-    reference that the planned evaluation is checked against.  It has no
-    size limit of its own."""
+    pipeline run at every '#' as written, each sum's terms folded from the
+    left, and eval_expr below the sums: the reference that the planned
+    evaluation is checked against.  It has no size limit of its own."""
     if isinstance(expr, Sum):
-        (s1, l1), (s2, l2) = _written_grouping(expr.left), _written_grouping(expr.right)
-        seq, loops = sum_gamma0(s1, s2)
-        return seq, l1 + l2 + loops
+        seq, loops = _written_grouping(expr.terms[0])
+        for term in expr.terms[1:]:
+            s2, l2 = _written_grouping(term)
+            seq, shed = sum_gamma0(seq, s2)
+            loops += l2 + shed
+        return seq, loops
     if isinstance(expr, Mirror):
         seq, loops = _written_grouping(expr.inner)
         return mirror_seq(seq), loops
@@ -262,7 +265,7 @@ def _check_regimes() -> tuple[bool, str]:
     checks = 0
     for companion, grid in grids.items():
         def side(q1: int, q2: int):
-            return Sum(Cable2(q1, companion), Torus(2, q2))
+            return Sum((Cable2(q1, companion), Torus(2, q2)))
 
         for q1, q2 in grid["same"]:
             if _written_grouping(side(q1, q2))[0] != _written_grouping(side(q2, q1))[0]:
@@ -341,7 +344,7 @@ def _random_expr(rng: random.Random, depth: int):
     if roll < 0.35:
         return Mirror(_random_expr(rng, depth - 1))
     if roll < 0.75:
-        return Sum(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return Sum((_random_expr(rng, depth - 1), _random_expr(rng, depth - 1)))
     return Cable2(rng.choice([-3, -1, 1, 3, 5]), _random_expr(rng, depth - 1))
 
 
@@ -388,7 +391,7 @@ def _check_properties() -> tuple[bool, str]:
     # vanishing of E # -E through the pipeline: eval_expr would cancel E
     # against -E without a product
     for expr, _ in expressions[:40]:
-        got = _written_grouping(Sum(expr, Mirror(expr)))[0]
+        got = _written_grouping(Sum((expr, Mirror(expr))))[0]
         if got != ():
             return False, f"gamma0({expr} # mirror) = {list(got)}"
         cases += 1

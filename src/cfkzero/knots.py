@@ -7,20 +7,23 @@ torus knots, mirrors, connected sums, and (2, q)-cables:
     term := ['-'] atom
     atom := 'T(' int ',' int ')' | 'C2(' int ';' expr ')' | 'U' | '(' expr ')'
 
+A chain of '#' is one node, Sum(terms); a parenthesized sum is one term.
+
 Evaluation produces the gamma_0 parameter sequence of the knot.  Torus
 knots read their staircases off the semigroup <p, |q|>, mirrors negate the
 sequence, and (2, q)-cables of staircases, or of mirrored staircases by
 C2(q; -K) = -C2(-q; K), carry the closed-form sequence transform, verified
-elsewhere against the sum pipeline.  A connected sum, under any mirrors, is
-evaluated from its signed summands: gamma_0 factors through the
-local-equivalence group, so a summand cancels against a copy of its mirror
-without a product, the T(2, q) summands add into one signed pair count that
-joins a host in the validated domain of sum_with_T2 by that closed form,
-and only what remains is tensored through the sum pipeline (sound because
-local equivalence is preserved by tensoring).  That pipeline goes from two
-sequences to one on integer generator ids: the product is built as a
-matrix straight from the sequences, simplified, checked for gradings and
-d^2 = 0, and read back as a sequence, with no ChainComplex in between.
+elsewhere against the sum pipeline.  Every expression is evaluated from its
+signed summands, the leaves under its sums and mirrors: gamma_0 factors
+through the local-equivalence group, so a summand cancels against a copy of
+its mirror without a product, the T(2, q) summands add into one signed pair
+count that joins a host in the validated domain of sum_with_T2 by that
+closed form, and only what remains, at most MAX_PRODUCTS summands, is
+tensored through the sum pipeline (sound because local equivalence is
+preserved by tensoring).  That pipeline goes from two sequences to one on
+integer generator ids: the product is built as a matrix straight from the
+sequences, simplified, checked for gradings and d^2 = 0, and read back as
+a sequence, with no ChainComplex in between.
 Each generator of a factor meets at most one arrow of each type, so in
 each direction the product is a disjoint sum of squares, and a square of
 unequal powers is built already resolved into two arrows of the smaller
@@ -51,6 +54,7 @@ from .standard import (
 
 
 MAX_GENERATORS = 100_000  # the largest complex an evaluation may build
+MAX_PRODUCTS = 1_000  # the most summands one sum may tensor
 
 
 class ShapeError(ValueError):
@@ -99,12 +103,14 @@ class Mirror:
 
 @dataclass(frozen=True)
 class Sum:
-    left: "KnotExpr"
-    right: "KnotExpr"
+    terms: tuple["KnotExpr", ...]
+
+    def __post_init__(self) -> None:
+        if len(self.terms) < 2:
+            raise ValueError(f"a sum needs two or more terms, got {len(self.terms)}")
 
     def __str__(self) -> str:
-        right = f"({self.right})" if isinstance(self.right, Sum) else str(self.right)
-        return f"{self.left} # {right}"  # '#' groups from the left
+        return " # ".join(f"({term})" if isinstance(term, Sum) else str(term) for term in self.terms)
 
 
 @dataclass(frozen=True)
@@ -169,11 +175,11 @@ class _Parser:
             raise self.error("integer too long") from None
 
     def expr(self) -> KnotExpr:
-        node = self.term()
+        terms = [self.term()]
         while self.peek() == "#":
             self.expect("#")
-            node = Sum(node, self.term())
-        return node
+            terms.append(self.term())
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> KnotExpr:
         if self.peek() == "-":
@@ -428,21 +434,78 @@ class EvalResult:
 def eval_expr(expr: KnotExpr) -> EvalResult:
     """Evaluate an expression to its gamma_0 sequence and loop count.
 
-    Torus knots become semigroup staircases (negated for q < 0), mirrors
-    negate, and cables use the closed form, which requires a staircase
-    operand or the mirror of one: C2(q; -K) = -C2(-q; K).  A sum, under any
-    mirrors, is evaluated from its signed summands (see _eval_sum).  Every
-    sequence is validated exactly once, where it is made: by
-    torus_staircase, by the cable closed form, by the T(2, q) closed form
-    and by the sum pipeline's extraction.  Negation keeps every check, so a
-    mirror is not validated again, and the cable branch takes its operand as
-    it comes, reading its shape and genus without validating it again.  The
-    loop count totals the closed components discarded by the products the
-    evaluation builds, so it depends on the signed summands and not on how
-    the sum is grouped.  A torus knot, a cable or a product whose complex
-    would have more than MAX_GENERATORS generators raises EvalError before
-    anything of that size is built.
+    Every expression is evaluated from its signed summands (see
+    _signed_summands): gamma_0 factors through the local-equivalence group,
+    so the plan is the same however a sum is grouped and wherever its
+    mirrors stand.  One summand is the result.  Otherwise unknots drop out,
+    and the T(2, q) summands, +-(1, -1)^k, add into one signed pair count c.
+    Every other summand cancels against a remaining copy of its negation
+    (K # -K is locally trivial, and the pipeline sees only the standard
+    complexes, so this is exact), and the rest are tensored in written
+    order.  c joins the running result by the closed form of sum_with_T2 as
+    soon as that result lies in its host domain; if it never does, c joins
+    last as (t, -t)^|c|, t the sign of c, by one product, or is the result
+    when nothing else is left.  Every sequence is validated once, where it
+    is made: by torus_staircase, by the cable and T(2, q) closed forms and
+    by the sum pipeline's extraction; negation keeps every check.  The loop
+    count totals the closed components shed by the products built, so it
+    does not depend on the grouping.  More than MAX_PRODUCTS summands left
+    to tensor, or a torus knot, cable or product of more than MAX_GENERATORS
+    generators, raises EvalError before anything of that size is built; a
+    failed product, EvalError or SimplifyError, is final.
     """
+    summands = _signed_summands(expr, 1)
+    if len(summands) == 1:
+        return summands[0]
+    loops = sum(summand.loop_count for summand in summands)
+    pairs = 0
+    kept: list[Seq] = []
+    for seq in (summand.sequence for summand in summands):
+        if not seq:
+            continue
+        if _t2_class(seq):
+            pairs += len(seq) // 2 * seq[0]
+            continue
+        negation = _negate(seq)
+        if negation in kept:
+            kept.remove(negation)
+        else:
+            kept.append(seq)
+    if len(kept) > MAX_PRODUCTS:
+        raise EvalError(
+            f"{_clip(str(expr))} needs a product of {len(kept)} summands, "
+            f"more than the limit of {MAX_PRODUCTS}"
+        )
+    result: Seq = ()
+    for seq in kept:
+        result, shed = _join(expr, result, seq)
+        loops += shed
+        if pairs and _in_t2_domain(result):
+            result, pairs = _fold_t2(result, abs(pairs), 1 if pairs > 0 else -1), 0
+    if pairs:
+        t = 1 if pairs > 0 else -1
+        result, shed = _join(expr, result, (t, -t) * abs(pairs))
+        loops += shed
+    return EvalResult(result, loops)
+
+
+def _signed_summands(expr: KnotExpr, sign: int) -> list[EvalResult]:
+    """The evaluated leaves of ``expr`` in written order, through sums and
+    mirrors (see _eval_leaf), each sequence negated under an odd number of
+    mirrors."""
+    if isinstance(expr, Sum):
+        return [summand for term in expr.terms for summand in _signed_summands(term, sign)]
+    if isinstance(expr, Mirror):
+        return _signed_summands(expr.inner, -sign)
+    result = _eval_leaf(expr)
+    return [result if sign > 0 else EvalResult(_negate(result.sequence), result.loop_count)]
+
+
+def _eval_leaf(expr: KnotExpr) -> EvalResult:
+    """eval_expr on a leaf.  A torus knot is its semigroup staircase
+    (negated for q < 0), and a cable the closed form of a staircase or of the
+    mirror of one, C2(q; -K) = -C2(-q; K), read off its operand's shape and
+    genus without validating the operand again."""
     if isinstance(expr, Unknot):
         return EvalResult((), 0)
     if isinstance(expr, Torus):
@@ -467,56 +530,7 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
         _check_size(expr, 4 * sum(seq[0::2]) + abs(q - 4 * genus))
         cabled = _cable2(seq, genus, q)
         return EvalResult(_negate(cabled) if mirrored else cabled, inner.loop_count)
-    if isinstance(_unmirrored(expr), Sum):
-        return _eval_sum(expr)
-    if isinstance(expr, Mirror):
-        inner = eval_expr(expr.inner)
-        return EvalResult(_negate(inner.sequence), inner.loop_count)
     raise EvalError(f"unknown expression node {expr!r}")
-
-
-def _eval_sum(expr: KnotExpr) -> EvalResult:
-    """eval_expr on a sum under any mirrors, from its signed summands.
-
-    gamma_0 factors through the local-equivalence group, so it depends only
-    on the summands' sequences, and the plan is the same however the sum is
-    grouped and wherever its mirrors stand.  Unknots drop out.  The T(2, q)
-    summands, +-(1, -1)^k, add into one signed pair count c.  Every other
-    summand cancels against a remaining copy of its negation (K # -K is
-    locally trivial, and the pipeline sees only the standard complexes, so
-    this is exact), and the rest are tensored in written order.  c joins the
-    running result by the closed form of sum_with_T2 as soon as that result
-    lies in its host domain; if it never does, c joins last as
-    (t, -t)^|c|, t the sign of c, by one product, or is the result when
-    nothing else is left.  Every product built meets the MAX_GENERATORS
-    limit, and its failure, EvalError or SimplifyError, is final.
-    """
-    summands = _signed_summands(expr, 1)
-    loops = sum(summand.loop_count for summand in summands)
-    pairs = 0
-    kept: list[Seq] = []
-    for seq in (summand.sequence for summand in summands):
-        if not seq:
-            continue
-        if _t2_class(seq):
-            pairs += len(seq) // 2 * seq[0]
-            continue
-        negation = _negate(seq)
-        if negation in kept:
-            kept.remove(negation)
-        else:
-            kept.append(seq)
-    result: Seq = ()
-    for seq in kept:
-        result, shed = _join(expr, result, seq)
-        loops += shed
-        if pairs and _in_t2_domain(result):
-            result, pairs = _fold_t2(result, abs(pairs), 1 if pairs > 0 else -1), 0
-    if pairs:
-        t = 1 if pairs > 0 else -1
-        result, shed = _join(expr, result, (t, -t) * abs(pairs))
-        loops += shed
-    return EvalResult(result, loops)
 
 
 def _join(expr: KnotExpr, s1: Seq, s2: Seq) -> tuple[Seq, int]:
@@ -584,24 +598,6 @@ def _sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     return _gamma0(product.cols)
 
 
-def _unmirrored(expr: KnotExpr) -> KnotExpr:
-    """``expr`` without the mirrors on top of it."""
-    while isinstance(expr, Mirror):
-        expr = expr.inner
-    return expr
-
-
-def _signed_summands(expr: KnotExpr, sign: int) -> list[EvalResult]:
-    """The evaluated summands of ``expr`` in written order, through sums and
-    mirrors, each sequence negated under an odd number of mirrors."""
-    if isinstance(expr, Sum):
-        return _signed_summands(expr.left, sign) + _signed_summands(expr.right, sign)
-    if isinstance(expr, Mirror):
-        return _signed_summands(expr.inner, -sign)
-    result = eval_expr(expr)
-    return [result if sign > 0 else EvalResult(_negate(result.sequence), result.loop_count)]
-
-
 def _t2_class(s: Seq) -> bool:
     """Whether a nonempty validated sequence is +-(1, -1)^k, the gamma_0 of
     T(2, +-(2k + 1))."""
@@ -620,13 +616,7 @@ def p_knot(companion: KnotExpr, q1: int, q2: int) -> KnotExpr:
         raise ValueError("cable parameters must be odd")
     if q1 == q2:
         raise ValueError("cable parameters must be distinct")
-    return Sum(
-        Sum(
-            Sum(Cable2(q1, companion), Mirror(Cable2(q2, companion))),
-            Torus(2, q2),
-        ),
-        Mirror(Torus(2, q1)),
-    )
+    return Sum((Cable2(q1, companion), Mirror(Cable2(q2, companion)), Torus(2, q2), Mirror(Torus(2, q1))))
 
 
 def genus_of(expr: KnotExpr) -> int:
@@ -639,7 +629,7 @@ def genus_of(expr: KnotExpr) -> int:
     if isinstance(expr, Mirror):
         return genus_of(expr.inner)
     if isinstance(expr, Sum):
-        return genus_of(expr.left) + genus_of(expr.right)
+        return sum(map(genus_of, expr.terms))
     if isinstance(expr, Cable2):
         return cable_genus(genus_of(expr.inner), 2, expr.q)
     raise EvalError(f"unknown expression node {expr!r}")

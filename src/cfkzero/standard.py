@@ -31,7 +31,6 @@ from .complexes import (
 
 Seq = tuple[int, ...]
 
-SIMPLIFY_PASS_CAP = 10_000  # merge budget floor
 MERGES_PER_ARROW = 16  # merge budget per arrow of the plain product
 
 
@@ -230,16 +229,15 @@ def _simplify(mat: _MonoMatrix, arrows: int) -> None:
     would spend the whole cap.  The result does not depend on the path
     taken: gamma_0 and the loop count are invariants of the complex.
 
-    Merges are capped at 16 per arrow of the plain product, `arrows`, and
-    at no fewer than 10,000; a search that exhausts the cap raises
-    SimplifyError.  _product resolves the unequal squares before the search,
-    and counting the plain product's arrows keeps an input's cap from
-    depending on how many it resolved; a matrix that is no product passes
-    its own count.  A closed component whose local system is an
-    indecomposable block of size two or more, such as a 2x2 Jordan block,
-    comes out as one loop running twice as long.
+    Merges are capped at 16 per arrow of the plain product, `arrows`; a
+    search that exhausts the cap raises SimplifyError.  _product resolves
+    the unequal squares before the search, and counting the plain product's
+    arrows keeps an input's cap from depending on how many it resolved; a
+    matrix that is no product passes its own count.  A closed component
+    whose local system is an indecomposable block of size two or more, such
+    as a 2x2 Jordan block, comes out as one loop running twice as long.
     """
-    _search(mat, max(SIMPLIFY_PASS_CAP, MERGES_PER_ARROW * arrows))
+    _search(mat, MERGES_PER_ARROW * arrows)
 
 
 Move = tuple[int, int, int, bool]  # kept, absorbed, delta, horizontal

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import cfkzero.cli as cli
+import cfkzero.knots as knots
 import cfkzero.standard as standard
 from cfkzero.cli import main, render_svg
 
@@ -191,8 +192,8 @@ def test_bad_torus_parameters_are_named(capsys, text, message):
 
 @pytest.mark.parametrize(
     "text",
-    ["(" * 600 + "T(2,3)" + ")" * 600, " # ".join(["T(2,3)"] * 1200)],
-    ids=["600-parentheses", "1200-term-sum"],
+    ["(" * 600 + "T(2,3)" + ")" * 600, "T(2,3) # (" * 599 + "T(2,3)" + ")" * 599],
+    ids=["600-parentheses", "600-deep-sum"],
 )
 def test_deep_nesting_exits_2(capsys, text):
     code, out, err = run(capsys, "gamma0", text)
@@ -205,11 +206,36 @@ def test_deep_nesting_exits_2(capsys, text):
         ("(" * 250 + "T(2,3)" + ")" * 250, "[1,-1]\n"),
         ("-(" * 250 + "T(2,3)" + ")" * 250, "[1,-1]\n"),
         (" # ".join(["U"] * 800), "[]\n"),
+        # a flat sum has no depth: its length is bounded by the products it needs
+        (" # ".join(["T(2,3)"] * 1200), f"[{','.join(['1,-1'] * 1200)}]\n"),
+        (" # ".join(["T(3,4) # -T(3,4)"] * 600), "[]\n"),
     ],
-    ids=["250-parentheses", "250-mirrors", "800-term-sum"],
+    ids=["250-parentheses", "250-mirrors", "800-term-sum", "1200-term-sum", "1200-term-cancelling-sum"],
 )
 def test_nesting_below_the_interpreter_limit_evaluates(capsys, text, want):
     assert run(capsys, "gamma0", text) == (0, want, "")
+
+
+def test_a_sum_of_more_summands_than_the_product_limit_exits_2(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(knots, "_sum_gamma0", lambda s1, s2: built.append(1))
+    code, out, err = run(capsys, "gamma0", " # ".join(["T(3,4)"] * 1001))
+    assert (code, out, built) == (2, "", [])
+    assert err.startswith("error: T(3,4) # T(3,4) # ") and err.count("\n") == 1
+    assert err.endswith(" needs a product of 1001 summands, more than the limit of 1000\n")
+
+
+@pytest.mark.parametrize("text,code", [
+    ("T(3,4) # T(3,5)", 0),
+    ("T(3,4) # T(3,5) # T(4,5)", 2),
+    # the limit counts the summands left after cancellation, and T(2,q)
+    # summands fold into one pair count
+    ("T(3,4) # T(4,5) # -T(4,5) # T(3,5)", 0),
+    ("T(3,4) # T(2,3) # T(3,5) # T(2,5)", 0),
+])
+def test_the_product_limit_counts_the_summands_left_to_tensor(monkeypatch, capsys, text, code):
+    monkeypatch.setattr(knots, "MAX_PRODUCTS", 2)
+    assert run(capsys, "gamma0", text)[0] == code
 
 
 @pytest.mark.parametrize("text,generators", [
@@ -252,8 +278,7 @@ def test_a_sum_with_hundreds_of_fallback_steps(capsys):
     ["equiv", "T(3,4) # T(3,5)", "T(2,5)"],
 ])
 def test_a_failed_search_exits_2_with_one_line(monkeypatch, capsys, argv):
-    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 0)
-    monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
+    monkeypatch.setattr(knots, "_simplify", lambda mat, arrows: standard._search(mat, 0))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: no simplified basis within the merge cap\n"

@@ -63,7 +63,7 @@ def test_parse_examples_from_the_grammar():
     assert parse_expr("-T(2,3)") == Mirror(Torus(2, 3))
     assert parse_expr("U") == Unknot()
     assert parse_expr("C2(-1; T(2,3))") == Cable2(-1, Torus(2, 3))
-    assert parse_expr("T(2,3) # -T(2,3)") == Sum(Torus(2, 3), Mirror(Torus(2, 3)))
+    assert parse_expr("T(2,3) # -T(2,3)") == Sum((Torus(2, 3), Mirror(Torus(2, 3))))
     assert parse_expr("(T(2,3))") == Torus(2, 3)
 
 
@@ -89,10 +89,20 @@ def test_round_trip_through_str():
         assert parse_expr(str(expr)) == expr
     t23, t25, t27 = Torus(2, 3), Torus(2, 5), Torus(2, 7)
     assert str(Mirror(Mirror(t23))) == "-(-T(2,3))"
-    assert str(Sum(t23, Sum(t25, t27))) == "T(2,3) # (T(2,5) # T(2,7))"
-    assert str(Sum(Sum(t23, t25), t27)) == "T(2,3) # T(2,5) # T(2,7)"
-    for expr in [Mirror(Mirror(t23)), Sum(t23, Sum(t25, t27)), Mirror(Sum(t23, Mirror(t25)))]:
+    flat, left, right = Sum((t23, t25, t27)), Sum((Sum((t23, t25)), t27)), Sum((t23, Sum((t25, t27))))
+    assert str(flat) == "T(2,3) # T(2,5) # T(2,7)"
+    assert str(left) == "(T(2,3) # T(2,5)) # T(2,7)"
+    assert str(right) == "T(2,3) # (T(2,5) # T(2,7))"
+    for text, expr in [(str(flat), flat), (str(left), left), (str(right), right)]:
+        assert parse_expr(text) == expr
+    for expr in [Mirror(Mirror(t23)), Mirror(Sum((t23, Mirror(t25))))]:
         assert parse_expr(str(expr)) == expr
+
+
+@pytest.mark.parametrize("terms", [(), (Torus(2, 3),)])
+def test_a_sum_needs_two_terms(terms):
+    with pytest.raises(ValueError, match="two or more terms"):
+        Sum(terms)
 
 
 _TORI = st.tuples(st.integers(2, 12), st.integers(-40, 40)).filter(
@@ -102,7 +112,7 @@ _EXPRS = st.recursive(
     st.one_of(st.just(Unknot()), _TORI),
     lambda inner: st.one_of(
         st.builds(Mirror, inner),
-        st.builds(Sum, inner, inner),
+        st.lists(inner, min_size=2, max_size=4).map(lambda terms: Sum(tuple(terms))),
         st.builds(Cable2, st.integers(-30, 30).map(lambda q: 2 * q + 1), inner),
     ),
     max_leaves=12,
@@ -403,7 +413,7 @@ def test_cable_genus_is_half_the_entry_sum_of_the_cable_sequence():
 
 def test_eval_examples():
     assert eval_expr(Torus(2, 3)).sequence == (1, -1)
-    assert eval_expr(Sum(Torus(2, 3), Mirror(Torus(2, 3)))).sequence == ()
+    assert eval_expr(Sum((Torus(2, 3), Mirror(Torus(2, 3))))).sequence == ()
     assert eval_expr(Cable2(-1, Torus(2, 3))).sequence == (1, -2, -1, 1, -1, 1, 2, -1)
     assert eval_expr(Torus(2, -3)).sequence == (-1, 1)
     assert eval_expr(Unknot()).sequence == ()
@@ -421,7 +431,7 @@ def test_torus_generators_counts_the_built_staircase():
 def test_eval_reports_loops():
     # T(2,3) # T(2,3) folds by the closed form and sheds none; this builds
     # one product
-    result = eval_expr(Sum(Torus(3, 4), Torus(3, 4)))
+    result = eval_expr(Sum((Torus(3, 4), Torus(3, 4))))
     assert result.sequence == (1, -2, 1, -2, 2, -1, 2, -1)
     assert result.loop_count == 4
 
@@ -440,13 +450,13 @@ def test_eval_iterated_cable():
 
 
 def test_locally_equivalent_examples():
-    assert locally_equivalent(Sum(Torus(2, 3), Mirror(Torus(2, 3))), Unknot())
+    assert locally_equivalent(Sum((Torus(2, 3), Mirror(Torus(2, 3)))), Unknot())
     K = Torus(2, 3)
-    lhs = Sum(Cable2(5, K), Torus(2, 7))
-    rhs = Sum(Cable2(7, K), Torus(2, 5))
+    lhs = Sum((Cable2(5, K), Torus(2, 7)))
+    rhs = Sum((Cable2(7, K), Torus(2, 5)))
     assert locally_equivalent(lhs, rhs)
-    lhs = Sum(Cable2(3, K), Torus(2, 5))
-    rhs = Sum(Cable2(5, K), Torus(2, 3))
+    lhs = Sum((Cable2(3, K), Torus(2, 5)))
+    rhs = Sum((Cable2(5, K), Torus(2, 3)))
     assert not locally_equivalent(lhs, rhs)
 
 
@@ -457,9 +467,9 @@ def plain(expr):
 
 def test_gamma0_of_cancels_a_summand_only_against_its_mirror():
     K = Cable2(5, Torus(3, 4))
-    assert eval_expr(Sum(Sum(K, Torus(2, 3)), Mirror(K))).sequence == (1, -1)
-    assert eval_expr(Mirror(Sum(Mirror(K), Sum(Unknot(), K)))).sequence == ()
-    twice = Sum(Torus(3, 4), Torus(3, 4))
+    assert eval_expr(Sum((Sum((K, Torus(2, 3))), Mirror(K)))).sequence == (1, -1)
+    assert eval_expr(Mirror(Sum((Mirror(K), Sum((Unknot(), K)))))).sequence == ()
+    twice = Sum((Torus(3, 4), Torus(3, 4)))
     assert eval_expr(twice).sequence == plain(twice) == (1, -2, 1, -2, 2, -1, 2, -1)
 
 
@@ -511,8 +521,7 @@ def test_a_failed_search_of_the_written_products_runs_once(monkeypatch, capsys, 
     # a failure of a planned product is final, and nothing is searched
     # again; a budget of 100 merges whatever the size lets the first product
     # of the three-summand sum through and stops its second
-    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 100)
-    monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
+    monkeypatch.setattr(knots, "_simplify", lambda mat, arrows: standard._search(mat, 100))
     built = count_searches(monkeypatch)
     assert main(["gamma0", text]) == 2
     assert capsys.readouterr().err == "error: no simplified basis within the merge cap\n"
@@ -619,7 +628,7 @@ _PLAN_LEAVES = st.one_of(
 )
 _PLAN_EXPRS = st.recursive(
     _PLAN_LEAVES,
-    lambda inner: st.one_of(st.builds(Mirror, inner), st.builds(Sum, inner, inner)),
+    lambda inner: st.one_of(st.builds(Mirror, inner), st.builds(lambda a, b: Sum((a, b)), inner, inner)),
     max_leaves=5,
 ).filter(lambda e: genus_of(e) <= 24)  # keeps every product small
 
@@ -631,15 +640,15 @@ def test_gamma0_of_equals_the_pipeline_on_random_sums(e1, e2):
     assert g1 == plain(e1)
     assert g2 == plain(e2)
     assert locally_equivalent(e1, e2) == (g1 == g2)
-    assert locally_equivalent(Sum(e1, e2), Sum(e2, Mirror(Mirror(e1))))
-    assert eval_expr(Sum(e1, Mirror(Sum(e2, e1)))).sequence == eval_expr(Mirror(e2)).sequence
+    assert locally_equivalent(Sum((e1, e2)), Sum((e2, Mirror(Mirror(e1)))))
+    assert eval_expr(Sum((e1, Mirror(Sum((e2, e1)))))).sequence == eval_expr(Mirror(e2)).sequence
 
 
 def _chain(summands, left=True):
     """The sum of the summands, grouped from the left or from the right."""
     if left:
-        return functools.reduce(Sum, summands)
-    return functools.reduce(lambda acc, e: Sum(e, acc), reversed(summands))
+        return functools.reduce(lambda acc, e: Sum((acc, e)), summands)
+    return functools.reduce(lambda acc, e: Sum((e, acc)), reversed(summands))
 
 
 _SIGNED_LEAVES = st.builds(lambda leaf, mirrored: Mirror(leaf) if mirrored else leaf,
@@ -650,23 +659,23 @@ _SIGNED_LEAVES = st.builds(lambda leaf, mirrored: Mirror(leaf) if mirrored else 
 @given(st.lists(_SIGNED_LEAVES, min_size=2, max_size=4).filter(
     lambda summands: sum(map(genus_of, summands)) <= 24), st.data())
 def test_the_evaluation_does_not_depend_on_the_grouping(summands, data):
-    # the same signed summands, left-chained, right-chained and with a
+    # the same signed summands, flat, left-chained, right-chained and with a
     # mirror pulled over a sub-sum, give the same sequence and loop count
     i = data.draw(st.integers(0, len(summands) - 2))
     j = data.draw(st.integers(i + 2, len(summands)))
     negated = [e.inner if isinstance(e, Mirror) else Mirror(e) for e in summands[i:j]]
     pulled = summands[:i] + [Mirror(_chain(negated))] + summands[j:]
-    want = eval_expr(_chain(summands))
+    want = eval_expr(Sum(tuple(summands)))
+    assert eval_expr(_chain(summands)) == want
     assert eval_expr(_chain(summands, left=False)) == want
     assert eval_expr(_chain(pulled)) == want
 
 
 def test_p_knot_structure():
     expr = p_knot(Torus(2, 3), 5, 7)
-    assert expr == Sum(
-        Sum(Sum(Cable2(5, Torus(2, 3)), Mirror(Cable2(7, Torus(2, 3)))), Torus(2, 7)),
-        Mirror(Torus(2, 5)),
-    )
+    assert expr == Sum((
+        Cable2(5, Torus(2, 3)), Mirror(Cable2(7, Torus(2, 3))), Torus(2, 7), Mirror(Torus(2, 5)),
+    ))
     p_knot(Torus(2, 3), 1, 3)  # q = 1 cables and unknotted torus summands work
     with pytest.raises(ValueError):
         p_knot(Torus(2, 3), 3, 3)
@@ -678,11 +687,12 @@ def test_genus_of():
     assert genus_of(Torus(2, 3)) == 1
     assert genus_of(Torus(4, 5)) == 6
     assert genus_of(Cable2(-1, Torus(2, 3))) == 2
-    assert genus_of(Sum(Torus(2, 3), Mirror(Torus(2, 3)))) == 2
+    assert genus_of(Sum((Torus(2, 3), Mirror(Torus(2, 3))))) == 2
+    assert genus_of(Sum((Torus(2, 3), Torus(3, 4), Mirror(Torus(2, 5))))) == 1 + 3 + 2
     assert genus_of(Unknot()) == 0
 
 
 def test_tau_additivity_under_eval():
-    seq = eval_expr(Sum(Cable2(-1, Torus(2, 3)), Torus(2, 5))).sequence
+    seq = eval_expr(Sum((Cable2(-1, Torus(2, 3)), Torus(2, 5)))).sequence
     assert tau(seq) == 1 + 2
     assert seq == (1, -2, 2, -1)

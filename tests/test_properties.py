@@ -141,10 +141,10 @@ def test_gamma0_of_expressions_is_symmetric_with_bounded_tau():
 def test_sum_with_mirror_vanishes():
     rng = random.Random(707)
     for expr, seq in sample_gamma0s(rng, 25, max_len=14):
-        result = eval_expr(Sum(expr, Mirror(expr))).sequence
+        result = eval_expr(Sum((expr, Mirror(expr)))).sequence
         assert result == (), str(expr)
         # eval_expr cancels E against -E; the pipeline must find [] too
-        assert _written_grouping(Sum(expr, Mirror(expr)))[0] == (), str(expr)
+        assert _written_grouping(Sum((expr, Mirror(expr))))[0] == (), str(expr)
 
 
 def test_loop_counts_account_for_all_generators():

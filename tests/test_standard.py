@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import cfkzero.knots as knots
 import cfkzero.standard as standard
 from cfkzero.algebra import Mode
 from cfkzero.cli import _random_symmetric_seq, format_seq, invariant_report
@@ -338,20 +339,23 @@ def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
         change(mat, *move)
 
     monkeypatch.setattr(standard, "_basis_change", counted)
-    monkeypatch.setattr(standard, "MERGES_PER_ARROW", 0)
+
+    def cap_at(cap):
+        monkeypatch.setattr(knots, "_simplify", lambda mat, arrows: standard._search(mat, cap))
+
     # the cap runs out just before, then just after, the first fallback
     # candidate, and then right after the rejected try inside a fallback
     # step: a rejected try makes two basis changes, the second undoing it
     for cap, changes in ((7, 7), (8, 8), (12, 13)):
         made.clear()
-        monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", cap)
+        cap_at(cap)
         with pytest.raises(SimplifyError, match="merge cap"):
             sum_gamma0(s1, s2)
         assert len(made) == changes
-    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 20)
+    cap_at(20)
     with pytest.raises(SimplifyError, match="merge cap"):
         sum_gamma0(s1, s2)
-    monkeypatch.setattr(standard, "SIMPLIFY_PASS_CAP", 21)
+    cap_at(21)
     assert sum_gamma0(s1, s2) == ((1, -1), 8)
 
 
@@ -366,7 +370,7 @@ def test_a_dead_end_with_nothing_to_try_raises():
 
 
 @pytest.mark.parametrize("text,budget", [
-    ("T(2,3) # T(2,3)", 10_000),  # 12 arrows: the floor
+    ("T(2,3) # T(2,3)", 192),  # 16 x 12
     ("-C2(99;T(7,8)) # C2(101;T(7,8))", 316_768),  # 16 x 19,798, not 16 x 17,590
 ])
 def test_the_merge_cap_is_set_on_the_plain_product(monkeypatch, text, budget):
