@@ -1,13 +1,13 @@
 """Exact arithmetic for F_2[U,V], its quotient F_2[U,V]/(UV), and the
 Alexander polynomials of torus knots.
 
-A monomial U^a V^b is the exponent pair (a, b), and a ring element is a
-frozenset of monomials: coefficients live in the field of two elements, so
-a term is either present or absent and addition is the symmetric
-difference ``^``.  A mode flag picks the ring: FULL means the polynomial
-ring F_2[U,V], UVZERO the quotient by the ideal (UV), in which every mixed
-monomial is zero.  The mode is not stored in the elements; each complex
-carries one and passes it to ``times``.
+A monomial U^a V^b is the exponent pair (a, b).  Every map the package
+builds is graded, and the gradings of a source and a target fix a and b,
+so each coefficient is one monomial or absent (see complexes._add_mono).
+A mode flag picks the ring: FULL means F_2[U,V], UVZERO the quotient by
+the ideal (UV), in which every mixed monomial is zero.  The mode is not
+stored in the monomials; each complex carries one and passes it to
+``_times``.
 
 The Alexander polynomial of a torus knot, a Laurent polynomial in t with
 integer coefficients, is a plain dict {exponent: coefficient}; evaluation
@@ -30,26 +30,17 @@ class Mode(enum.Enum):
     UVZERO = "uvzero"
 
 
-Poly = frozenset[tuple[int, int]]  # a sum of monomials U^a V^b, as pairs (a, b)
-ONE: Poly = frozenset({(0, 0)})
+Mono = tuple[int, int]  # the monomial U^a V^b as its exponents (a, b)
+ONE: Mono = (0, 0)
 
 
-def times(x: Poly, y: Poly, mode: Mode) -> Poly:
-    """The product of two sums of monomials; a repeated monomial cancels
-    (char 2), and over UVZERO a mixed one dies."""
-    quotient = mode is Mode.UVZERO
-    out: set[tuple[int, int]] = set()
-    for a1, b1 in x:
-        for a2, b2 in y:
-            a, b = a1 + a2, b1 + b2
-            if not (quotient and a and b):
-                out ^= {(a, b)}
-    return frozenset(out)
-
-
-def swap_uv(x: Poly) -> Poly:
-    """Exchange U and V in every monomial, as skew-equivariant maps do."""
-    return frozenset((b, a) for a, b in x)
+def _times(x: Mono, y: Mono, mode: Mode) -> Mono | None:
+    """The product of two monomials, or None where it dies: over UVZERO a
+    mixed monomial is zero."""
+    a, b = x[0] + y[0], x[1] + y[1]
+    if a and b and mode is Mode.UVZERO:
+        return None
+    return a, b
 
 
 def _clip(text: str, pos: int = 0) -> str:

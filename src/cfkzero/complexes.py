@@ -12,10 +12,9 @@ Conventions, fixed once for the whole package:
   generator (i, j) of a tensor product is the integer i * n2 + j, where n2
   is the size of the second factor.
 
-Because every complex here is graded, each differential entry is a single
-monomial U^a V^b, stored as the pair (a, b); the homology routine and the
-search matrix below read those pairs.  Endomorphisms may carry sums of
-monomials, as frozensets of pairs (see algebra).
+Every complex and every map here is graded, so each entry of a differential
+or an endomorphism is one monomial U^a V^b, the pair (a, b), or absent.
+Entries add by one rule, ``_add_mono``; the search matrix inlines it.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from .algebra import Mode, Poly, swap_uv, times
+from .algebra import Mode, Mono, _times
 
 
 class InvalidComplexError(ValueError):
@@ -34,6 +33,20 @@ class InvalidComplexError(ValueError):
 
 class KnotlikeError(ValueError):
     """A complex does not have the homological shape of a knot complex."""
+
+
+def _add_mono(entries: dict, key: Hashable, mono: Mono) -> None:
+    """Add `mono` to the entry at `key`: an empty entry takes it, an equal one
+    cancels (char 2), and a different one, which no graded map makes, raises."""
+    cur = entries.get(key)
+    if cur is None:
+        entries[key] = mono
+    elif cur == mono:
+        del entries[key]
+    else:
+        raise InvalidComplexError(
+            f"entry {key} mixes degrees U^{cur[0]}V^{cur[1]} and U^{mono[0]}V^{mono[1]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -128,7 +141,7 @@ class ChainComplex:
         return twice // 2
 
     @functools.cached_property
-    def _by_source(self) -> dict[int, list[tuple[int, Poly]]]:
+    def _by_source(self) -> dict[int, list[tuple[int, Mono]]]:
         """The differential indexed by source; ``diff`` never changes."""
         return diff_endomorphism(self)._by_source
 
@@ -284,8 +297,8 @@ class _MonoMatrix:
                 yield (tgt, src), mono
 
     def add(self, tgt: int, src: int, a: int, b: int) -> None:
-        """Add U^a V^b to the entry src -> tgt: an empty entry takes it, an
-        equal one cancels (char 2), and a mixed monomial dies.  The hash,
+        """Add U^a V^b to the entry src -> tgt by ``_add_mono``'s rule,
+        inlined for the search, after a mixed monomial dies.  The hash,
         the entry count, the arrow counts and the conflict set follow each
         change."""
         if a > 0 and b > 0:
@@ -339,9 +352,9 @@ class _MonoMatrix:
 
 @dataclass
 class Endomorphism:
-    """A matrix of ring elements over a complex's generators, keyed by
-    (target, source) positions, each a frozenset of monomials multiplied
-    in the complex's ring.
+    """A graded matrix over a complex's generators, keyed by (target, source)
+    positions, each entry one monomial (a, b) multiplied in the complex's
+    ring; an absent key is zero, and entries add by ``_add_mono``.
 
     ``shift`` declares the bidegree; when ``skew`` is set the map exchanges
     the two gradings and conjugates coefficients by the U <-> V swap, which is
@@ -349,46 +362,44 @@ class Endomorphism:
     """
 
     cx: ChainComplex
-    entries: dict[tuple[int, int], Poly] = field(default_factory=dict)
+    entries: dict[tuple[int, int], Mono] = field(default_factory=dict)
     shift: tuple[int, int] = (0, 0)
     skew: bool = False
 
-    def __post_init__(self) -> None:
-        self.entries = {k: v for k, v in self.entries.items() if v}
-
     @functools.cached_property
-    def _by_source(self) -> dict[int, list[tuple[int, Poly]]]:
-        """The entries indexed by source, as (target, coefficient) pairs."""
-        by_src: dict[int, list[tuple[int, Poly]]] = {}
-        for (tgt, src), elem in self.entries.items():
-            by_src.setdefault(src, []).append((tgt, elem))
+    def _by_source(self) -> dict[int, list[tuple[int, Mono]]]:
+        """The entries indexed by source, as (target, monomial) pairs."""
+        by_src: dict[int, list[tuple[int, Mono]]] = {}
+        for (tgt, src), mono in self.entries.items():
+            by_src.setdefault(src, []).append((tgt, mono))
         return by_src
 
-    def twist(self, elem: Poly) -> Poly:
-        return swap_uv(elem) if self.skew else elem
+    def twist(self, mono: Mono) -> Mono:
+        return (mono[1], mono[0]) if self.skew else mono
 
-    def apply(self, combo: Mapping[int, Poly]) -> dict[int, Poly]:
-        """Apply to a coefficient combination of generators; the result
-        holds no zero coefficient."""
-        out: dict[int, Poly] = {}
+    def apply(self, combo: Mapping[int, Mono]) -> dict[int, Mono]:
+        """Apply to a combination of generators with monomial coefficients;
+        the result holds no zero coefficient."""
+        out: dict[int, Mono] = {}
         mode = self.cx.mode
         for src, coeff in combo.items():
             twisted = self.twist(coeff)
-            for tgt, elem in self._by_source.get(src, ()):
-                term = times(elem, twisted, mode)
-                out[tgt] = out[tgt] ^ term if tgt in out else term
-        return {t: e for t, e in out.items() if e}
+            for tgt, mono in self._by_source.get(src, ()):
+                term = _times(mono, twisted, mode)
+                if term is not None:
+                    _add_mono(out, tgt, term)
+        return out
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other."""
-        entries: dict[tuple[int, int], Poly] = {}
+        entries: dict[tuple[int, int], Mono] = {}
         mode = self.cx.mode
         for (mid, src), inner in other.entries.items():
             twisted = self.twist(inner)
             for tgt, outer in self._by_source.get(mid, ()):
-                key = (tgt, src)
-                term = times(outer, twisted, mode)
-                entries[key] = entries[key] ^ term if key in entries else term
+                term = _times(outer, twisted, mode)
+                if term is not None:
+                    _add_mono(entries, (tgt, src), term)
         os = other.shift[::-1] if self.skew else other.shift
         shift = (self.shift[0] + os[0], self.shift[1] + os[1])
         return Endomorphism(self.cx, entries, shift, self.skew != other.skew)
@@ -397,8 +408,8 @@ class Endomorphism:
         if self.skew != other.skew or self.shift != other.shift:
             raise ValueError("can only add endomorphisms of the same type and shift")
         entries = dict(self.entries)
-        for key, elem in other.entries.items():
-            entries[key] = entries[key] ^ elem if key in entries else elem
+        for key, mono in other.entries.items():
+            _add_mono(entries, key, mono)
         return Endomorphism(self.cx, entries, self.shift, self.skew)
 
     def is_zero(self) -> bool:
@@ -412,23 +423,21 @@ class Endomorphism:
         diff, mine = self.cx._by_source, self._by_source
         quotient = self.cx.mode is Mode.UVZERO
         for src in mine.keys() | diff.keys():
-            # (inner monomials, outer column): d after f, then f after d
+            # (inner monomial, outer column): d after f, then f after d
             pairs = [(inner, diff.get(mid, ())) for mid, inner in mine.get(src, ())]
             for mid, inner in diff.get(src, ()):
                 pairs.append((self.twist(inner), mine.get(mid, ())))
             odd: set[tuple[int, int, int]] = set()
-            for inner, column in pairs:
-                for tgt, outer in column:
-                    for a1, b1 in inner:
-                        for a2, b2 in outer:
-                            a, b = a1 + a2, b1 + b2
-                            if quotient and a > 0 and b > 0:
-                                continue  # dies in the quotient
-                            term = (tgt, a, b)
-                            if term in odd:
-                                odd.remove(term)
-                            else:
-                                odd.add(term)
+            for (a1, b1), column in pairs:
+                for tgt, (a2, b2) in column:
+                    a, b = a1 + a2, b1 + b2
+                    if quotient and a > 0 and b > 0:
+                        continue  # dies in the quotient
+                    term = (tgt, a, b)
+                    if term in odd:
+                        odd.remove(term)
+                    else:
+                        odd.add(term)
             if odd:
                 return False
         return True
@@ -436,15 +445,13 @@ class Endomorphism:
     def respects_grading(self) -> bool:
         gr_u, gr_v = self.cx.gr_u, self.cx.gr_v
         du, dv = self.shift
-        for (tgt, src), elem in self.entries.items():
+        for (tgt, src), (a, b) in self.entries.items():
             src_u, src_v = (gr_v[src], gr_u[src]) if self.skew else (gr_u[src], gr_v[src])
-            for a, b in elem:
-                if gr_u[tgt] - 2 * a != src_u + du or gr_v[tgt] - 2 * b != src_v + dv:
-                    return False
+            if gr_u[tgt] - 2 * a != src_u + du or gr_v[tgt] - 2 * b != src_v + dv:
+                return False
         return True
 
 
 def diff_endomorphism(cx: ChainComplex) -> Endomorphism:
     """The differential itself, as an endomorphism of bidegree (-1, -1)."""
-    entries = {key: frozenset({mono}) for key, mono in cx.diff.items()}
-    return Endomorphism(cx, entries, (-1, -1), False)
+    return Endomorphism(cx, dict(cx.diff), (-1, -1))

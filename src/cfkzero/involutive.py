@@ -9,19 +9,20 @@ tensor product it is (i1 (x) i2) + (Phi (x) Psi) o (i1 (x) i2), where Phi and
 Psi differentiate the differential formally with respect to U and V.  Mod 2
 only odd exponents survive differentiation, which is why the coefficient
 b U^{b-1} appears exactly for odd b and why the displayed 2b-coefficient
-terms vanish.
+terms vanish.  Every map and basis element here is graded, so each
+coefficient is one monomial (a, b) or absent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ONE, Mode, Poly, times
-from .complexes import ChainComplex, Endomorphism, InvalidComplexError
+from .algebra import ONE, Mode, Mono, _times
+from .complexes import ChainComplex, Endomorphism, InvalidComplexError, _add_mono
 from .knots import ShapeError, _t2_host
 from .standard import Seq, extract_gamma0, seq_to_complex, staircase_shaped, validate_seq
 
-Combination = dict[int, Poly]
+Combination = dict[int, Mono]  # generator -> its monomial coefficient
 
 
 def _coefficient_parity(b: int) -> int:
@@ -63,8 +64,8 @@ def phi_psi(cx: ChainComplex) -> tuple[Endomorphism, Endomorphism]:
     Phi picks out the entries U^a V^b with a odd and divides by U; Psi does
     the same in V.  Both are honest chain maps in characteristic 2.
     """
-    phi_entries = {key: frozenset({(a - 1, b)}) for key, (a, b) in cx.diff.items() if a % 2}
-    psi_entries = {key: frozenset({(a, b - 1)}) for key, (a, b) in cx.diff.items() if b % 2}
+    phi_entries = {key: (a - 1, b) for key, (a, b) in cx.diff.items() if a % 2}
+    psi_entries = {key: (a, b - 1) for key, (a, b) in cx.diff.items() if b % 2}
     phi = Endomorphism(cx, phi_entries, (1, -1), skew=False)
     psi = Endomorphism(cx, psi_entries, (-1, 1), skew=False)
     if not phi.is_chain_map() or not psi.is_chain_map():
@@ -76,12 +77,13 @@ def _tensor_endo(
     product: ChainComplex, f: Endomorphism, g: Endomorphism, skew: bool
 ) -> Endomorphism:
     """f (x) g on product = f.cx (x) g.cx, (i, j) at i * len(g.cx) + j, so
-    each pair of entries writes its own key."""
+    each pair of entries writes its own key, unless its product dies."""
     width = len(g.cx)
     entries = {
-        (t1 * width + t2, s1 * width + s2): times(e1, e2, product.mode)
+        (t1 * width + t2, s1 * width + s2): mono
         for (t1, s1), e1 in f.entries.items()
         for (t2, s2), e2 in g.entries.items()
+        if (mono := _times(e1, e2, product.mode)) is not None
     }
     shift = (f.shift[0] + g.shift[0], f.shift[1] + g.shift[1])
     return Endomorphism(product, entries, shift, skew)
@@ -158,9 +160,8 @@ def build_xyz_basis(host: Seq, q: int) -> tuple[list[Combination], list[Square]]
     def combo(*parts: tuple[int, int, int]) -> Combination:
         out: Combination = {}
         for g, a, b in parts:
-            mono = frozenset({(a, b)})
-            out[g] = out[g] ^ mono if g in out else mono
-        return {g: e for g, e in out.items() if e}
+            _add_mono(out, g, (a, b))
+        return out
 
     # the X path of Eq-style listing: along the host at y_0, across the torus
     # staircase at x_{2n}, and back along the primed host at y'_0
@@ -243,13 +244,12 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
         used_rows.add(pivot)
         rank += 1
         for other in cols:
-            if other is col or pivot not in other or not other[pivot]:
+            if other is col or pivot not in other:
                 continue
+            # col[pivot] is ONE, so the pivot entry of other cancels itself
             factor = other[pivot]
             for g, e in col.items():
-                prod = times(factor, e, Mode.FULL)
-                other[g] = other[g] ^ prod if g in other else prod
-            other.pop(pivot, None)
+                _add_mono(other, g, _times(factor, e, Mode.FULL))
     return rank
 
 

@@ -1,61 +1,58 @@
-"""Exact arithmetic: sums of monomials over F_2[U,V] and its quotient,
-torus knot Alexander polynomials as {exponent: coefficient} dicts."""
+"""Exact arithmetic: monomials over F_2[U,V] and its quotient, the one
+rule that adds them, and torus knot Alexander polynomials as
+{exponent: coefficient} dicts."""
 
 import itertools
-from collections import Counter
 
 import pytest
 
-from cfkzero.algebra import (
-    ONE,
-    Mode,
-    alexander_torus,
-    swap_uv,
-    times,
-)
+from cfkzero.algebra import ONE, Mode, _times, alexander_torus
+from cfkzero.complexes import InvalidComplexError, _add_mono
 
-U = frozenset({(1, 0)})
-V = frozenset({(0, 1)})
+U, V = (1, 0), (0, 1)
 
 
 def test_char_two_cancellation():
-    assert not U ^ U
-    assert U ^ V == frozenset({(1, 0), (0, 1)})
-    assert (U ^ V) ^ V == U
-    # (U + V)^2 = U^2 + V^2: the two cross terms cancel, over either ring
-    for mode in Mode:
-        assert times(U ^ V, U ^ V, mode) == frozenset({(2, 0), (0, 2)})
+    # an empty entry takes a monomial, and an equal one cancels it
+    entries = {}
+    _add_mono(entries, (0, 1), U)
+    assert entries == {(0, 1): U}
+    _add_mono(entries, 2, V)
+    _add_mono(entries, (0, 1), U)
+    assert entries == {2: V}
+    _add_mono(entries, 2, V)
+    assert entries == {}
+
+
+def test_adding_a_different_monomial_to_an_entry_raises():
+    entries = {(3, 1): U}
+    message = r"entry \(3, 1\) mixes degrees U\^1V\^0 and U\^0V\^1"
+    with pytest.raises(InvalidComplexError, match=message):
+        _add_mono(entries, (3, 1), V)
+    assert entries == {(3, 1): U}
 
 
 def test_multiplication():
-    assert times(U, V, Mode.FULL) == frozenset({(1, 1)})
-    assert times(U, V, Mode.UVZERO) == frozenset()
-    assert times(frozenset({(2, 0)}), frozenset({(3, 0)}), Mode.FULL) == frozenset({(5, 0)})
-    assert times(U, ONE, Mode.UVZERO) == U
-    assert not times(U, frozenset(), Mode.FULL)
-
-
-def full_product(x, y):
-    """Independent product oracle over F_2[U,V]: count each monomial of the
-    expansion and keep those that occur an odd number of times."""
-    counts = Counter((a1 + a2, b1 + b2) for a1, b1 in x for a2, b2 in y)
-    return frozenset(mono for mono, n in counts.items() if n % 2)
+    assert _times(U, V, Mode.FULL) == (1, 1)
+    assert _times(U, V, Mode.UVZERO) is None
+    assert _times((2, 0), (3, 0), Mode.UVZERO) == (5, 0)
+    assert _times(U, ONE, Mode.UVZERO) == U
 
 
 def test_quotient_multiplication_agrees_with_full():
-    # over UVZERO the product is the FULL product with its mixed terms
-    # dropped, on every sum of up to two monomials of degree <= 2 in each
-    # variable
+    # over either ring the product adds exponents, commutes and has ONE as
+    # its identity, and over UVZERO exactly the mixed products die, on
+    # every pair of monomials of degree <= 2 in each variable
     monomials = [(a, b) for a in range(3) for b in range(3)]
-    sums = [frozenset(c) for n in range(3) for c in itertools.combinations(monomials, n)]
-    for x, y in itertools.product(sums, repeat=2):
-        full = times(x, y, Mode.FULL)
-        assert full == full_product(x, y) == times(y, x, Mode.FULL)
-        assert times(x, y, Mode.UVZERO) == frozenset((a, b) for a, b in full if not (a and b))
-        # the U <-> V swap is a ring automorphism and an involution
-        assert times(swap_uv(x), swap_uv(y), Mode.FULL) == swap_uv(full)
-        assert swap_uv(swap_uv(x)) == x
-    assert swap_uv(frozenset({(1, 2), (3, 0)})) == frozenset({(2, 1), (0, 3)})
+    for x, y in itertools.product(monomials, repeat=2):
+        full = (x[0] + y[0], x[1] + y[1])
+        mixed = full[0] > 0 and full[1] > 0
+        assert _times(x, y, Mode.FULL) == full
+        assert _times(x, y, Mode.UVZERO) == (None if mixed else full)
+        for mode in Mode:
+            assert _times(x, y, mode) == _times(y, x, mode)
+            dies = mode is Mode.UVZERO and x[0] > 0 and x[1] > 0
+            assert _times(x, ONE, mode) == _times(ONE, x, mode) == (None if dies else x)
 
 
 def naive_convolution(p, q):
