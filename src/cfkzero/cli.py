@@ -50,6 +50,7 @@ from .standard import (
     SequenceError,
     SimplifyError,
     _epsilon,
+    _tau_top,
     mirror_seq,
     seq_to_complex,
     tau,
@@ -60,7 +61,8 @@ from .standard import (
 
 
 def format_seq(seq: Sequence[int]) -> str:
-    return "[" + ",".join(map(str, seq)) + "]"
+    """The entries as [1,-1]: one C-level format, "%d," per entry."""
+    return "[" + ("%d," * len(seq) % tuple(seq))[:-1] + "]"
 
 
 # -- invariant report ---------------------------------------------------------
@@ -72,13 +74,12 @@ def invariant_report(text: str) -> dict:
     expr = parse_expr(text)
     result = eval_expr(expr)
     seq = result.sequence  # validated where eval_expr made it
-    walk = walk_values(seq)
-    top = max(walk)
+    start, top = _tau_top(seq)
     genus = genus_of(expr)
     return {
         "expr": text.strip(),
         "gamma0": seq,
-        "tau": walk[0],
+        "tau": start,
         "epsilon": _epsilon(seq),
         "topA": top,
         "genus": genus,

@@ -13,7 +13,11 @@ Evaluation produces the gamma_0 parameter sequence of the knot.  Torus
 knots read their staircases off the semigroup <p, |q|>, mirrors negate the
 sequence, and (2, q)-cables of staircases, or of mirrored staircases by
 C2(q; -K) = -C2(-q; K), carry the closed-form sequence transform, verified
-elsewhere against the sum pipeline.  Every expression is evaluated from its
+elsewhere against the sum pipeline.  Every sequence passes one check,
+standard._checked (no zero entry, even length, symmetry), where it is made:
+the staircase, the closed forms and the extraction build their own tuples
+of ints and call it directly, and validate_seq runs it on outside input;
+negation keeps every check.  Every expression is evaluated from its
 signed summands, the leaves under its sums and mirrors: gamma_0 factors
 through the local-equivalence group, so a summand cancels against a copy of
 its mirror without a product, the T(2, q) summands add into one signed pair
@@ -42,14 +46,15 @@ from dataclasses import dataclass
 from .algebra import QUOTE_WIDTH, _check_torus, _clip
 from .standard import (
     Seq,
+    _checked,
     _gamma0,
     _negate,
     _product,
     _require_valid,
     _simplify,
+    _tau_top,
     staircase_shaped,
     validate_seq,
-    walk_values,
 )
 
 
@@ -277,7 +282,7 @@ def torus_staircase(p: int, q: int) -> Seq:
     exps.sort()
     entries = list(map(operator.sub, exps[1:], exps))
     entries[1::2] = map(operator.neg, entries[1::2])
-    return validate_seq(entries)
+    return _checked(tuple(entries))
 
 
 def cable2(seq: Seq, genus: int, q: int) -> Seq:
@@ -294,7 +299,7 @@ def cable2(seq: Seq, genus: int, q: int) -> Seq:
         raise ShapeError(f"{list(s)} is not a staircase sequence")
     if q % 2 == 0:
         raise ShapeError(f"cable parameter q must be odd, got {q}")
-    if genus != max(walk_values(s)):
+    if genus != _tau_top(s)[1]:
         raise ShapeError(f"genus {genus} does not match the staircase {list(s)}")
     return _cable2(s, genus, q)
 
@@ -303,15 +308,16 @@ def _cable2(s: Seq, genus: int, q: int) -> Seq:
     """cable2 on a validated staircase ``s`` of genus ``genus`` and an odd q,
     neither checked again; the result is validated."""
     above = q > 4 * genus  # q = 4g never occurs: q is odd and 4g even
-    half: list[int] = []
+    steps: list[int] = []
     for a, b in zip(s[0::2], s[1::2]):
-        half += [1, -1] * (a - 1)
-        half += (1, 2 * b - 1)
-    if half and not above:
-        half[-1] += 1  # the last vertical step doubles to 2b
+        steps += (1, -1) * (a - 1)
+        steps += (1, 2 * b - 1)
+    if steps and not above:
+        steps[-1] += 1  # the last vertical step doubles to 2b
+    half = tuple(steps)
     sign = 1 if above else -1
-    middle = [sign, -sign] * ((abs(q - 4 * genus) - 1) // 2)
-    return validate_seq(half + middle + list(map(operator.neg, reversed(half))))
+    middle = (sign, -sign) * ((abs(q - 4 * genus) - 1) // 2)
+    return _checked(half + middle + tuple(map(operator.neg, half[::-1])))
 
 
 def _central_run(s: Seq) -> tuple[int, int, int]:
@@ -395,7 +401,7 @@ def _fold_t2(s: Seq, k: int, sign: int) -> Seq:
     lo, pairs, orientation = _central_run(s)
     c = pairs * orientation + k * sign
     t = 1 if c > 0 else -1
-    return validate_seq(s[:lo] + (t, -t) * abs(c) + s[len(s) - lo :])
+    return _checked(s[:lo] + (t, -t) * abs(c) + s[len(s) - lo :])
 
 
 def cable_genus(genus: int, p: int, q: int) -> int:
@@ -445,14 +451,15 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     order.  c joins the running result by the closed form of sum_with_T2 as
     soon as that result lies in its host domain; if it never does, c joins
     last as (t, -t)^|c|, t the sign of c, by one product, or is the result
-    when nothing else is left.  Every sequence is validated once, where it
-    is made: by torus_staircase, by the cable and T(2, q) closed forms and
-    by the sum pipeline's extraction; negation keeps every check.  The loop
-    count totals the closed components shed by the products built, so it
-    does not depend on the grouping.  More than MAX_PRODUCTS summands left
-    to tensor, or a torus knot, cable or product of more than MAX_GENERATORS
-    generators, raises EvalError before anything of that size is built; a
-    failed product, EvalError or SimplifyError, is final.
+    when nothing else is left.  Every sequence is checked once, by
+    standard._checked, where it is made: by torus_staircase, by the cable
+    and T(2, q) closed forms and by the sum pipeline's extraction; negation
+    keeps every check.  The loop count totals the closed components shed by
+    the products built, so it does not depend on the grouping.  More than
+    MAX_PRODUCTS summands left to tensor, or a torus knot, cable or product
+    of more than MAX_GENERATORS generators, raises EvalError before anything
+    of that size is built; a failed product, EvalError or SimplifyError, is
+    final.
     """
     summands = _signed_summands(expr, 1)
     if len(summands) == 1:
@@ -524,7 +531,7 @@ def _eval_leaf(expr: KnotExpr) -> EvalResult:
                 raise EvalError(
                     f"closed form inapplicable: {_clip(str(expr.inner))} is not an L-space staircase"
                 )
-        genus = max(walk_values(seq))
+        genus = _tau_top(seq)[1]
         # cable2 gives 2a entries per step pair (a, b), then |q - 4g| - 1
         # middle entries, then the first part mirrored; plus one generator
         _check_size(expr, 4 * sum(seq[0::2]) + abs(q - 4 * genus))

@@ -43,12 +43,24 @@ class SimplifyError(ValueError):
 
 
 def validate_seq(entries: Iterable[int]) -> Seq:
-    seq = tuple(map(int, entries))
+    """The entries, read by int(), as a parameter sequence: _checked on
+    their tuple.  That is the one check every sequence passes where it is
+    made; code that builds its own tuple of ints calls _checked directly."""
+    return _checked(tuple(map(int, entries)))
+
+
+def _checked(seq: Seq) -> Seq:
+    """``seq``, a tuple of ints, once it has no zero entry, an even length
+    and reverse-negate symmetry, checked in this order; SequenceError names
+    the first check it fails.  Symmetry compares the first half with the
+    negated, reversed second half: entry i with entry n - 1 - i, up to the
+    middle pair.  Each check is one pass in C."""
     if 0 in seq:
         raise SequenceError(f"zero entry in sequence {list(seq)}")
-    if len(seq) % 2 != 0:
+    half, odd = divmod(len(seq), 2)
+    if odd:
         raise SequenceError(f"sequence length must be even, got {list(seq)}")
-    if tuple(map(operator.neg, seq[::-1])) != seq:
+    if any(map(operator.add, seq[:half], reversed(seq))):
         raise SequenceError(f"sequence {list(seq)} is not reverse-negate symmetric")
     # symmetry makes the walk sum even: entries i and n-1-i add -2*seq[i]
     return seq
@@ -67,6 +79,14 @@ def walk_values(seq: Seq) -> list[int]:
     return list(itertools.accumulate(deltas, initial=-sum(deltas) // 2))
 
 
+def _tau_top(seq: Seq) -> tuple[int, int]:
+    """tau and the top Alexander grading of a validated sequence: the start
+    and the maximum of walk_values(seq), from one pass that keeps no walk."""
+    deltas = _delta_a(seq)
+    start = -sum(deltas) // 2
+    return start, max(itertools.accumulate(deltas, initial=start))
+
+
 def tau(seq: Sequence[int]) -> int:
     """Alexander value at the start of the gamma_0 walk."""
     s = validate_seq(seq)
@@ -74,8 +94,7 @@ def tau(seq: Sequence[int]) -> int:
 
 
 def top_alexander(seq: Sequence[int]) -> int:
-    s = validate_seq(seq)
-    return max(walk_values(s))
+    return _tau_top(validate_seq(seq))[1]
 
 
 def epsilon(seq: Sequence[int]) -> int:
@@ -550,7 +569,7 @@ def _gamma0(cols: Cols) -> tuple[Seq, int]:
     if min(starts) != ids[0]:
         entries = [-e for e in reversed(entries)]  # the same path walked from its other end
     try:
-        return validate_seq(entries), loops
+        return _checked(tuple(entries)), loops
     except SequenceError as exc:
         raise KnotlikeError(f"extracted walk is not a knot sequence: {exc}") from exc
 

@@ -129,6 +129,41 @@ def test_sequence_primitives_match_their_per_entry_references():
     assert sum(staircase_shaped(s) for s in map(tuple, seqs)) > 100
 
 
+def test_format_seq_prints_what_joining_the_entries_prints():
+    rng = random.Random(3001)
+    seqs = [(), (1, -1), (10**6 + 1, -(10**6 + 1)), (-(10**18), 7, -7, 10**18)]
+    seqs += [tuple(rng.choice([1, -1]) * rng.randint(1, 10**rng.randint(1, 12))
+                   for _ in range(rng.randint(0, 40))) for _ in range(300)]
+    for seq in seqs:
+        for container in (tuple, list):
+            assert format_seq(container(seq)) == "[" + ",".join(map(str, seq)) + "]"
+
+
+def random_iterated_cable(rng):
+    """A (2,q)-cable of depth 1 to 3 over a small torus knot: inner levels in
+    the L-space range q >= 4g - 1, the outer one any odd q around 4g."""
+    expr = rng.choice([knots.Torus(2, 3), knots.Torus(2, 5), knots.Torus(3, 4), knots.Torus(3, 5)])
+    depth = rng.randint(1, 3)
+    for level in range(depth):
+        g = knots.genus_of(expr)
+        low = 4 * g - 1 if level < depth - 1 else -(4 * g + 5)
+        expr = knots.Cable2(rng.randrange(low, 4 * g + 10, 2), expr)
+    return expr
+
+
+def test_the_report_reads_tau_and_top_a_off_the_walk():
+    rng = random.Random(3002)
+    depths = set()
+    for _ in range(150):
+        expr = random_iterated_cable(rng)
+        text = str(expr)
+        depths.add(text.count("C2"))
+        report = invariant_report(text)
+        walk = walk_values(report["gamma0"])
+        assert (report["tau"], report["topA"]) == (walk[0], max(walk)), text
+    assert depths == {1, 2, 3}
+
+
 def test_walk_and_tau_and_top():
     assert walk_values((1, -1)) == [1, 0, -1]
     assert tau((1, -1)) == 1
