@@ -185,12 +185,12 @@ def _check_staircase_extraction() -> tuple[bool, str]:
 
 
 def _check_cable_closed_forms() -> tuple[bool, str]:
-    got = cable2((1, -1), 1, -1)
+    got = cable2((1, -1), -1)
     if got != (1, -2, -1, 1, -1, 1, 2, -1):
         return False, f"(2,-1)-cable of T(2,3) gave {list(got)}"
     want = (1, -7, 1, -1, 1, -5, 1, -1, 1, -1, 1, -3, 1, -1,
             3, -1, 1, -1, 1, -1, 5, -1, 1, -1, 7, -1)
-    got = cable2((1, -3, 2, -2, 3, -1), 6, 27)
+    got = cable2((1, -3, 2, -2, 3, -1), 27)
     if got != want:
         return False, f"(2,27)-cable of T(4,5) gave {list(got)}"
     return True, "both printed sequences match"
@@ -214,7 +214,7 @@ def _check_sum_oracle() -> tuple[bool, str]:
             torus_seq = validate_seq([1, -1] * ((q - 1) // 2))
             for sign in (1, -1):
                 other = torus_seq if sign > 0 else tuple(-e for e in torus_seq)
-                closed = sum_with_T2(host, q, sign)
+                closed = sum_with_T2(host, sign * q)
                 piped, _ = sum_gamma0(host, other)
                 if closed != piped:
                     return False, (
@@ -300,7 +300,7 @@ def _check_sharpness() -> tuple[bool, str]:
         genus = top_alexander(seq)
         tau_k = tau(seq)
         for q in range(-(4 * genus + 5), 4 * genus + 6, 2):
-            cabled = cable2(seq, genus, q)
+            cabled = cable2(seq, q)
             if top_alexander(cabled) != cable_genus(genus, 2, q):
                 return False, f"T({p},{q0}) q={q}: top A mismatch"
             if tau(cabled) != tau_cable_formula(tau_k, 1, 2, q):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import ONE, Mode, Mono, _times
 from .complexes import ChainComplex, Endomorphism, InvalidComplexError, _add_mono
-from .knots import ShapeError, _t2_host
+from .knots import ShapeError
 from .standard import Seq, extract_gamma0, seq_to_complex, staircase_shaped, validate_seq
 
 Combination = dict[int, Mono]  # generator -> its monomial coefficient
@@ -134,7 +134,11 @@ def build_xyz_basis(host: Seq, q: int) -> tuple[list[Combination], list[Square]]
     Out-of-range primed and unprimed indices resolve by position along each
     staircase, which implements the stated index substitutions at j = k' = k.
     """
-    s = _t2_host(host, q)
+    s = validate_seq(host)
+    if q <= 2 or q % 2 == 0:
+        raise ShapeError(f"torus summand needs odd q > 2, got {q}")
+    if any(abs(a) != 1 for a in s[: len(s) // 2 : 2]):
+        raise ShapeError(f"{list(s)} has a horizontal step of magnitude > 1")
     if len(s) % 4:
         raise ShapeError(f"{list(s)} has a length of 2 mod 4")
     if not staircase_shaped(s):

@@ -17,24 +17,29 @@ elsewhere against the sum pipeline.  Every sequence passes one check,
 standard._checked (no zero entry, even length, symmetry), where it is made:
 the staircase, the closed forms and the extraction build their own tuples
 of ints and call it directly, and validate_seq runs it on outside input;
-negation keeps every check.  Every expression is evaluated from its
-signed summands, the leaves under its sums and mirrors: gamma_0 factors
-through the local-equivalence group, so a summand cancels against a copy of
-its mirror without a product, the T(2, q) summands add into one signed pair
-count that joins a host in the validated domain of sum_with_T2 by that
-closed form, and only what remains, at most MAX_PRODUCTS summands, is
-tensored through the sum pipeline (sound because local equivalence is
-preserved by tensoring).  That pipeline goes from two sequences to one on
-integer generator ids: the product is built as a matrix straight from the
-sequences, simplified, checked for gradings and d^2 = 0, and read back as
-a sequence, with no ChainComplex in between.
+negation keeps every check.  The closed forms take only what they cannot
+compute: cable2 reads the genus off the staircase as the sum of its
+horizontal steps, and sum_with_T2 takes the summand as the grammar writes
+it, q < 0 being the mirror.  Every expression is evaluated from its signed
+summands, the leaves under its sums and mirrors: gamma_0 factors through
+the local-equivalence group, so a summand cancels against a copy of its
+mirror without a product, the T(2, q) summands, told apart by
+_central_run alone, add into one signed pair count that joins a host in
+the validated domain of sum_with_T2 by that closed form, and only what
+remains is tensored through the sum pipeline (sound because local
+equivalence is preserved by tensoring).  That pipeline goes from two
+sequences to one on integer generator ids: the product is built as a
+matrix straight from the sequences, simplified, checked for gradings and
+d^2 = 0, and read back as a sequence, with no ChainComplex in between.
 Each generator of a factor meets at most one arrow of each type, so in
 each direction the product is a disjoint sum of squares, and a square of
 unequal powers is built already resolved into two arrows of the smaller
 power: the change of basis that does so adds only terms with both U and V,
 which die over UV = 0.  The basis search then starts with only the squares
-of equal powers to resolve.  No torus knot, cable or product whose complex
-would exceed MAX_GENERATORS generators is built.
+of equal powers to resolve.  No torus knot, cable, T(2, q) fold or pair
+count whose sequence would exceed MAX_GENERATORS generators is built, and
+the products of one evaluation share one budget of MAX_GENERATORS
+generators.
 """
 
 from __future__ import annotations
@@ -52,14 +57,12 @@ from .standard import (
     _product,
     _require_valid,
     _simplify,
-    _tau_top,
     staircase_shaped,
     validate_seq,
 )
 
 
 MAX_GENERATORS = 100_000  # the largest complex an evaluation may build
-MAX_PRODUCTS = 1_000  # the most summands one sum may tensor
 
 
 class ShapeError(ValueError):
@@ -285,28 +288,28 @@ def torus_staircase(p: int, q: int) -> Seq:
     return _checked(tuple(entries))
 
 
-def cable2(seq: Seq, genus: int, q: int) -> Seq:
+def cable2(seq: Seq, q: int) -> Seq:
     """Sequence of the (2, q)-cable of an L-space knot with staircase ``seq``.
 
     Each horizontal step a expands to the alternating block 1, -1, ..., 1 of
     length 2a - 1 and each vertical step b to the single entry 2b - 1; a
     middle run of |q - 4g| - 1 alternating entries separates the two mirrored
     halves, running 1, -1, ... when q > 4g and -1, 1, ... when q < 4g, in
-    which case the last vertical step doubles to 2b instead.
+    which case the last vertical step doubles to 2b instead.  The genus g is
+    the staircase's topA, the sum of its horizontal steps.
     """
     s = validate_seq(seq)
     if not staircase_shaped(s):
         raise ShapeError(f"{list(s)} is not a staircase sequence")
     if q % 2 == 0:
         raise ShapeError(f"cable parameter q must be odd, got {q}")
-    if genus != _tau_top(s)[1]:
-        raise ShapeError(f"genus {genus} does not match the staircase {list(s)}")
-    return _cable2(s, genus, q)
+    return _cable2(s, q)
 
 
-def _cable2(s: Seq, genus: int, q: int) -> Seq:
-    """cable2 on a validated staircase ``s`` of genus ``genus`` and an odd q,
-    neither checked again; the result is validated."""
+def _cable2(s: Seq, q: int) -> Seq:
+    """cable2 on a validated staircase ``s`` and an odd q, neither checked
+    again; the result is validated."""
+    genus = sum(s[0::2])  # the staircase's topA
     above = q > 4 * genus  # q = 4g never occurs: q is odd and 4g even
     steps: list[int] = []
     for a, b in zip(s[0::2], s[1::2]):
@@ -326,26 +329,14 @@ def _central_run(s: Seq) -> tuple[int, int, int]:
     a horizontal step (lo even) and reads (o, -o, o, ...) with |o| = 1, and
     with its mirror image s[m:len(s) - lo] it holds L = m - lo unit pairs of
     orientation o.  With no run, lo = m and L = o = 0.  For a length of 2
-    mod 4 the run holds the middle (H, V) pair, so L is odd."""
+    mod 4 the run holds the middle (H, V) pair, so L is odd.  lo == 0
+    exactly when s is +-(1, -1)^k, the gamma_0 of T(2, +-(2k + 1)), or
+    empty, and then L o is its signed pair count."""
     m = lo = len(s) // 2
     while lo and abs(s[lo - 1]) == 1 and s[lo - 1] == -s[lo]:
         lo -= 1
     lo = min(lo + lo % 2, m)
     return lo, m - lo, s[lo] if lo < m else 0
-
-
-def _t2_host(seq: Seq, q: int) -> Seq:
-    """A host sequence for a sum with T(2, +-q), validated: it is nonempty,
-    every horizontal step of its first half has magnitude 1, and q is odd
-    and > 2."""
-    s = validate_seq(seq)
-    if q <= 2 or q % 2 == 0:
-        raise ShapeError(f"torus summand needs odd q > 2, got {q}")
-    if not s:
-        raise ShapeError("a host for a sum with T(2, q) needs a nonempty sequence")
-    if any(abs(a) != 1 for a in s[: len(s) // 2 : 2]):
-        raise ShapeError(f"{list(s)} has a horizontal step of magnitude > 1")
-    return s
 
 
 def _in_t2_domain(s: Seq) -> bool:
@@ -358,8 +349,9 @@ def _in_t2_domain(s: Seq) -> bool:
     is refused when a central run of the other orientation (o != epsilon)
     meets a unit vertical step at the end of outer.  A host of length 2 mod
     4 with no run is refused too: its middle horizontal step, the last entry
-    of outer, is not a unit.  Every (2, q)-cable of a staircase, and every
-    staircase with unit horizontal steps, lies in it.
+    of outer, is not a unit.  So every horizontal step of a host's first
+    half is a unit.  Every (2, q)-cable of a staircase, and every staircase
+    with unit horizontal steps, lies in it.
     """
     if not s:
         return False
@@ -371,35 +363,37 @@ def _in_t2_domain(s: Seq) -> bool:
     return not (pairs and orientation != eps and abs(outer[-1]) == 1)
 
 
-def sum_with_T2(seq: Seq, q: int, sign: int) -> Seq:
-    """Sequence of K # T_{2, +-q} for K in the host domain of _in_t2_domain.
+def sum_with_T2(seq: Seq, q: int) -> Seq:
+    """Sequence of K # T(2, q) for K in the host domain of _in_t2_domain and
+    an odd |q| > 2; q < 0 is the mirror, -T(2, |q|).
 
     The host's central unit run of L pairs of orientation o (see
-    _central_run) and the (q-1)/2 unit pairs of the summand, oriented
-    1, -1, ... for the positive torus knot and -1, 1, ... for its mirror,
-    add as signed pair counts: pairs of opposite orientations annihilate one
-    for one, which is what makes the two middle runs of a cable and a
-    torus-knot summand collapse.  Hosts of either length mod 4 are taken.
-    Outside the domain (unit horizontal steps alone are not enough:
-    (1, 1, -1, -1) with -T(2, 3) gives a ten-entry sequence) it raises
-    ShapeError; inside it the closed form agrees with the sum pipeline on
-    every host tested.
+    _central_run) and the (|q| - 1)/2 unit pairs of the summand, oriented
+    1, -1, ... for q > 0 and -1, 1, ... for q < 0, add as signed pair
+    counts: pairs of opposite orientations annihilate one for one, which is
+    what makes the two middle runs of a cable and a torus-knot summand
+    collapse.  Hosts of either length mod 4 are taken.  Outside the domain
+    (unit horizontal steps alone are not enough: (1, 1, -1, -1) with
+    -T(2, 3) gives a ten-entry sequence) it raises ShapeError; inside it the
+    closed form agrees with the sum pipeline on every host tested.
     """
-    s = _t2_host(seq, q)
-    if sign not in (1, -1):
-        raise ShapeError(f"sign must be +1 or -1, got {sign}")
+    s = validate_seq(seq)
+    if q % 2 == 0 or abs(q) < 3:
+        raise ShapeError(f"torus summand needs odd |q| > 2, got {q}")
     if not _in_t2_domain(s):
         raise ShapeError(f"{list(s)} is outside the host domain of the T(2,q) closed form")
-    return _fold_t2(s, (q - 1) // 2, sign)
+    return _fold_t2(s, q // 2 + (q < 0))  # (q - 1)/2 pairs, or -(|q| - 1)/2
 
 
-def _fold_t2(s: Seq, k: int, sign: int) -> Seq:
-    """sum_with_T2 for a host ``s`` in the domain and the summand
-    sign * (1, -1)^k, neither checked again; the result is validated.  With
-    lo, L, o = _central_run(s) and c = L o + k sign, the run becomes
-    |c| unit pairs of the sign t of c: s[:lo] + (t, -t)^|c| + s[len - lo:]."""
+def _fold_t2(s: Seq, c: int) -> Seq:
+    """sum_with_T2 for a host ``s`` in the domain and the signed pair count
+    ``c`` of the summand, +-(1, -1)^|c|, neither checked again; the result
+    is validated.  With lo, L, o = _central_run(s), the run becomes the
+    |L o + c| unit pairs of the sign t of L o + c:
+    s[:lo] + (t, -t)^|L o + c| + s[len - lo:], of 2 lo + 2 |L o + c|
+    entries."""
     lo, pairs, orientation = _central_run(s)
-    c = pairs * orientation + k * sign
+    c += pairs * orientation
     t = 1 if c > 0 else -1
     return _checked(s[:lo] + (t, -t) * abs(c) + s[len(s) - lo :])
 
@@ -443,23 +437,24 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     Every expression is evaluated from its signed summands (see
     _signed_summands): gamma_0 factors through the local-equivalence group,
     so the plan is the same however a sum is grouped and wherever its
-    mirrors stand.  One summand is the result.  Otherwise unknots drop out,
-    and the T(2, q) summands, +-(1, -1)^k, add into one signed pair count c.
-    Every other summand cancels against a remaining copy of its negation
-    (K # -K is locally trivial, and the pipeline sees only the standard
-    complexes, so this is exact), and the rest are tensored in written
-    order.  c joins the running result by the closed form of sum_with_T2 as
-    soon as that result lies in its host domain; if it never does, c joins
-    last as (t, -t)^|c|, t the sign of c, by one product, or is the result
-    when nothing else is left.  Every sequence is checked once, by
+    mirrors stand.  One summand is the result.  Otherwise the summands with
+    no central-run prefix (_central_run gives lo == 0: unknots and the
+    T(2, q) summands, +-(1, -1)^k) add into one signed pair count c.  Every
+    other summand cancels against a remaining copy of its negation (K # -K
+    is locally trivial, and the pipeline sees only the standard complexes,
+    so this is exact), and the rest are tensored in written order.  c joins
+    the running result by the closed form of sum_with_T2 (_fold_t2) as soon
+    as that result lies in its host domain; if it never does, c joins last
+    as (t, -t)^|c|, t the sign of c, by one product, or is the result when
+    nothing else is left.  Every sequence is checked once, by
     standard._checked, where it is made: by torus_staircase, by the cable
     and T(2, q) closed forms and by the sum pipeline's extraction; negation
     keeps every check.  The loop count totals the closed components shed by
-    the products built, so it does not depend on the grouping.  More than
-    MAX_PRODUCTS summands left to tensor, or a torus knot, cable or product
-    of more than MAX_GENERATORS generators, raises EvalError before anything
-    of that size is built; a failed product, EvalError or SimplifyError, is
-    final.
+    the products built, so it does not depend on the grouping.  A torus
+    knot, cable, fold or pair count of more than MAX_GENERATORS generators
+    raises EvalError before it is built, and so does a product that would
+    take the products of this call past MAX_GENERATORS generators in all;
+    a failed product, EvalError or SimplifyError, is final.
     """
     summands = _signed_summands(expr, 1)
     if len(summands) == 1:
@@ -468,30 +463,28 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     pairs = 0
     kept: list[Seq] = []
     for seq in (summand.sequence for summand in summands):
-        if not seq:
-            continue
-        if _t2_class(seq):
-            pairs += len(seq) // 2 * seq[0]
+        lo, run, orientation = _central_run(seq)
+        if not lo:  # +-(1, -1)^k or empty
+            pairs += run * orientation
             continue
         negation = _negate(seq)
         if negation in kept:
             kept.remove(negation)
         else:
             kept.append(seq)
-    if len(kept) > MAX_PRODUCTS:
-        raise EvalError(
-            f"{_clip(str(expr))} needs a product of {len(kept)} summands, "
-            f"more than the limit of {MAX_PRODUCTS}"
-        )
     result: Seq = ()
+    built = 0  # the generators of this call's products
     for seq in kept:
-        result, shed = _join(expr, result, seq)
+        result, shed, built = _join(expr, result, seq, built)
         loops += shed
         if pairs and _in_t2_domain(result):
-            result, pairs = _fold_t2(result, abs(pairs), 1 if pairs > 0 else -1), 0
+            lo, run, orientation = _central_run(result)  # the fold's length
+            _check_size(expr, 2 * lo + 2 * abs(run * orientation + pairs) + 1)
+            result, pairs = _fold_t2(result, pairs), 0
     if pairs:
+        _check_size(expr, 2 * abs(pairs) + 1)
         t = 1 if pairs > 0 else -1
-        result, shed = _join(expr, result, (t, -t) * abs(pairs))
+        result, shed, _ = _join(expr, result, (t, -t) * abs(pairs), built)
         loops += shed
     return EvalResult(result, loops)
 
@@ -511,8 +504,8 @@ def _signed_summands(expr: KnotExpr, sign: int) -> list[EvalResult]:
 def _eval_leaf(expr: KnotExpr) -> EvalResult:
     """eval_expr on a leaf.  A torus knot is its semigroup staircase
     (negated for q < 0), and a cable the closed form of a staircase or of the
-    mirror of one, C2(q; -K) = -C2(-q; K), read off its operand's shape and
-    genus without validating the operand again."""
+    mirror of one, C2(q; -K) = -C2(-q; K), read off its operand's shape
+    without validating the operand again."""
     if isinstance(expr, Unknot):
         return EvalResult((), 0)
     if isinstance(expr, Torus):
@@ -531,23 +524,26 @@ def _eval_leaf(expr: KnotExpr) -> EvalResult:
                 raise EvalError(
                     f"closed form inapplicable: {_clip(str(expr.inner))} is not an L-space staircase"
                 )
-        genus = _tau_top(seq)[1]
         # cable2 gives 2a entries per step pair (a, b), then |q - 4g| - 1
-        # middle entries, then the first part mirrored; plus one generator
-        _check_size(expr, 4 * sum(seq[0::2]) + abs(q - 4 * genus))
-        cabled = _cable2(seq, genus, q)
+        # middle entries, g the sum of the a, then the first part mirrored;
+        # plus one generator
+        genus = sum(seq[0::2])
+        _check_size(expr, 4 * genus + abs(q - 4 * genus))
+        cabled = _cable2(seq, q)
         return EvalResult(_negate(cabled) if mirrored else cabled, inner.loop_count)
     raise EvalError(f"unknown expression node {expr!r}")
 
 
-def _join(expr: KnotExpr, s1: Seq, s2: Seq) -> tuple[Seq, int]:
-    """The sum of two validated sequences and the loops it sheds, by the sum
-    pipeline unless one of them is empty; the product meets the
-    MAX_GENERATORS limit, which names ``expr``."""
+def _join(expr: KnotExpr, s1: Seq, s2: Seq, built: int) -> tuple[Seq, int, int]:
+    """The sum of two validated sequences, the loops it sheds and the
+    generators of the products built, by the sum pipeline unless one of them
+    is empty; the product is refused, naming ``expr``, if it would take the
+    ``built`` generators of the products before it past MAX_GENERATORS."""
     if not s1 or not s2:
-        return s1 or s2, 0
-    _check_size(expr, (len(s1) + 1) * (len(s2) + 1))
-    return _sum_gamma0(s1, s2)
+        return s1 or s2, 0, built
+    built += (len(s1) + 1) * (len(s2) + 1)
+    _check_size(expr, built)
+    return *_sum_gamma0(s1, s2), built
 
 
 def torus_generators(p: int, q: int) -> int:
@@ -603,12 +599,6 @@ def _sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     _simplify(product, plain)
     _require_valid(product, gr_u, gr_v)
     return _gamma0(product.cols)
-
-
-def _t2_class(s: Seq) -> bool:
-    """Whether a nonempty validated sequence is +-(1, -1)^k, the gamma_0 of
-    T(2, +-(2k + 1))."""
-    return abs(s[0]) == 1 and s == (s[0], -s[0]) * (len(s) // 2)
 
 
 def locally_equivalent(e1: KnotExpr, e2: KnotExpr) -> bool:

@@ -217,24 +217,36 @@ def test_nesting_below_the_interpreter_limit_evaluates(capsys, text, want):
 
 
 def test_a_sum_of_more_summands_than_the_product_limit_exits_2(monkeypatch, capsys):
+    # the products of one evaluation share one budget of MAX_GENERATORS
+    # generators: T(3,4) written k times builds products of 5, 9, ..., 4k - 3
+    # times 5 generators, so k = 100 (99,495 in all) evaluates and k = 101
+    # is refused before its last product is built
     built = []
-    monkeypatch.setattr(knots, "_sum_gamma0", lambda s1, s2: built.append(1))
-    code, out, err = run(capsys, "gamma0", " # ".join(["T(3,4)"] * 1001))
-    assert (code, out, built) == (2, "", [])
+    original = knots._sum_gamma0
+
+    def counted(s1, s2):
+        built.append((len(s1) + 1) * (len(s2) + 1))
+        return original(s1, s2)
+
+    monkeypatch.setattr(knots, "_sum_gamma0", counted)
+    code, out, err = run(capsys, "gamma0", " # ".join(["T(3,4)"] * 101))
+    assert (code, out, sum(built)) == (2, "", 99_495)
     assert err.startswith("error: T(3,4) # T(3,4) # ") and err.count("\n") == 1
-    assert err.endswith(" needs a product of 1001 summands, more than the limit of 1000\n")
+    assert err.endswith(" needs a complex of 101500 generators, more than the limit of 100000\n")
 
 
 @pytest.mark.parametrize("text,code", [
     ("T(3,4) # T(3,5)", 0),
     ("T(3,4) # T(3,5) # T(4,5)", 2),
-    # the limit counts the summands left after cancellation, and T(2,q)
-    # summands fold into one pair count
+    # the budget counts the products left after cancellation, and T(2,q)
+    # summands fold into one pair count without a product
     ("T(3,4) # T(4,5) # -T(4,5) # T(3,5)", 0),
     ("T(3,4) # T(2,3) # T(3,5) # T(2,5)", 0),
 ])
 def test_the_product_limit_counts_the_summands_left_to_tensor(monkeypatch, capsys, text, code):
-    monkeypatch.setattr(knots, "MAX_PRODUCTS", 2)
+    # the plans build 35, 35 + 77, 35 and 77 product generators; as
+    # written, the last two sums would build 35 + 77 + 35 and 15 + 49 + 65
+    monkeypatch.setattr(knots, "MAX_GENERATORS", 100)
     assert run(capsys, "gamma0", text)[0] == code
 
 
@@ -378,9 +390,9 @@ def test_verify_paper_json_times_each_check(monkeypatch, capsys):
 def test_verify_paper_detects_a_broken_cabling_formula(monkeypatch, capsys):
     original = cli.cable2
 
-    def skewed(seq, genus, q):
+    def skewed(seq, q):
         # middle run off by one pair for long cables
-        return original(seq, genus, q + 2 if q > 4 * genus else q)
+        return original(seq, q + 2 if q > 4 * sum(seq[0::2]) else q)
 
     monkeypatch.setattr(cli, "cable2", skewed)
     monkeypatch.setattr(cli, "PAPER_CHECKS", [("cabling-closed-forms", cli._check_cable_closed_forms)])

@@ -2,6 +2,7 @@
 evaluation, and local equivalence."""
 
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -16,6 +17,7 @@ from cfkzero.algebra import alexander_torus
 from cfkzero.cli import _written_grouping, main
 from cfkzero.knots import (
     MAX_GENERATORS,
+    _central_run,
     Cable2,
     EvalError,
     EvalResult,
@@ -41,6 +43,7 @@ from cfkzero.knots import (
 )
 from cfkzero.standard import (
     mirror_seq,
+    staircase_shaped,
     tau,
     top_alexander,
     validate_seq,
@@ -202,11 +205,11 @@ def test_staircase_rejects_non_lspace_polynomials():
 
 
 def test_cable_below_reproduces_the_printed_sequence():
-    assert cable2((1, -1), 1, -1) == (1, -2, -1, 1, -1, 1, 2, -1)
+    assert cable2((1, -1), -1) == (1, -2, -1, 1, -1, 1, 2, -1)
 
 
 def test_cable_above_reproduces_the_printed_sequence():
-    got = cable2((1, -3, 2, -2, 3, -1), 6, 27)
+    got = cable2((1, -3, 2, -2, 3, -1), 27)
     assert got == T45_CABLE_27
     assert len(got) == 26
     # middle run of length 27 - 4g - 1 = 2 sits at the centre
@@ -238,41 +241,39 @@ def cable_alexander(p_seq, q):
 def test_cable_above_matches_the_alexander_oracle(seq, q):
     genus = top_alexander(seq)
     assert q > 4 * genus
-    assert cable2(seq, genus, q) == staircase_from_alexander(cable_alexander(seq, q))
+    assert cable2(seq, q) == staircase_from_alexander(cable_alexander(seq, q))
 
 
 def test_cable_of_the_unknot_is_a_torus_knot():
-    assert cable2((), 0, 7) == (1, -1, 1, -1, 1, -1)
-    assert cable2((), 0, -5) == (-1, 1, -1, 1)
+    assert cable2((), 7) == (1, -1, 1, -1, 1, -1)
+    assert cable2((), -5) == (-1, 1, -1, 1)
 
 
 def test_cable_rejects_bad_input():
     with pytest.raises(ShapeError):
-        cable2((1, -1), 1, 4)
+        cable2((1, -1), 4)
     with pytest.raises(ShapeError):
-        cable2((1, -1), 2, 5)
-    with pytest.raises(ShapeError):
-        cable2((1, -2, -1, 1, -1, 1, 2, -1), 2, 5)
+        cable2((1, -2, -1, 1, -1, 1, 2, -1), 5)
 
 
 # -- connected sum with a torus knot -----------------------------------------
 
 
 def test_sum_with_t2_plain_insertion():
-    assert sum_with_T2((1, -1, 1, -1), 3, 1) == (1, -1, 1, -1, 1, -1)
-    assert sum_with_T2((1, -2, 2, -1), 5, 1) == (1, -2, 1, -1, 1, -1, 2, -1)
-    assert sum_with_T2((1, -2, 2, -1), 3, -1) == (1, -2, -1, 1, 2, -1)
+    assert sum_with_T2((1, -1, 1, -1), 3) == (1, -1, 1, -1, 1, -1)
+    assert sum_with_T2((1, -2, 2, -1), 5) == (1, -2, 1, -1, 1, -1, 2, -1)
+    assert sum_with_T2((1, -2, 2, -1), -3) == (1, -2, -1, 1, 2, -1)
 
 
 def test_sum_with_t2_cancels_opposite_runs():
     # T(2,5) # -T(2,3) is locally equivalent to T(2,3): the inserted run eats
     # the host's central run pair for pair
-    assert sum_with_T2((1, -1, 1, -1), 3, -1) == (1, -1)
-    assert sum_with_T2((1, -1, 1, -1), 5, -1) == ()
-    assert sum_with_T2((1, -1, 1, -1), 7, -1) == (-1, 1)
+    assert sum_with_T2((1, -1, 1, -1), -3) == (1, -1)
+    assert sum_with_T2((1, -1, 1, -1), -5) == ()
+    assert sum_with_T2((1, -1, 1, -1), -7) == (-1, 1)
     # the cable of the trefoil against a (2,5) torus knot: runs annihilate
-    assert sum_with_T2((1, -2, -1, 1, -1, 1, 2, -1), 5, 1) == (1, -2, 2, -1)
-    assert sum_with_T2((1, -2, -1, 1, -1, 1, 2, -1), 3, 1) == (1, -2, -1, 1, 2, -1)
+    assert sum_with_T2((1, -2, -1, 1, -1, 1, 2, -1), 5) == (1, -2, 2, -1)
+    assert sum_with_T2((1, -2, -1, 1, -1, 1, 2, -1), 3) == (1, -2, -1, 1, 2, -1)
 
 
 def test_sum_with_t2_agrees_with_the_pipeline():
@@ -284,21 +285,20 @@ def test_sum_with_t2_agrees_with_the_pipeline():
     ]
     for host, q, sign in grid:
         torus_seq = validate_seq([sign, -sign] * ((q - 1) // 2))
-        assert sum_with_T2(host, q, sign) == pipeline(host, torus_seq)
+        assert sum_with_T2(host, sign * q) == pipeline(host, torus_seq)
 
 
 def test_sum_with_t2_shape_errors():
     # hosts of length 2 mod 4 are taken: their central run holds the middle pair
-    assert sum_with_T2((1, -1), 3, 1) == pipeline((1, -1), (1, -1))
-    assert sum_with_T2((1, -2, -1, 1, 2, -1), 3, 1) == pipeline((1, -2, -1, 1, 2, -1), (1, -1))
-    with pytest.raises(ShapeError, match="nonempty"):
-        sum_with_T2((), 3, 1)
+    assert sum_with_T2((1, -1), 3) == pipeline((1, -1), (1, -1))
+    assert sum_with_T2((1, -2, -1, 1, 2, -1), 3) == pipeline((1, -2, -1, 1, 2, -1), (1, -1))
+    with pytest.raises(ShapeError, match="host domain"):
+        sum_with_T2((), 3)
     with pytest.raises(ShapeError):
-        sum_with_T2((2, -1, 1, -2), 3, 1)  # horizontal step of power 2
-    with pytest.raises(ShapeError):
-        sum_with_T2((1, -1, 1, -1), 2, 1)
-    with pytest.raises(ShapeError):
-        sum_with_T2((1, -1, 1, -1), 3, 2)
+        sum_with_T2((2, -1, 1, -2), 3)  # horizontal step of power 2
+    for q in (2, 1, -1, -2):
+        with pytest.raises(ShapeError, match="odd"):
+            sum_with_T2((1, -1, 1, -1), q)
 
 
 def test_sum_with_t2_refuses_a_host_outside_the_domain():
@@ -306,12 +306,48 @@ def test_sum_with_t2_refuses_a_host_outside_the_domain():
     # (1, 1, -1, 1, -1, -1), the pipeline gives ten entries
     assert pipeline((1, 1, -1, -1), (-1, 1)) == (1, 1, -1, -1, -1, 1, 1, 1, -1, -1)
     with pytest.raises(ShapeError, match="host domain"):
-        sum_with_T2((1, 1, -1, -1), 3, -1)
+        sum_with_T2((1, 1, -1, -1), -3)
     # a central run of the other orientation after a unit vertical step: the
     # closed form would give (1, -1, 1, -1), the pipeline gives sixteen entries
     assert len(pipeline((1, -1, -1, 1, 1, -1), (1, -1))) == 16
     with pytest.raises(ShapeError, match="host domain"):
-        sum_with_T2((1, -1, -1, 1, 1, -1), 3, 1)
+        sum_with_T2((1, -1, -1, 1, 1, -1), 3)
+
+
+def small_symmetric_sequences(max_half):
+    """Every nonempty symmetric sequence whose first half has at most
+    ``max_half`` entries, each in +-1 ... 3."""
+    for n in range(1, max_half + 1):
+        for half in itertools.product((1, -1, 2, -2, 3, -3), repeat=n):
+            yield validate_seq(half + tuple(-e for e in reversed(half)))
+
+
+def test_the_central_run_alone_tells_a_t2_class_and_its_signed_pair_count():
+    count = 0
+    for s in small_symmetric_sequences(4):
+        lo, pairs, orientation = _central_run(s)
+        t2 = abs(s[0]) == 1 and s == (s[0], -s[0]) * (len(s) // 2)
+        assert (lo == 0) == t2, s
+        if t2:
+            assert pairs * orientation == len(s) // 2 * s[0], s
+        count += 1
+    assert count == 1554
+    assert _central_run(()) == (0, 0, 0)
+
+
+def test_the_host_domain_implies_a_nonempty_host_with_unit_horizontal_steps():
+    # what sum_with_T2 needs of a host beyond the domain: nothing
+    hosts = [s for s in small_symmetric_sequences(5) if knots._in_t2_domain(s)]
+    assert len(hosts) == 74 and not knots._in_t2_domain(())
+    for s in hosts:
+        assert all(abs(h) == 1 for h in s[: len(s) // 2 : 2]), s
+
+
+def test_the_genus_of_a_staircase_is_the_sum_of_its_horizontal_steps():
+    staircases = [s for s in small_symmetric_sequences(4) if staircase_shaped(s)]
+    assert len(staircases) == 120
+    for s in staircases:
+        assert sum(s[0::2]) == top_alexander(s), s
 
 
 def random_t2_host(rng, odd=False):
@@ -343,7 +379,7 @@ def accepted_and_refused(rng, odd):
         assert len(host) % 4 == 2 * odd
         q, sign = rng.choice((3, 5, 7, 9)), rng.choice((1, -1))
         try:
-            closed = sum_with_T2(host, q, sign)
+            closed = sum_with_T2(host, sign * q)
         except ShapeError:
             refused += 1
             continue
@@ -381,7 +417,7 @@ def test_tau_cable_formula_for_epsilon_minus_one_through_the_mirror():
         s = staircase_from_alexander(alexander_torus(p, q0))
         g = top_alexander(s)
         for q in range(-15, 16, 2):
-            got = tau(mirror_seq(cable2(s, g, -q)))
+            got = tau(mirror_seq(cable2(s, -q)))
             assert got == tau_cable_formula(-tau(s), -1, 2, q), (p, q0, q)
             cases += 1
     assert cases == 80
@@ -572,6 +608,25 @@ def test_a_t2_pair_count_folds_before_the_product_that_would_exceed_the_limit(mo
     assert len(built) == 2
     assert seq.count(",") + 1 == 680
     assert seq == f"[{','.join(map(str, plain(parse_expr(text))))}]\n"
+
+
+@pytest.mark.parametrize("text,generators", [
+    # the pair count is the whole result: 50 pairs
+    ("T(2,51) # T(2,51)", 101),
+    # a fold into T(3,4), whose central run is empty: 2 * 2 + 2 * 48 entries
+    ("T(3,4) # T(2,49) # T(2,49)", 101),
+    # a fold into the cable (1,-2,-1,1,2,-1), lo = 2, of -1 + 49 pairs
+    ("C2(1; T(2,3)) # T(2,51) # T(2,49)", 101),
+])
+def test_a_t2_pair_count_above_the_size_limit_is_refused_before_it_is_built(
+    monkeypatch, capsys, text, generators
+):
+    monkeypatch.setattr(knots, "MAX_GENERATORS", 100)
+    folds = []
+    monkeypatch.setattr(knots, "_fold_t2", lambda s, c: folds.append(c))
+    code, out, err = main(["gamma0", text]), *capsys.readouterr()
+    assert (code, out, folds) == (2, "", [])
+    assert err == f"error: {text} needs a complex of {generators} generators, more than the limit of 100\n"
 
 
 @pytest.mark.parametrize("companion", ["T(2,3)", "T(2,5)", "T(3,4)", "T(3,5)", "T(4,5)", "C2(9;T(2,3))"])
