@@ -20,7 +20,6 @@ Entries add by one rule, ``_add_mono``; the search matrix inlines it.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -258,10 +257,12 @@ class _MonoMatrix:
     a different one to an occupied slot would break the grading and raises.
 
     ``rows[g]`` maps the sources of the arrows into g to their entries and
-    ``cols[g]`` the targets of the arrows out of g.  The matrix keeps a
-    running XOR hash of its entries and the set of generators meeting more
-    than one arrow of some type and direction, so the basis search can test
-    states and find conflicts cheaply.
+    ``cols[g]`` the targets of the arrows out of g.  The matrix keeps the
+    set of generators meeting more than one arrow of some type and
+    direction, and a running XOR hash of the entries ``add`` has put in or
+    taken out: the XOR of the hashes of the current entries and of the
+    entries it was built with, 0 as built.  So the basis search can find
+    conflicts and compare the states of one search cheaply.
     """
 
     def __init__(self, size: int):
@@ -272,24 +273,6 @@ class _MonoMatrix:
         # per generator: [H-in, V-in, H-out, V-out] arrow counts
         self.degrees = [[0, 0, 0, 0] for _ in range(size)]
         self.conflicted: set[int] = set()
-
-    @classmethod
-    def from_arrows(cls, size: int, arrows: list[tuple[int, int, tuple[int, int]]]) -> "_MonoMatrix":
-        """The matrix with the given arrows (target, source, (U power,
-        V power)), none mixed and no two on one entry, its hash, arrow
-        counts and conflict set built in bulk."""
-        out = cls(size)
-        rows, cols, degrees = out.rows, out.cols, out.degrees
-        for tgt, src, mono in arrows:
-            rows[tgt][src] = mono
-            cols[src][tgt] = mono
-            kind = 0 if mono[0] > 0 else 1
-            degrees[tgt][kind] += 1
-            degrees[src][2 + kind] += 1
-        out.zhash = functools.reduce(operator.xor, map(hash, arrows), 0)
-        out.count = len(arrows)
-        out.conflicted = {g for g, counts in enumerate(degrees) if max(counts) > 1}
-        return out
 
     def items(self) -> Iterable[tuple[tuple[int, int], tuple[int, int]]]:
         for tgt, row in enumerate(self.rows):

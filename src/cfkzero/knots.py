@@ -10,8 +10,9 @@ torus knots, mirrors, connected sums, and (2, q)-cables:
 A chain of '#' is one node, Sum(terms); a parenthesized sum is one term.
 
 Evaluation produces the gamma_0 parameter sequence of the knot.  Torus
-knots read their staircases off the semigroup <p, |q|>, mirrors negate the
-sequence, and (2, q)-cables of staircases, or of mirrored staircases by
+knots read their staircases off the semigroup <p, |q|>, except T(2, q),
+built directly as its (|q| - 1)/2 unit pairs; mirrors negate the sequence,
+and (2, q)-cables of staircases, or of mirrored staircases by
 C2(q; -K) = -C2(-q; K), carry the closed-form sequence transform, verified
 elsewhere against the sum pipeline.  Every sequence passes one check,
 standard._checked (no zero entry, even length, symmetry), where it is made:
@@ -29,8 +30,9 @@ the validated domain of sum_with_T2 by that closed form, and only what
 remains is tensored through the sum pipeline (sound because local
 equivalence is preserved by tensoring).  That pipeline goes from two
 sequences to one on integer generator ids: the product is built as a
-matrix straight from the sequences, simplified, checked for gradings and
-d^2 = 0, and read back as a sequence, with no ChainComplex in between.
+matrix straight from the sequences, simplified, and read back as a
+sequence by one read of its columns that also checks their gradings and
+d^2 = 0, with no ChainComplex in between.
 Each generator of a factor meets at most one arrow of each type, so in
 each direction the product is a disjoint sum of squares, and a square of
 unequal powers is built already resolved into two arrows of the smaller
@@ -38,12 +40,13 @@ power: the change of basis that does so adds only terms with both U and V,
 which die over UV = 0.  The basis search then starts with only the squares
 of equal powers to resolve.  No torus knot, cable, T(2, q) fold or pair
 count whose sequence would exceed MAX_GENERATORS generators is built, and
-the products of one evaluation share one budget of MAX_GENERATORS
-generators.
+the products of one evaluation, those of its cables' operands included,
+share one budget of MAX_GENERATORS generators.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -55,7 +58,6 @@ from .standard import (
     _gamma0,
     _negate,
     _product,
-    _require_valid,
     _simplify,
     staircase_shaped,
     validate_seq,
@@ -266,7 +268,8 @@ def staircase_from_alexander(delta: Mapping[int, int]) -> Seq:
 
 
 def torus_staircase(p: int, q: int) -> Seq:
-    """Staircase sequence of T(p, |q|) read off the semigroup <p, |q|>.
+    """Staircase sequence of T(p, |q|) read off the semigroup <p, |q|>;
+    for p = 2, the (|q| - 1)/2 unit pairs (1, -1) it reads, built directly.
 
     With (p - 1)(|q| - 1) = r p + s |q| (see _semigroup_split), Lam-Leung
     write Delta(t) = (t^{p|q|} - 1)(t - 1) / ((t^p - 1)(t^{|q|} - 1)) as
@@ -279,6 +282,8 @@ def torus_staircase(p: int, q: int) -> Seq:
     """
     _check_torus(p, q)
     q = abs(q)
+    if p == 2:
+        return _checked((1, -1) * ((q - 1) // 2))
     r, s = _semigroup_split(p, q)
     exps = [i * p + j * q for i in range(r + 1) for j in range(s + 1)]
     exps += [i * p + j * q - p * q for i in range(r + 1, q) for j in range(s + 1, p)]
@@ -331,10 +336,14 @@ def _central_run(s: Seq) -> tuple[int, int, int]:
     orientation o.  With no run, lo = m and L = o = 0.  For a length of 2
     mod 4 the run holds the middle (H, V) pair, so L is odd.  lo == 0
     exactly when s is +-(1, -1)^k, the gamma_0 of T(2, +-(2k + 1)), or
-    empty, and then L o is its signed pair count."""
+    empty, and then L o is its signed pair count.  The run's end is the
+    first entry of the reversed first half off the alternation
+    (t, -t, t, ...), t = s[m - 1], found in one pass in C."""
     m = lo = len(s) // 2
-    while lo and abs(s[lo - 1]) == 1 and s[lo - 1] == -s[lo]:
-        lo -= 1
+    if m and abs(s[m - 1]) == 1:
+        t = s[m - 1]
+        off = map(operator.ne, s[m - 1 :: -1], (t, -t) * ((m + 1) // 2))
+        lo -= next(itertools.compress(itertools.count(), off), m)
     lo = min(lo + lo % 2, m)
     return lo, m - lo, s[lo] if lo < m else 0
 
@@ -454,9 +463,17 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     knot, cable, fold or pair count of more than MAX_GENERATORS generators
     raises EvalError before it is built, and so does a product that would
     take the products of this call past MAX_GENERATORS generators in all;
-    a failed product, EvalError or SimplifyError, is final.
+    a failed product, EvalError or SimplifyError, is final.  The budget is
+    the whole call's: the operands of its cables, at any depth, draw on it
+    too.
     """
-    summands = _signed_summands(expr, 1)
+    return _evaluate(expr, [0])
+
+
+def _evaluate(expr: KnotExpr, built: list[int]) -> EvalResult:
+    """eval_expr with ``built``, the one-item count of the generators of the
+    products built so far in the whole evaluation, shared by every level."""
+    summands = _signed_summands(expr, 1, built)
     if len(summands) == 1:
         return summands[0]
     loops = sum(summand.loop_count for summand in summands)
@@ -473,9 +490,8 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
         else:
             kept.append(seq)
     result: Seq = ()
-    built = 0  # the generators of this call's products
     for seq in kept:
-        result, shed, built = _join(expr, result, seq, built)
+        result, shed = _join(expr, result, seq, built)
         loops += shed
         if pairs and _in_t2_domain(result):
             lo, run, orientation = _central_run(result)  # the fold's length
@@ -484,28 +500,29 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     if pairs:
         _check_size(expr, 2 * abs(pairs) + 1)
         t = 1 if pairs > 0 else -1
-        result, shed, _ = _join(expr, result, (t, -t) * abs(pairs), built)
+        result, shed = _join(expr, result, (t, -t) * abs(pairs), built)
         loops += shed
     return EvalResult(result, loops)
 
 
-def _signed_summands(expr: KnotExpr, sign: int) -> list[EvalResult]:
+def _signed_summands(expr: KnotExpr, sign: int, built: list[int]) -> list[EvalResult]:
     """The evaluated leaves of ``expr`` in written order, through sums and
     mirrors (see _eval_leaf), each sequence negated under an odd number of
-    mirrors."""
+    mirrors; their products count in ``built`` (see _evaluate)."""
     if isinstance(expr, Sum):
-        return [summand for term in expr.terms for summand in _signed_summands(term, sign)]
+        return [summand for term in expr.terms for summand in _signed_summands(term, sign, built)]
     if isinstance(expr, Mirror):
-        return _signed_summands(expr.inner, -sign)
-    result = _eval_leaf(expr)
+        return _signed_summands(expr.inner, -sign, built)
+    result = _eval_leaf(expr, built)
     return [result if sign > 0 else EvalResult(_negate(result.sequence), result.loop_count)]
 
 
-def _eval_leaf(expr: KnotExpr) -> EvalResult:
-    """eval_expr on a leaf.  A torus knot is its semigroup staircase
-    (negated for q < 0), and a cable the closed form of a staircase or of the
-    mirror of one, C2(q; -K) = -C2(-q; K), read off its operand's shape
-    without validating the operand again."""
+def _eval_leaf(expr: KnotExpr, built: list[int]) -> EvalResult:
+    """eval_expr on a leaf.  A torus knot is its staircase (negated for
+    q < 0), and a cable the closed form of a staircase or of the mirror of
+    one, C2(q; -K) = -C2(-q; K), read off its operand's shape without
+    validating the operand again; the operand's products count in
+    ``built`` (see _evaluate)."""
     if isinstance(expr, Unknot):
         return EvalResult((), 0)
     if isinstance(expr, Torus):
@@ -515,7 +532,7 @@ def _eval_leaf(expr: KnotExpr) -> EvalResult:
             seq = _negate(seq)
         return EvalResult(seq, 0)
     if isinstance(expr, Cable2):
-        inner = eval_expr(expr.inner)
+        inner = _evaluate(expr.inner, built)
         seq, q = inner.sequence, expr.q
         mirrored = not staircase_shaped(seq)
         if mirrored:
@@ -534,16 +551,17 @@ def _eval_leaf(expr: KnotExpr) -> EvalResult:
     raise EvalError(f"unknown expression node {expr!r}")
 
 
-def _join(expr: KnotExpr, s1: Seq, s2: Seq, built: int) -> tuple[Seq, int, int]:
-    """The sum of two validated sequences, the loops it sheds and the
-    generators of the products built, by the sum pipeline unless one of them
-    is empty; the product is refused, naming ``expr``, if it would take the
-    ``built`` generators of the products before it past MAX_GENERATORS."""
+def _join(expr: KnotExpr, s1: Seq, s2: Seq, built: list[int]) -> tuple[Seq, int]:
+    """The sum of two validated sequences and the loops it sheds, by the sum
+    pipeline unless one of them is empty.  The product's generators are
+    added to the count ``built[0]`` of the products before it in the
+    evaluation, and it is refused, naming ``expr``, if that takes the count
+    past MAX_GENERATORS."""
     if not s1 or not s2:
-        return s1 or s2, 0, built
-    built += (len(s1) + 1) * (len(s2) + 1)
-    _check_size(expr, built)
-    return *_sum_gamma0(s1, s2), built
+        return s1 or s2, 0
+    built[0] += (len(s1) + 1) * (len(s2) + 1)
+    _check_size(expr, built[0])
+    return _sum_gamma0(s1, s2)
 
 
 def torus_generators(p: int, q: int) -> int:
@@ -585,10 +603,11 @@ def sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     complexes have no unit arrows, and neither do their tensor products, so
     it goes straight to basis simplification, with the merge cap of the
     plain product.  The factors are not checked on their own.  The
-    simplified product must pass the complex check that
-    ChainComplex.validate runs (InvalidComplexError), and the sequence is
-    read off its one open path, the extraction reading the simplified
-    matrix's columns in place.  Nothing on the way builds a ChainComplex.
+    extraction reads the simplified matrix's columns in place, once: it
+    checks them as it reads, so a failure of the complex check that
+    ChainComplex.validate runs is reported first (InvalidComplexError), and
+    reads the sequence off the one open path (see standard._components).
+    Nothing on the way builds a ChainComplex.
     """
     return _sum_gamma0(validate_seq(s1), validate_seq(s2))
 
@@ -597,8 +616,7 @@ def _sum_gamma0(s1: Seq, s2: Seq) -> tuple[Seq, int]:
     """sum_gamma0 on two validated sequences, not checked again."""
     product, gr_u, gr_v, plain = _product(s1, s2)
     _simplify(product, plain)
-    _require_valid(product, gr_u, gr_v)
-    return _gamma0(product.cols)
+    return _gamma0(product.cols, gr_u, gr_v)
 
 
 def locally_equivalent(e1: KnotExpr, e2: KnotExpr) -> bool:

@@ -127,6 +127,7 @@ def staircase_shaped(seq: Seq) -> bool:
 
 
 Arrow = tuple[int, int, int, int]  # target, source, U power, V power
+Cols = Sequence[Mapping[int, tuple[int, int]]]  # per source: target -> (U power, V power)
 
 
 def _standard(s: Seq) -> tuple[list[int], list[int], list[Arrow]]:
@@ -186,26 +187,45 @@ def _product(s1: Seq, s2: Seq) -> tuple[_MonoMatrix, list[int], list[int], int]:
     keep all four.  Ids and gradings do not move.  The factors are not
     checked: every d^2 term is mixed and dies, and _standard grades every
     arrow right by construction.
+
+    The matrix's rows, columns and arrow counts are filled straight from
+    the factors' arrows, every copy of an arrow sharing its one entry pair,
+    and its hash starts at 0 (see _MonoMatrix).  A generator meets at most
+    one arrow of each factor in each slot, so it is conflicted exactly
+    where some count is 2.
     """
     (u1, v1, arrows1), (u2, v2, arrows2) = _standard(s1), _standard(s2)
     n1, n2 = len(u1), len(u2)
-    powers1, powers2 = _arrow_powers(n1, arrows1), _arrow_powers(n2, arrows2)
-    arrows = [
-        (t * n2 + j, s * n2 + j, (a, b))
-        for t, s, a, b in arrows1
-        for j, other in enumerate(powers2[b > 0])
-        if not 0 < other < a + b
-    ]
-    arrows += [
-        (i * n2 + t, i * n2 + s, (a, b))
-        for t, s, a, b in arrows2
-        for i, other in enumerate(powers1[b > 0])
-        if not 0 < other < a + b
-    ]
+    mat = _MonoMatrix(n1 * n2)
+    _place(mat, arrows1, n2, 1, _arrow_powers(n2, arrows2))
+    _place(mat, arrows2, 1, n2, _arrow_powers(n1, arrows1))
+    degrees = mat.degrees
+    mat.count = sum(map(len, mat.rows))
+    twos = map(operator.contains, degrees, itertools.repeat(2))
+    mat.conflicted = set(itertools.compress(range(len(degrees)), twos))
     gr_u = [x + y for x in u1 for y in u2]
     gr_v = [x + y for x in v1 for y in v2]
-    mat = _MonoMatrix.from_arrows(n1 * n2, arrows)
     return mat, gr_u, gr_v, len(arrows1) * n2 + len(arrows2) * n1
+
+
+def _place(mat: _MonoMatrix, arrows: list[Arrow], scale: int, stride: int,
+           beside: tuple[list[int], list[int]]) -> None:
+    """Write the arrows of one factor into the product matrix beside each
+    generator k of the other, whose arrow powers are `beside`, as the
+    arrow between t * scale + k * stride and s * scale + k * stride: every
+    copy kept unless k's arrow of the same type is strictly shorter."""
+    rows, cols, degrees = mat.rows, mat.cols, mat.degrees
+    for tgt, src, a, b in arrows:
+        mono, kind, power = (a, b), int(b > 0), a + b
+        tgt, src = tgt * scale, src * scale
+        for shift, other in zip(range(0, len(beside[0]) * stride, stride), beside[kind]):
+            if 0 < other < power:
+                continue
+            t, s = tgt + shift, src + shift
+            rows[t][s] = mono
+            cols[s][t] = mono
+            degrees[t][kind] += 1
+            degrees[s][2 + kind] += 1
 
 
 def _arrow_powers(size: int, arrows: list[Arrow]) -> tuple[list[int], list[int]]:
@@ -217,11 +237,11 @@ def _arrow_powers(size: int, arrows: list[Arrow]) -> tuple[list[int], list[int]]
     return powers
 
 
-def _require_valid(mat: _MonoMatrix, gr_u: Sequence[int], gr_v: Sequence[int]) -> None:
+def _require_valid(cols: Cols, gr_u: Sequence[int], gr_v: Sequence[int]) -> None:
     """Raise InvalidComplexError at the first failure of the complex check
-    ChainComplex.validate runs, made here on a UV = 0 matrix on integer ids
-    and its gradings."""
-    violation = _violation(mat.cols, gr_u, gr_v, Mode.UVZERO)
+    ChainComplex.validate runs, made here on the columns of a UV = 0 matrix
+    on integer ids and its gradings."""
+    violation = _violation(cols, gr_u, gr_v, Mode.UVZERO)
     if violation is not None:
         raise InvalidComplexError(str(violation))
 
@@ -283,12 +303,14 @@ def _search(work: _MonoMatrix, budget: int) -> None:
     stale ones, skips a move already tried in this step and afterwards
     pushes back the live ones it popped; once stale entries outnumber live
     ones, the heap is rebuilt from the live ones.  Every accepted state
-    joins `seen`; a merge reaching a new lowest entry count is accepted
-    without the lookup, since no earlier state had so few entries.  `seen`
-    stops neutral merges from undoing each other, so it is cleared, not
-    dropped, at a dead end.  A dead end with an empty pool would go round
-    again without a merge, never spending the budget, so it raises
-    SimplifyError.
+    joins `seen` by its hash, which is relative to the matrix as built (see
+    _MonoMatrix): all states of one search share that start, so `seen`
+    tells them apart as their full hashes would.  A merge reaching a new
+    lowest entry count is accepted without the lookup, since no earlier
+    state had so few entries.  `seen` stops neutral merges from undoing
+    each other, so it is cleared, not dropped, at a dead end.  A dead end
+    with an empty pool would go round again without a merge, never
+    spending the budget, so it raises SimplifyError.
     """
     seen = {work.zhash}
     low_water = work.count
@@ -466,15 +488,15 @@ def _basis_change(mat: _MonoMatrix, kept: int, absorbed: int, delta: int, horizo
 # -- gamma_0 extraction -----------------------------------------------------
 
 
-Cols = Sequence[Mapping[int, tuple[int, int]]]  # per source: target -> (U power, V power)
 Path = tuple[list[int], list[int]]  # ids along an open path, and the entry of each step
 
 
-def _components(cols: Cols) -> tuple[list[int], list[Path], int]:
+def _components(cols: Cols, gr_u: Sequence[int], gr_v: Sequence[int]) -> tuple[list[int], list[Path], int]:
     """The vertical partner of each generator of a simplified complex on
     generators 0 ... len(cols)-1, `cols[g]` mapping the targets of g's
     arrows to their entries, its open paths as walks (ids, entries) from one
-    end, and its number of closed loops.
+    end, and its number of closed loops, once the complex passes the check
+    ChainComplex.validate runs, with the gradings (gr_u, gr_v).
 
     The columns are read in place into four flat lists, one int per
     generator each: its horizontal and its vertical partner, the other end
@@ -485,28 +507,59 @@ def _components(cols: Cols) -> tuple[list[int], list[Path], int]:
     An open one is walked once: from its first generator to one end, then
     from that generator the other way to the other end, and the two walks
     are joined into one path from the end the first walk stopped at.
+
+    The same read makes the check.  Each arrow's grading is checked as it
+    is read, and arrows graded right carry the parity of a component's
+    first generator, checked as the walk starts there, to all of it.
+    d^2 = 0 needs no pass of its own: a d^2 term runs through a middle
+    generator along two arrows, which meets two arrows of one type if they
+    are of one type, and otherwise their composite carries both U and V and
+    dies, unless one of them is a unit or has a negative power.  So at a
+    failed grading or parity, at a generator with two arrows of one type,
+    and after a read that met a unit, mixed or negative arrow, the full
+    check (complexes._violation) runs, and InvalidComplexError names its
+    first failure before any other error is raised, as a check made before
+    the extraction would report it.
     """
     size = len(cols)
     h_other, v_other = [-1] * size, [-1] * size
     h_step, v_step = [0] * size, [0] * size
+    unchecked = False  # an arrow met whose grading and composites the full check judges
     for src, col in enumerate(cols):
+        if not col:
+            continue
+        u, v = gr_u[src] - 1, gr_v[src] - 1
         for tgt, (a, b) in col.items():
             if a:
+                if b or a < 0:
+                    unchecked = True
+                elif gr_v[tgt] != v or gr_u[tgt] - 2 * a != u:
+                    _require_valid(cols, gr_u, gr_v)  # raises: this arrow fails its grading
                 if h_other[src] >= 0 or h_other[tgt] >= 0:
+                    _require_valid(cols, gr_u, gr_v)
                     raise _overloaded(src if h_other[src] >= 0 else tgt, "H")
                 h_other[src], h_other[tgt] = tgt, src
                 h_step[src], h_step[tgt] = -a, a
             else:
+                if b <= 0:
+                    unchecked = True
+                elif gr_u[tgt] != u or gr_v[tgt] - 2 * b != v:
+                    _require_valid(cols, gr_u, gr_v)  # raises: this arrow fails its grading
                 if v_other[src] >= 0 or v_other[tgt] >= 0:
+                    _require_valid(cols, gr_u, gr_v)
                     raise _overloaded(src if v_other[src] >= 0 else tgt, "V")
                 v_other[src], v_other[tgt] = tgt, src
                 v_step[src], v_step[tgt] = -b, b
+    if unchecked:
+        _require_valid(cols, gr_u, gr_v)
     seen = bytearray(size)
     paths: list[Path] = []
     loops = 0
     for g in range(size):
         if seen[g]:
             continue
+        if (gr_u[g] - gr_v[g]) % 2:
+            _require_valid(cols, gr_u, gr_v)  # raises: g's component fails its parity
         horizontal = h_other[g] >= 0
         ids, entries, closed = _walk(g, horizontal, h_other, v_other, h_step, v_step)
         if closed:
@@ -555,11 +608,11 @@ def _walk(start: int, horizontal: bool, h_other: list[int], v_other: list[int],
         horizontal = not horizontal
 
 
-def _gamma0(cols: Cols) -> tuple[Seq, int]:
+def _gamma0(cols: Cols, gr_u: Sequence[int], gr_v: Sequence[int]) -> tuple[Seq, int]:
     """The sequence read off the unique open path of a simplified complex
-    given by its columns, as _components reads them, and its number of
-    closed loops; see extract_gamma0."""
-    vertical, paths, loops = _components(cols)
+    given by its columns and gradings, as _components reads and checks
+    them, and its number of closed loops; see extract_gamma0."""
+    vertical, paths, loops = _components(cols, gr_u, gr_v)
     if len(paths) != 1:
         raise KnotlikeError(f"expected one open path, found {len(paths)}")
     ids, entries = paths[0]
@@ -579,5 +632,6 @@ def extract_gamma0(cx: ChainComplex) -> Seq:
     complex, starting from the endpoint with no vertical arrow; positive
     entries record steps against an arrow, negative ones steps with it.
     The complex is read through its columns, built as ChainComplex.validate
-    builds them."""
-    return _gamma0(cx._cols())[0]
+    builds them, and checked as it is read: InvalidComplexError reports
+    the first failure of that check."""
+    return _gamma0(cx._cols(), cx.gr_u, cx.gr_v)[0]

@@ -235,6 +235,25 @@ def test_a_sum_of_more_summands_than_the_product_limit_exits_2(monkeypatch, caps
     assert err.endswith(" needs a complex of 101500 generators, more than the limit of 100000\n")
 
 
+def test_the_operands_of_cables_draw_on_the_evaluation_budget(monkeypatch, capsys):
+    # S, T(3,4) written 100 times, builds 99,495 product generators, and
+    # the second cable's copy of S may not build as many again: its products
+    # of 25, 45, ..., 125 generators fit, the next would reach 100,090
+    built = []
+    original = knots._sum_gamma0
+
+    def counted(s1, s2):
+        built.append((len(s1) + 1) * (len(s2) + 1))
+        return original(s1, s2)
+
+    monkeypatch.setattr(knots, "_sum_gamma0", counted)
+    s = "(" + " # ".join(["T(3,4)"] * 100) + ")"
+    code, out, err = run(capsys, "gamma0", f"C2(1;{s}) # -C2(1;{s})")
+    assert (code, out, sum(built)) == (2, "", 99_495 + 25 + 45 + 65 + 85 + 105 + 125)
+    assert err.startswith("error: T(3,4) # T(3,4) # ") and err.count("\n") == 1
+    assert err.endswith(" needs a complex of 100090 generators, more than the limit of 100000\n")
+
+
 @pytest.mark.parametrize("text,code", [
     ("T(3,4) # T(3,5)", 0),
     ("T(3,4) # T(3,5) # T(4,5)", 2),

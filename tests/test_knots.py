@@ -335,6 +335,39 @@ def test_the_central_run_alone_tells_a_t2_class_and_its_signed_pair_count():
     assert _central_run(()) == (0, 0, 0)
 
 
+def looped_central_run(s):
+    """_central_run as a Python loop walking back from the middle."""
+    m = lo = len(s) // 2
+    while lo and abs(s[lo - 1]) == 1 and s[lo - 1] == -s[lo]:
+        lo -= 1
+    lo = min(lo + lo % 2, m)
+    return lo, m - lo, s[lo] if lo < m else 0
+
+
+def test_the_central_run_ends_where_the_loop_over_the_half_ends():
+    count = 0
+    for s in small_symmetric_sequences(5):
+        assert _central_run(s) == looped_central_run(s), s
+        count += 1
+    assert count == 9330
+    # long runs, whole or behind a non-unit or a repeated sign
+    for head in ((), (2, -1), (1, 1), (-1, 3, 1)):
+        for k in (1, 2, 999, 1000):
+            half = head + (1, -1) * k
+            s = validate_seq(half + tuple(-e for e in reversed(half)))
+            assert _central_run(s) == looped_central_run(s), (head, k)
+
+
+def test_a_t2_staircase_is_the_unit_pairs_the_semigroup_reads():
+    # T(2, q) is built as (1, -1)^((|q| - 1)/2); T(q, 2) names the same knot
+    # and still takes the semigroup route
+    for q in range(1, 402, 2):
+        want = (1, -1) * ((q - 1) // 2)
+        assert torus_staircase(2, q) == torus_staircase(2, -q) == want, q
+        if q > 1:
+            assert torus_staircase(q, 2) == want, q
+
+
 def test_the_host_domain_implies_a_nonempty_host_with_unit_horizontal_steps():
     # what sum_with_T2 needs of a host beyond the domain: nothing
     hosts = [s for s in small_symmetric_sequences(5) if knots._in_t2_domain(s)]

@@ -69,7 +69,7 @@ def test_every_construction_yields_a_valid_complex():
         assert product.dual().validate() is None
         mat, gr_u, gr_v, plain = _product(s1, s2)
         _simplify(mat, plain)
-        _require_valid(mat, gr_u, gr_v)
+        _require_valid(mat.cols, gr_u, gr_v)
 
 
 def test_dual_is_involutive_and_negates_the_sequence():
@@ -84,9 +84,9 @@ def test_dual_is_involutive_and_negates_the_sequence():
         assert epsilon(mirrored) == -epsilon(seq)
 
 
-def simplified_gamma0(mat):
+def simplified_gamma0(mat, gr_u, gr_v):
     _simplify(mat, mat.count)
-    return _gamma0(mat.cols)
+    return _gamma0(mat.cols, gr_u, gr_v)
 
 
 def test_extract_is_stable_under_relabeling_and_reduction_order():
@@ -96,17 +96,20 @@ def test_extract_is_stable_under_relabeling_and_reduction_order():
     for _ in range(40):
         s1 = _random_symmetric_seq(rng, 3, 3)
         s2 = _random_symmetric_seq(rng, 3, 3)
-        base, gr_u, _, _ = _product(s1, s2)
+        base, gr_u, gr_v, _ = _product(s1, s2)
         size = len(gr_u)
         arrows = list(base.items())
-        reference = simplified_gamma0(base)
+        reference = simplified_gamma0(base, gr_u, gr_v)
         shuffled = list(range(size))
         rng.shuffle(shuffled)
         for label in (shuffled, list(reversed(range(size)))):
             relabeled = _MonoMatrix(size)
             for (tgt, src), (a, b) in arrows:
                 relabeled.add(label[tgt], label[src], a, b)
-            assert simplified_gamma0(relabeled) == reference
+            moved_u, moved_v = [0] * size, [0] * size
+            for g, new in enumerate(label):
+                moved_u[new], moved_v[new] = gr_u[g], gr_v[g]
+            assert simplified_gamma0(relabeled, moved_u, moved_v) == reference
 
 
 def test_tensor_is_commutative_and_associative_on_gamma0():
@@ -117,8 +120,10 @@ def test_tensor_is_commutative_and_associative_on_gamma0():
         s0, s1, s2 = (_random_symmetric_seq(rng, 2, 2) for _ in range(3))
         assert sum_gamma0(s0, s1)[0] == sum_gamma0(s1, s0)[0]
         triple = seq_to_complex(s0).tensor(seq_to_complex(s1)).tensor(seq_to_complex(s2))
-        arrows = [(t, s, mono) for (t, s), mono in triple.diff.items()]
-        whole, _ = simplified_gamma0(_MonoMatrix.from_arrows(len(triple), arrows))
+        mat = _MonoMatrix(len(triple))
+        for (t, s), (a, b) in triple.diff.items():
+            mat.add(t, s, a, b)
+        whole, _ = simplified_gamma0(mat, triple.gr_u, triple.gr_v)
         assert sum_gamma0(sum_gamma0(s0, s1)[0], s2)[0] == whole
         assert sum_gamma0(s0, sum_gamma0(s1, s2)[0])[0] == whole
 

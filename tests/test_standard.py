@@ -1,7 +1,9 @@
 """Parameter sequences: the walk invariants, standard complexes, basis
 simplification, and gamma_0 extraction."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -226,30 +228,42 @@ def matrix(arrows):
 
 def simplified_product(s1, s2):
     """The product of two standard complexes on integer ids, simplified and
-    checked."""
+    checked, and its gradings."""
     mat, gr_u, gr_v, plain = _product(s1, s2)
     _simplify(mat, plain)
-    _require_valid(mat, gr_u, gr_v)
-    return mat
+    _require_valid(mat.cols, gr_u, gr_v)
+    return mat, gr_u, gr_v
 
 
-def assert_bookkeeping_matches_entries(mat, size):
-    rebuilt = _MonoMatrix.from_arrows(size, [(t, s, mono) for (t, s), mono in mat.items()])
-    assert (mat.rows, mat.cols) == (rebuilt.rows, rebuilt.cols)
-    assert (mat.zhash, mat.count) == (rebuilt.zhash, rebuilt.count)
+def entries_hash(mat):
+    """H(entries): the XOR of the hashes of the entries (target, source,
+    monomial)."""
+    return functools.reduce(operator.xor, (hash((t, s, mono)) for (t, s), mono in mat.items()), 0)
+
+
+def assert_bookkeeping_matches_entries(mat, size, built):
+    # the reference adds the same entries one at a time to an empty matrix
+    rebuilt = _MonoMatrix(size)
+    for (t, s), (a, b) in mat.items():
+        rebuilt.add(t, s, a, b)
+    assert (mat.rows, mat.cols, mat.count) == (rebuilt.rows, rebuilt.cols, rebuilt.count)
     assert (mat.degrees, mat.conflicted) == (rebuilt.degrees, rebuilt.conflicted)
+    assert mat.zhash == entries_hash(mat) ^ built
 
 
 def test_the_kept_hash_counts_and_conflicts_match_the_entries():
-    # the search trusts zhash, count, degrees and conflicted, which add()
-    # updates one entry at a time; from_arrows rebuilds them from scratch
+    # the search trusts zhash, count, degrees and conflicted: _product fills
+    # them in bulk and add() updates them one entry at a time.  The hash is
+    # relative to the product as built: H(entries now) ^ H(entries as built)
     rng = random.Random(1414)
     for _ in range(60):
         s1, s2 = _random_symmetric_seq(rng, 4, 3), _random_symmetric_seq(rng, 4, 3)
         mat, gr_u, _, plain = _product(s1, s2)
-        assert_bookkeeping_matches_entries(mat, len(gr_u))
+        built = entries_hash(mat)
+        assert mat.zhash == 0
+        assert_bookkeeping_matches_entries(mat, len(gr_u), built)
         _simplify(mat, plain)
-        assert_bookkeeping_matches_entries(mat, len(gr_u))
+        assert_bookkeeping_matches_entries(mat, len(gr_u), built)
         assert not mat.conflicted
 
 
@@ -327,18 +341,18 @@ def test_simplify_leaves_staircases_alone():
 
 
 def test_trefoil_sum_splits_into_path_and_box():
-    mat = simplified_product((1, -1), (1, -1))
-    _, paths, loops = _components(mat.cols)
+    mat, gr_u, gr_v = simplified_product((1, -1), (1, -1))
+    _, paths, loops = _components(mat.cols, gr_u, gr_v)
     assert len(paths) == 1 and loops == 1
     ids, _ = paths[0]
     assert len(ids) == 5
-    assert _gamma0(mat.cols) == ((1, -1, 1, -1), 1)
+    assert _gamma0(mat.cols, gr_u, gr_v) == ((1, -1, 1, -1), 1)
 
 
 def test_simplify_reaches_a_fixpoint_on_a_mixed_tensor():
-    mat = simplified_product((1, -1, 1, -1), (1, -1, -1, 1, 1, -1))
+    mat, gr_u, gr_v = simplified_product((1, -1, 1, -1), (1, -1, -1, 1, 1, -1))
     assert not mat.conflicted
-    _gamma0(mat.cols)  # raises if any generator is overloaded
+    _gamma0(mat.cols, gr_u, gr_v)  # raises if any generator is overloaded
 
 
 def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
@@ -353,10 +367,10 @@ def test_simplify_keeps_a_jordan_block_local_system_as_one_loop():
     arrows.append((3, 6, 1, 0))
     mat = matrix(arrows)
     gr_u, gr_v = [0, 1, -1, 0] * 2, [0, -1, 1, 0] * 2
-    _require_valid(mat, gr_u, gr_v)
+    _require_valid(mat.cols, gr_u, gr_v)
     _simplify(mat, mat.count)
     assert mat.count == 8
-    _, paths, loops = _components(mat.cols)
+    _, paths, loops = _components(mat.cols, gr_u, gr_v)
     assert (paths, loops) == ([], 1)
 
 
@@ -398,7 +412,7 @@ def test_a_dead_end_with_nothing_to_try_raises():
     # bookkeeping that marks a generator conflicted without giving it a
     # candidate merge leaves the queue and the pool empty: the search must
     # stop, not go round without spending its budget
-    work = _MonoMatrix.from_arrows(3, [(0, 1, (1, 0)), (2, 1, (0, 1))])
+    work = matrix([(0, 1, 1, 0), (2, 1, 0, 1)])
     work.conflicted.add(1)
     with pytest.raises(SimplifyError, match="dead end"):
         standard._search(work, 64)

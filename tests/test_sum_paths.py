@@ -5,8 +5,10 @@ straight from the sequences on integer ids, with each square of unequal
 powers already resolved.  That product must be the one seq_to_complex ->
 tensor builds after the merge toward the shorter arrow in each such
 square, arrow for arrow and grading for grading, and the integer path's
-own check of the simplified product must stay live.  The search and
-extraction that follow are checked against the recorded table in
+own check of the simplified product must stay live: the extraction makes
+it in its one read of the columns, and must report what the full check
+followed by the extraction reported when they were two passes.  The search
+and extraction that follow are checked against the recorded table in
 test_simplify_oracle.
 """
 
@@ -15,10 +17,30 @@ import random
 import pytest
 
 import cfkzero.knots as knots
-from cfkzero.cli import _criterion3_hosts
-from cfkzero.complexes import ChainComplex, Endomorphism, InvalidComplexError, _MonoMatrix
+from cfkzero.algebra import Mode
+from cfkzero.cli import _criterion3_hosts, _random_symmetric_seq
+from cfkzero.complexes import (
+    ChainComplex,
+    Endomorphism,
+    InvalidComplexError,
+    KnotlikeError,
+    _MonoMatrix,
+    _violation,
+)
 from cfkzero.knots import eval_expr, parse_expr, sum_gamma0
-from cfkzero.standard import _basis_change, _product, _require_valid, seq_to_complex, validate_seq
+from cfkzero.standard import (
+    SequenceError,
+    _basis_change,
+    _checked,
+    _gamma0,
+    _overloaded,
+    _product,
+    _require_valid,
+    _simplify,
+    _walk,
+    seq_to_complex,
+    validate_seq,
+)
 
 
 def unequal_squares(left, right):
@@ -108,7 +130,7 @@ def test_the_product_drops_two_arrows_per_unequal_square():
             )
             assert plain == len(left) * (len(right) + 1) + len(right) * (len(left) + 1)
             assert mat.count == plain - 2 * unequal, (left, right)
-            _require_valid(mat, gr_u, gr_v)  # a complex before any search
+            _require_valid(mat.cols, gr_u, gr_v)  # a complex before any search
 
 
 def test_the_integer_path_builds_no_complex(monkeypatch):
@@ -167,3 +189,155 @@ def test_the_integer_check_reports_a_nonzero_square(monkeypatch):
     with pytest.raises(InvalidComplexError, match="^dsquared: "):
         sum_gamma0((1, -1), (1, -1))
     assert added
+
+
+# -- the check made inside the extraction ------------------------------------
+
+
+def two_pass_gamma0(cols, gr_u, gr_v):
+    """The reference: the full complex check, complexes._violation, then
+    the extraction as it read the columns before it made the check."""
+    violation = _violation(cols, gr_u, gr_v, Mode.UVZERO)
+    if violation is not None:
+        raise InvalidComplexError(str(violation))
+    size = len(cols)
+    h_other, v_other = [-1] * size, [-1] * size
+    h_step, v_step = [0] * size, [0] * size
+    for src, col in enumerate(cols):
+        for tgt, (a, b) in col.items():
+            if a:
+                if h_other[src] >= 0 or h_other[tgt] >= 0:
+                    raise _overloaded(src if h_other[src] >= 0 else tgt, "H")
+                h_other[src], h_other[tgt] = tgt, src
+                h_step[src], h_step[tgt] = -a, a
+            else:
+                if v_other[src] >= 0 or v_other[tgt] >= 0:
+                    raise _overloaded(src if v_other[src] >= 0 else tgt, "V")
+                v_other[src], v_other[tgt] = tgt, src
+                v_step[src], v_step[tgt] = -b, b
+    seen = bytearray(size)
+    paths = []
+    loops = 0
+    for g in range(size):
+        if seen[g]:
+            continue
+        horizontal = h_other[g] >= 0
+        ids, entries, closed = _walk(g, horizontal, h_other, v_other, h_step, v_step)
+        if closed:
+            loops += 1
+        else:
+            rest, rest_entries, _ = _walk(g, not horizontal, h_other, v_other, h_step, v_step)
+            ids.reverse()
+            ids += rest[1:]
+            entries = [-e for e in reversed(entries)] + rest_entries
+            paths.append((ids, entries))
+        for i in ids:
+            seen[i] = 1
+    if len(paths) != 1:
+        raise KnotlikeError(f"expected one open path, found {len(paths)}")
+    ids, entries = paths[0]
+    starts = [e for e in {ids[0], ids[-1]} if v_other[e] < 0]
+    if not starts:
+        raise KnotlikeError("open path has no endpoint free of vertical arrows")
+    if min(starts) != ids[0]:
+        entries = [-e for e in reversed(entries)]
+    try:
+        return _checked(tuple(entries)), loops
+    except SequenceError as exc:
+        raise KnotlikeError(f"extracted walk is not a knot sequence: {exc}") from exc
+
+
+def outcome(extract, cols, gr_u, gr_v):
+    """What an extraction returns, or the class and message it raises."""
+    try:
+        return extract(cols, gr_u, gr_v)
+    except ValueError as exc:  # every error of the check and the extraction
+        return type(exc), str(exc)
+
+
+def bump_a_power(cols, gr_u, gr_v, rng):
+    # one arrow's power raised by one breaks its grading
+    arrows = [(src, tgt) for src, col in enumerate(cols) for tgt in col]
+    if not arrows:
+        return None
+    src, tgt = rng.choice(arrows)
+    a, b = cols[src][tgt]
+    cols[src][tgt] = (a + (a > 0), b + (b > 0))
+    return cols, gr_u, gr_v
+
+
+def add_a_square(cols, gr_u, gr_v, rng):
+    # a new U arrow into the source x of a U arrow x -> y keeps the
+    # gradings and makes d^2 hit y with a pure U power, which UV = 0 keeps
+    xs = [x for x, col in enumerate(cols) if any(a for a, _ in col.values())]
+    rng.shuffle(xs)
+    for x in xs:
+        for new in range(len(gr_u)):
+            twice = gr_u[x] - gr_u[new] + 1
+            if gr_v[x] == gr_v[new] - 1 and twice > 0 and twice % 2 == 0 and x not in cols[new]:
+                cols[new][x] = (twice // 2, 0)
+                return cols, gr_u, gr_v
+    return None
+
+
+def add_a_unit_arrow(cols, gr_u, gr_v, rng):
+    # a new generator w joined to an old one g by a unit arrow, either way:
+    # graded right, it composes with g's other arrows into pure powers
+    g = rng.randrange(len(gr_u))
+    shift = rng.choice((-1, 1))
+    cols = cols + [{}]
+    w = len(gr_u)
+    gr_u, gr_v = gr_u + [gr_u[g] + shift], gr_v + [gr_v[g] + shift]
+    if shift < 0:
+        cols[g][w] = (0, 0)
+    else:
+        cols[w][g] = (0, 0)
+    return cols, gr_u, gr_v
+
+
+def add_a_cancelling_diamond(cols, gr_u, gr_v, rng):
+    # four new generators x, m1, m2, y with U arrows x -> m1 -> y and
+    # x -> m2 -> y: m1 and m2 each meet an H arrow in and an H arrow out,
+    # and the two d^2 terms x -> y cancel, so the full check passes
+    x = len(gr_u)
+    gu, gv = rng.choice(list(zip(gr_u, gr_v)))
+    a, b = rng.randint(1, 3), rng.randint(1, 3)
+    cols = cols + [{x + 1: (a, 0), x + 2: (a, 0)}, {x + 3: (b, 0)}, {x + 3: (b, 0)}, {}]
+    gr_u = gr_u + [gu, gu - 1 + 2 * a, gu - 1 + 2 * a, gu - 2 + 2 * a + 2 * b]
+    gr_v = gr_v + [gv, gv - 1, gv - 1, gv - 2]
+    return cols, gr_u, gr_v
+
+
+DAMAGES = [bump_a_power, add_a_square, add_a_unit_arrow, add_a_cancelling_diamond]
+
+
+def test_the_one_pass_check_reports_what_the_check_and_extraction_reported():
+    # 220 simplified products, as they are and after each damage: the same
+    # sequence and loop count, or the same error class and message
+    rng = random.Random(3232)
+    seen = {}
+    for _ in range(220):
+        s1, s2 = _random_symmetric_seq(rng, 4, 3), _random_symmetric_seq(rng, 4, 3)
+        mat, gr_u, gr_v, plain = _product(s1, s2)
+        _simplify(mat, plain)
+        got = outcome(_gamma0, mat.cols, gr_u, gr_v)
+        assert got == outcome(two_pass_gamma0, mat.cols, gr_u, gr_v), (s1, s2)
+        assert got == sum_gamma0(s1, s2)
+        for damage in (None, *DAMAGES):
+            damaged = [dict(col) for col in mat.cols], list(gr_u), list(gr_v)
+            if damage is not None:
+                damaged = damage(*damaged, rng)
+                if damaged is None:
+                    continue
+            got = outcome(_gamma0, *damaged)
+            assert got == outcome(two_pass_gamma0, *damaged), (s1, s2, damage)
+            kind = got[0].__name__ if isinstance(got[0], type) else "sequence"
+            name = damage.__name__ if damage else "none"
+            seen[name, kind] = seen.get((name, kind), 0) + 1
+    assert seen["none", "sequence"] == 220
+    assert seen["bump_a_power", "InvalidComplexError"] > 200
+    assert seen["add_a_square", "InvalidComplexError"] > 150
+    assert seen["add_a_cancelling_diamond", "SimplifyError"] == 220
+    # a unit arrow fails d^2 = 0, overloads a generator or lands on the path
+    for kind in ("InvalidComplexError", "SimplifyError", "KnotlikeError"):
+        assert seen["add_a_unit_arrow", kind] > 10, kind
