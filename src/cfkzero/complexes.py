@@ -139,11 +139,6 @@ class ChainComplex:
             raise InvalidComplexError(f"generator {g} has non-integral Alexander grading")
         return twice // 2
 
-    @functools.cached_property
-    def _by_source(self) -> dict[int, list[tuple[int, Mono]]]:
-        """The differential indexed by source; ``diff`` never changes."""
-        return diff_endomorphism(self)._by_source
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainComplex):
             return NotImplemented
@@ -159,11 +154,13 @@ class ChainComplex:
     def validate(self) -> ComplexViolation | None:
         """Check the parity of every generator, the grading of every arrow
         and d^2 = 0; report the first failure."""
-        return _violation(self._cols(), self.gr_u, self.gr_v, self.mode)
+        return _violation(self._cols, self.gr_u, self.gr_v, self.mode)
 
+    @functools.cached_property
     def _cols(self) -> list[dict[int, tuple[int, int]]]:
-        """The differential by source: entry g maps the targets of g's
-        arrows to their entries."""
+        """The differential by source, built once, as ``diff`` never changes:
+        entry g maps the targets of g's arrows to their entries.  validate,
+        extract_gamma0 and Endomorphism.is_chain_map read it."""
         cols: list[dict[int, tuple[int, int]]] = [{} for _ in self.gr_u]
         for (tgt, src), mono in self.diff.items():
             cols[src][tgt] = mono
@@ -402,13 +399,13 @@ class Endomorphism:
         """Whether d f + f d = 0, one source s at a time: the monomials of
         (d f)(s) and (f d)(s) are gathered by target with odd counts, a skew
         f swaps U and V in the entries of d it reads, and over UV = 0 a mixed
-        monomial dies.  d is read through the complex's index by source."""
-        diff, mine = self.cx._by_source, self._by_source
+        monomial dies.  d is read through ChainComplex._cols."""
+        cols, mine = self.cx._cols, self._by_source
         quotient = self.cx.mode is Mode.UVZERO
-        for src in mine.keys() | diff.keys():
+        for src, col in enumerate(cols):
             # (inner monomial, outer column): d after f, then f after d
-            pairs = [(inner, diff.get(mid, ())) for mid, inner in mine.get(src, ())]
-            for mid, inner in diff.get(src, ()):
+            pairs = [(inner, cols[mid].items()) for mid, inner in mine.get(src, ())]
+            for mid, inner in col.items():
                 pairs.append((self.twist(inner), mine.get(mid, ())))
             odd: set[tuple[int, int, int]] = set()
             for (a1, b1), column in pairs:

@@ -233,11 +233,13 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
 
     Gaussian elimination restricted to unit pivots: enough to certify that
     the family extends to a free-module basis when it clears every column.
+    Each pivot is eliminated from the later columns only: an earlier column
+    is never read again, so the rank is the one full Gauss-Jordan gives.
     """
     cols = [dict(e) for e in elements]
     used_rows: set[int] = set()
     rank = 0
-    for col in cols:
+    for index, col in enumerate(cols):
         pivot = None
         for g in sorted(col):
             if g not in used_rows and col[g] == ONE:
@@ -247,8 +249,8 @@ def _unit_pivot_rank(elements: list[Combination]) -> int:
             continue
         used_rows.add(pivot)
         rank += 1
-        for other in cols:
-            if other is col or pivot not in other:
+        for other in cols[index + 1 :]:
+            if pivot not in other:
                 continue
             # col[pivot] is ONE, so the pivot entry of other cancels itself
             factor = other[pivot]

@@ -348,33 +348,36 @@ def _central_run(s: Seq) -> tuple[int, int, int]:
     return lo, m - lo, s[lo] if lo < m else 0
 
 
-def _in_t2_domain(s: Seq) -> bool:
-    """Whether a validated sequence lies in the host domain of sum_with_T2.
+def _t2_host(s: Seq) -> tuple[int, int] | None:
+    """The central run of a validated sequence in the host domain of
+    sum_with_T2 as (lo, L o), its prefix length and signed pair count (see
+    _central_run), or None outside the domain.
 
-    With lo, L, o = _central_run(s), let outer be s[:lo], the first half
-    without the run, and epsilon the sign of outer[0] (o when outer is
-    empty).  The host needs to be nonempty, every horizontal step of outer
-    equal to epsilon and every vertical step of outer of sign -epsilon; it
-    is refused when a central run of the other orientation (o != epsilon)
-    meets a unit vertical step at the end of outer.  A host of length 2 mod
-    4 with no run is refused too: its middle horizontal step, the last entry
-    of outer, is not a unit.  So every horizontal step of a host's first
-    half is a unit.  Every (2, q)-cable of a staircase, and every staircase
-    with unit horizontal steps, lies in it.
+    With outer = s[:lo], the first half without the run, and epsilon the
+    sign of outer[0] (o when outer is empty), the host needs to be
+    nonempty, every horizontal step of outer equal to epsilon and every
+    vertical step of outer of sign -epsilon; it is refused when a central
+    run of the other orientation (o != epsilon) meets a unit vertical step
+    at the end of outer.  A host of length 2 mod 4 with no run is refused
+    too: its middle horizontal step, the last entry of outer, is not a
+    unit.  So every horizontal step of a host's first half is a unit.
+    Every (2, q)-cable of a staircase, and every staircase with unit
+    horizontal steps, lies in it.
     """
     if not s:
-        return False
+        return None
     lo, pairs, orientation = _central_run(s)
     outer = s[:lo]
     eps = (1 if outer[0] > 0 else -1) if outer else orientation
-    if any(h != eps for h in outer[0::2]) or any(v * eps > 0 for v in outer[1::2]):
-        return False
-    return not (pairs and orientation != eps and abs(outer[-1]) == 1)
+    refused = pairs and orientation != eps and abs(outer[-1]) == 1
+    if refused or any(h != eps for h in outer[0::2]) or any(v * eps > 0 for v in outer[1::2]):
+        return None
+    return lo, pairs * orientation
 
 
 def sum_with_T2(seq: Seq, q: int) -> Seq:
-    """Sequence of K # T(2, q) for K in the host domain of _in_t2_domain and
-    an odd |q| > 2; q < 0 is the mirror, -T(2, |q|).
+    """Sequence of K # T(2, q) for K in the host domain of _t2_host and an
+    odd |q| > 2; q < 0 is the mirror, -T(2, |q|).
 
     The host's central unit run of L pairs of orientation o (see
     _central_run) and the (|q| - 1)/2 unit pairs of the summand, oriented
@@ -384,25 +387,24 @@ def sum_with_T2(seq: Seq, q: int) -> Seq:
     collapse.  Hosts of either length mod 4 are taken.  Outside the domain
     (unit horizontal steps alone are not enough: (1, 1, -1, -1) with
     -T(2, 3) gives a ten-entry sequence) it raises ShapeError; inside it the
-    closed form agrees with the sum pipeline on every host tested.
+    closed form agrees with the sum pipeline on every host tested.  One
+    read of the host's run, by _t2_host, places the fold (see _fold_t2).
     """
     s = validate_seq(seq)
     if q % 2 == 0 or abs(q) < 3:
         raise ShapeError(f"torus summand needs odd |q| > 2, got {q}")
-    if not _in_t2_domain(s):
+    host = _t2_host(s)
+    if host is None:
         raise ShapeError(f"{list(s)} is outside the host domain of the T(2,q) closed form")
-    return _fold_t2(s, q // 2 + (q < 0))  # (q - 1)/2 pairs, or -(|q| - 1)/2
+    lo, run = host
+    return _fold_t2(s, lo, run + q // 2 + (q < 0))  # (q - 1)/2 pairs, or -(|q| - 1)/2
 
 
-def _fold_t2(s: Seq, c: int) -> Seq:
-    """sum_with_T2 for a host ``s`` in the domain and the signed pair count
-    ``c`` of the summand, +-(1, -1)^|c|, neither checked again; the result
-    is validated.  With lo, L, o = _central_run(s), the run becomes the
-    |L o + c| unit pairs of the sign t of L o + c:
-    s[:lo] + (t, -t)^|L o + c| + s[len - lo:], of 2 lo + 2 |L o + c|
-    entries."""
-    lo, pairs, orientation = _central_run(s)
-    c += pairs * orientation
+def _fold_t2(s: Seq, lo: int, c: int) -> Seq:
+    """s[:lo] + (t, -t)^|c| + s[len - lo:], t the sign of c, validated: a
+    host's central run after its first lo entries replaced by the signed
+    pair count c, its run's L o plus the summand's (see _t2_host), and
+    _fold_t2((), 0, c) the pair count alone."""
     t = 1 if c > 0 else -1
     return _checked(s[:lo] + (t, -t) * abs(c) + s[len(s) - lo :])
 
@@ -452,20 +454,21 @@ def eval_expr(expr: KnotExpr) -> EvalResult:
     other summand cancels against a remaining copy of its negation (K # -K
     is locally trivial, and the pipeline sees only the standard complexes,
     so this is exact), and the rest are tensored in written order.  c joins
-    the running result by the closed form of sum_with_T2 (_fold_t2) as soon
-    as that result lies in its host domain; if it never does, c joins last
-    as (t, -t)^|c|, t the sign of c, by one product, or is the result when
-    nothing else is left.  Every sequence is checked once, by
-    standard._checked, where it is made: by torus_staircase, by the cable
-    and T(2, q) closed forms and by the sum pipeline's extraction; negation
-    keeps every check.  The loop count totals the closed components shed by
-    the products built, so it does not depend on the grouping.  A torus
-    knot, cable, fold or pair count of more than MAX_GENERATORS generators
-    raises EvalError before it is built, and so does a product that would
-    take the products of this call past MAX_GENERATORS generators in all;
-    a failed product, EvalError or SimplifyError, is final.  The budget is
-    the whole call's: the operands of its cables, at any depth, draw on it
-    too.
+    the running result by the closed form of sum_with_T2 as soon as that
+    result lies in its host domain: one read of its central run, by
+    _t2_host, both sizes the fold and places it.  If it never does, c joins
+    last as _fold_t2((), 0, c) = (t, -t)^|c|, t the sign of c, by one
+    product, or is the result when nothing else is left.  Every sequence is
+    checked once, by standard._checked, where it is made: by
+    torus_staircase, by the cable and T(2, q) closed forms and by the sum
+    pipeline's extraction; negation keeps every check.  The loop count
+    totals the closed components shed by the products built, so it does not
+    depend on the grouping.  A torus knot, cable, fold or pair count of more
+    than MAX_GENERATORS generators raises EvalError before it is built, and
+    so does a product that would take the products of this call past
+    MAX_GENERATORS generators in all; a failed product, EvalError or
+    SimplifyError, is final.  The budget is the whole call's: the operands
+    of its cables, at any depth, draw on it too.
     """
     return _evaluate(expr, [0])
 
@@ -493,14 +496,14 @@ def _evaluate(expr: KnotExpr, built: list[int]) -> EvalResult:
     for seq in kept:
         result, shed = _join(expr, result, seq, built)
         loops += shed
-        if pairs and _in_t2_domain(result):
-            lo, run, orientation = _central_run(result)  # the fold's length
-            _check_size(expr, 2 * lo + 2 * abs(run * orientation + pairs) + 1)
-            result, pairs = _fold_t2(result, pairs), 0
+        if pairs and (host := _t2_host(result)) is not None:
+            lo, run = host
+            pairs += run
+            _check_size(expr, 2 * lo + 2 * abs(pairs) + 1)
+            result, pairs = _fold_t2(result, lo, pairs), 0
     if pairs:
         _check_size(expr, 2 * abs(pairs) + 1)
-        t = 1 if pairs > 0 else -1
-        result, shed = _join(expr, result, (t, -t) * abs(pairs), built)
+        result, shed = _join(expr, result, _fold_t2((), 0, pairs), built)
         loops += shed
     return EvalResult(result, loops)
 

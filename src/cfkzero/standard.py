@@ -280,7 +280,6 @@ def _simplify(mat: _MonoMatrix, arrows: int) -> None:
 
 
 Move = tuple[int, int, int, bool]  # kept, absorbed, delta, horizontal
-_UNSCORED = (-1, 0)  # the stamp and pool entry count of a generator without entries
 
 
 def _search(work: _MonoMatrix, budget: int) -> None:
@@ -288,58 +287,52 @@ def _search(work: _MonoMatrix, budget: int) -> None:
     merges have been tried.
 
     `scored` maps every conflicted generator that is not queued to a stamp,
-    counting up as generators are scored, and a count n: its scored
-    candidate merges wait in the heap `pool` as n entries (score, -stamp,
-    index, generator, move).  So the fallback tries them fewest new entries
-    first, then the latest scored generator's first, then in list order;
-    the latest scored generators are the ones the last merges changed, so
-    the fallback stays where the search last merged (see _simplify).
-    A merge changes only the arrows at the two merged generators, at the
-    targets of the absorbed one and at the sources of the kept one, and a
-    candidate's score reads only the arrows at its own two generators, so
-    re-queueing those generators and their neighbours keeps every live
-    score exact.  Re-queueing drops the generator from `scored`, which makes
-    its entries stale.  A fallback step pops entries in order, drops the
-    stale ones, skips a move already tried in this step and afterwards
-    pushes back the live ones it popped; once stale entries outnumber live
-    ones, the heap is rebuilt from the live ones.  Every accepted state
-    joins `seen` by its hash, which is relative to the matrix as built (see
-    _MonoMatrix): all states of one search share that start, so `seen`
-    tells them apart as their full hashes would.  A merge reaching a new
-    lowest entry count is accepted without the lookup, since no earlier
-    state had so few entries.  `seen` stops neutral merges from undoing
-    each other, so it is cleared, not dropped, at a dead end.  A dead end
-    with an empty pool would go round again without a merge, never
-    spending the budget, so it raises SimplifyError.
+    counting up as generators are scored; its scored candidate merges wait
+    in the heap `pool` as entries (score, -stamp, index, generator, move).
+    So the fallback tries them fewest new entries first, then the latest
+    scored generator's first, then in list order; the latest scored
+    generators are the ones the last merges changed, so the fallback stays
+    where the search last merged (see _simplify).  A merge changes only the
+    arrows at the two merged generators, at the targets of the absorbed one
+    and at the sources of the kept one, and a candidate's score reads only
+    the arrows at its own two generators, so re-queueing those generators
+    and their neighbours keeps every live score exact.  Re-queueing drops
+    the generator from `scored`, which makes its entries stale: an entry is
+    live while its stamp is its generator's.  A fallback step pops entries
+    in order, drops the stale ones, skips a move already tried in this step
+    and afterwards pushes back the live ones it popped.  A merge is accepted
+    exactly when the state it reaches is not in `seen`, by its hash, which
+    is relative to the matrix as built (see _MonoMatrix): all states of one
+    search share that start, so `seen` tells them apart as their full
+    hashes would.  `seen` stops neutral merges from undoing each other, so
+    it is cleared, not dropped, at a dead end.  A dead end with an empty
+    pool would go round again without a merge, never spending the budget,
+    so it raises SimplifyError.
     """
     seen = {work.zhash}
-    low_water = work.count
-    scored: dict[int, tuple[int, int]] = {}  # generator -> (stamp, entries in the pool)
+    scored: dict[int, int] = {}  # generator -> the stamp of its pool entries
     pool: list[tuple[int, int, int, int, Move]] = []
-    live = 0  # pool entries that are not stale
     stamps = itertools.count()
     queue: list[int] = []
     queued: set[int] = set()
 
     def enqueue(gens: Iterable[int]) -> None:
-        nonlocal live
         for g in gens:
-            live -= scored.pop(g, _UNSCORED)[1]
+            scored.pop(g, None)
             if g in work.conflicted and g not in queued:
                 queued.add(g)
                 heapq.heappush(queue, g)
 
     def accepted(move: Move) -> bool:
-        nonlocal budget, low_water
+        nonlocal budget
         if budget <= 0:
             raise SimplifyError("no simplified basis within the merge cap")
         budget -= 1
         # a char-2 basis change is an involution, so applying it again
         # undoes a rejected candidate
         _basis_change(work, *move)
-        if work.count < low_water or work.zhash not in seen:
+        if work.zhash not in seen:
             seen.add(work.zhash)
-            low_water = min(low_water, work.count)
             enqueue(_affected(work, move[0], move[1]))
             return True
         _basis_change(work, *move)
@@ -353,26 +346,21 @@ def _search(work: _MonoMatrix, budget: int) -> None:
             if gen not in work.conflicted:
                 continue
             moves = _scored_moves(work, gen)
-            scored[gen] = _UNSCORED
+            scored[gen] = -1  # no stamp: an accepted merge that touches gen drops it
             for score, move in moves:
                 if score >= 0 or accepted(move):
                     break
             if gen in scored:  # no merge was accepted, or none touched gen
-                stamp = next(stamps)
-                scored[gen] = (stamp, len(moves))
-                live += len(moves)
+                stamp = scored[gen] = next(stamps)
                 for index, (score, move) in enumerate(moves):
                     heapq.heappush(pool, (score, -stamp, index, gen, move))
-                if len(pool) > 2 * live:  # stale entries outnumber live ones
-                    pool[:] = [e for e in pool if scored.get(e[3], _UNSCORED)[0] == -e[1]]
-                    heapq.heapify(pool)
             continue
         # no reducing merge is left: every conflicted generator is scored
         popped = []
         tried: set[Move] = set()
         while pool:
             entry = heapq.heappop(pool)
-            if scored.get(entry[3], _UNSCORED)[0] != -entry[1]:
+            if scored.get(entry[3]) != -entry[1]:
                 continue
             popped.append(entry)
             if entry[4] not in tried:
@@ -385,7 +373,7 @@ def _search(work: _MonoMatrix, budget: int) -> None:
             seen.clear()  # dead end: forget the visited states
             seen.add(work.zhash)
         for entry in popped:
-            if scored.get(entry[3], _UNSCORED)[0] == -entry[1]:
+            if scored.get(entry[3]) == -entry[1]:
                 heapq.heappush(pool, entry)
 
 
@@ -502,15 +490,14 @@ def _components(cols: Cols, gr_u: Sequence[int], gr_v: Sequence[int]) -> tuple[l
     generator each: its horizontal and its vertical partner, the other end
     of that arrow or -1, and the entry of the step along each, negative out
     of the generator and positive into it.  A generator meeting two arrows
-    of one type raises SimplifyError.  Each component is walked from its
-    first generator, horizontal first, a closed one counted once as a loop.
-    An open one is walked once: from its first generator to one end, then
-    from that generator the other way to the other end, and the two walks
-    are joined into one path from the end the first walk stopped at.
+    of one type raises SimplifyError.  Each component is walked once.  Open
+    paths are walked from an end: first the ends free of vertical arrows,
+    then the other ends, each list in id order.  The generators left lie on
+    closed loops, each walked from its first generator, horizontal first.
 
     The same read makes the check.  Each arrow's grading is checked as it
-    is read, and arrows graded right carry the parity of a component's
-    first generator, checked as the walk starts there, to all of it.
+    is read, and arrows graded right carry the parity of the generator a
+    component's walk starts at, checked there, to all of it.
     d^2 = 0 needs no pass of its own: a d^2 term runs through a middle
     generator along two arrows, which meets two arrows of one type if they
     are of one type, and otherwise their composite carries both U and V and
@@ -555,21 +542,18 @@ def _components(cols: Cols, gr_u: Sequence[int], gr_v: Sequence[int]) -> tuple[l
     seen = bytearray(size)
     paths: list[Path] = []
     loops = 0
-    for g in range(size):
+    # the ends free of vertical arrows, then the other ends, found in C
+    unmatched = map((0).__gt__, itertools.chain(v_other, h_other))
+    ends = itertools.compress(itertools.chain(range(size), range(size)), unmatched)
+    for g in itertools.chain(ends, range(size)):
         if seen[g]:
             continue
         if (gr_u[g] - gr_v[g]) % 2:
             _require_valid(cols, gr_u, gr_v)  # raises: g's component fails its parity
-        horizontal = h_other[g] >= 0
-        ids, entries, closed = _walk(g, horizontal, h_other, v_other, h_step, v_step)
+        ids, entries, closed = _walk(g, h_other[g] >= 0, h_other, v_other, h_step, v_step)
         if closed:
             loops += 1
         else:
-            # that walk ended at one end of the path; the rest lies the other way
-            rest, rest_entries, _ = _walk(g, not horizontal, h_other, v_other, h_step, v_step)
-            ids.reverse()
-            ids += rest[1:]
-            entries = [-e for e in reversed(entries)] + rest_entries
             paths.append((ids, entries))
         for i in ids:
             seen[i] = 1
@@ -610,17 +594,15 @@ def _walk(start: int, horizontal: bool, h_other: list[int], v_other: list[int],
 
 def _gamma0(cols: Cols, gr_u: Sequence[int], gr_v: Sequence[int]) -> tuple[Seq, int]:
     """The sequence read off the unique open path of a simplified complex
-    given by its columns and gradings, as _components reads and checks
-    them, and its number of closed loops; see extract_gamma0."""
+    given by its columns and gradings, as _components reads, checks and
+    walks them from its first end free of vertical arrows, and its number
+    of closed loops; see extract_gamma0."""
     vertical, paths, loops = _components(cols, gr_u, gr_v)
     if len(paths) != 1:
         raise KnotlikeError(f"expected one open path, found {len(paths)}")
     ids, entries = paths[0]
-    starts = [e for e in {ids[0], ids[-1]} if vertical[e] < 0]
-    if not starts:
+    if vertical[ids[0]] >= 0:  # a path with an end free of vertical arrows starts at one
         raise KnotlikeError("open path has no endpoint free of vertical arrows")
-    if min(starts) != ids[0]:
-        entries = [-e for e in reversed(entries)]  # the same path walked from its other end
     try:
         return _checked(tuple(entries)), loops
     except SequenceError as exc:
@@ -631,7 +613,7 @@ def extract_gamma0(cx: ChainComplex) -> Seq:
     """Read the parameter sequence off the unique open path of a simplified
     complex, starting from the endpoint with no vertical arrow; positive
     entries record steps against an arrow, negative ones steps with it.
-    The complex is read through its columns, built as ChainComplex.validate
-    builds them, and checked as it is read: InvalidComplexError reports
-    the first failure of that check."""
-    return _gamma0(cx._cols(), cx.gr_u, cx.gr_v)[0]
+    The complex is read through its cached columns, ChainComplex._cols,
+    which ChainComplex.validate reads too, and checked as it is read:
+    InvalidComplexError reports the first failure of that check."""
+    return _gamma0(cx._cols, cx.gr_u, cx.gr_v)[0]

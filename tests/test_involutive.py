@@ -1,11 +1,13 @@
 """The involutive layer: basic involution, derivative endomorphisms, the
 connected-sum involution, and the distinguished-basis verification."""
 
+import random
+
 import pytest
 
-from cfkzero.algebra import ONE, Mode
+from cfkzero.algebra import ONE, Mode, _times
 from cfkzero.cli import _criterion3_hosts
-from cfkzero.complexes import ChainComplex, Endomorphism
+from cfkzero.complexes import ChainComplex, Endomorphism, _add_mono
 from cfkzero.involutive import (
     _unit_pivot_rank,
     basic_involution,
@@ -191,6 +193,61 @@ def test_unit_pivot_rank_eliminates_through_each_pivot():
     assert _unit_pivot_rank([{0: ONE, 1: ONE}, {0: ONE, 1: ONE}]) == 1
     assert _unit_pivot_rank([{0: ONE, 1: (0, 1)}, {0: (1, 0), 1: (1, 1), 2: (1, 0)}]) == 1
     assert _unit_pivot_rank([{0: (1, 0)}]) == 0
+
+
+def gauss_jordan_unit_pivot_rank(elements):
+    """The reference: unit-pivot elimination of each pivot from every other
+    column, earlier ones included."""
+    cols = [dict(e) for e in elements]
+    used_rows = set()
+    rank = 0
+    for col in cols:
+        pivot = next((g for g in sorted(col) if g not in used_rows and col[g] == ONE), None)
+        if pivot is None:
+            continue
+        used_rows.add(pivot)
+        rank += 1
+        for other in cols:
+            if other is col or pivot not in other:
+                continue
+            factor = other[pivot]
+            for g, e in col.items():
+                _add_mono(other, g, _times(factor, e, Mode.FULL))
+    return rank
+
+
+def graded_family(rng):
+    """Elements over generators graded (2x, 2y), x, y in 0 ... 2, each of
+    one bidegree: generator g enters an element of degree (2p, 2r) with
+    U^(x - p) V^(y - r) when both powers are nonnegative, and some elements
+    are sums of two earlier ones of their degree."""
+    grades = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 8))]
+    family = []
+    for _ in range(rng.randint(1, 8)):
+        p, r = rng.choice(grades)
+        same = [e for e, degree in family if degree == (p, r)]
+        if len(same) >= 2 and rng.random() < 0.3:
+            element = dict(same[0])
+            for g, mono in rng.choice(same[1:]).items():
+                _add_mono(element, g, mono)
+        else:
+            element = {g: (x - p, y - r) for g, (x, y) in enumerate(grades)
+                       if x >= p and y >= r and rng.random() < 0.6}
+        family.append((element, (p, r)))
+    return [e for e, _ in family]
+
+
+def test_unit_pivot_rank_matches_gauss_jordan_on_graded_families():
+    # eliminating each pivot from the later columns only reads no earlier
+    # column again, so the rank is the one full elimination gives
+    rng = random.Random(3317)
+    short = 0
+    for _ in range(3000):
+        family = graded_family(rng)
+        rank = _unit_pivot_rank(family)
+        assert rank == gauss_jordan_unit_pivot_rank(family), family
+        short += rank < len(family)
+    assert short > 500
 
 
 def test_lemma_verification_passes():

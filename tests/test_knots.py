@@ -370,8 +370,8 @@ def test_a_t2_staircase_is_the_unit_pairs_the_semigroup_reads():
 
 def test_the_host_domain_implies_a_nonempty_host_with_unit_horizontal_steps():
     # what sum_with_T2 needs of a host beyond the domain: nothing
-    hosts = [s for s in small_symmetric_sequences(5) if knots._in_t2_domain(s)]
-    assert len(hosts) == 74 and not knots._in_t2_domain(())
+    hosts = [s for s in small_symmetric_sequences(5) if knots._t2_host(s) is not None]
+    assert len(hosts) == 74 and knots._t2_host(()) is None
     for s in hosts:
         assert all(abs(h) == 1 for h in s[: len(s) // 2 : 2]), s
 
@@ -656,7 +656,7 @@ def test_a_t2_pair_count_above_the_size_limit_is_refused_before_it_is_built(
 ):
     monkeypatch.setattr(knots, "MAX_GENERATORS", 100)
     folds = []
-    monkeypatch.setattr(knots, "_fold_t2", lambda s, c: folds.append(c))
+    monkeypatch.setattr(knots, "_fold_t2", lambda s, lo, c: folds.append(c))
     code, out, err = main(["gamma0", text]), *capsys.readouterr()
     assert (code, out, folds) == (2, "", [])
     assert err == f"error: {text} needs a complex of {generators} generators, more than the limit of 100\n"

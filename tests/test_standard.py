@@ -408,6 +408,42 @@ def test_the_merge_cap_holds_inside_a_fallback_step(monkeypatch):
     assert sum_gamma0(s1, s2) == ((1, -1), 8)
 
 
+def merges_tried_and_accepted(monkeypatch, left, right):
+    """The basis changes the search of one product tries and accepts: each
+    accepted merge re-queues its neighbours once, through _affected, and a
+    rejected try makes two basis changes, the second undoing it."""
+    s1, s2 = eval_expr(parse_expr(left)).sequence, eval_expr(parse_expr(right)).sequence
+    changes, accepted = [0], [0]
+    change, affected = standard._basis_change, standard._affected
+
+    def counted_change(mat, *move):
+        changes[0] += 1
+        change(mat, *move)
+
+    def counted_affected(mat, kept, absorbed):
+        accepted[0] += 1
+        return affected(mat, kept, absorbed)
+
+    monkeypatch.setattr(standard, "_basis_change", counted_change)
+    monkeypatch.setattr(standard, "_affected", counted_affected)
+    sum_gamma0(s1, s2)
+    rejected = changes[0] - accepted[0]
+    assert rejected % 2 == 0
+    return accepted[0] + rejected // 2, accepted[0]
+
+
+@pytest.mark.parametrize("left,right,tried,accepted", [
+    ("C2(33;T(4,5))", "-C2(31;T(4,5))", 578, 555),
+    ("T(7,22)", "-T(6,25)", 152, 152),
+    ("C2(61;T(5,6))", "-C2(59;T(5,6))", 2123, 2078),
+    ("T(3,4)", "-T(5,48)", 231, 221),
+])
+def test_the_merge_record_of_four_products_is_pinned(monkeypatch, left, right, tried, accepted):
+    # pinned, fallback steps included: a change to the search's bookkeeping
+    # alone must leave every merge it tries and accepts as it is
+    assert merges_tried_and_accepted(monkeypatch, left, right) == (tried, accepted)
+
+
 def test_a_dead_end_with_nothing_to_try_raises():
     # bookkeeping that marks a generator conflicted without giving it a
     # candidate merge leaves the queue and the pool empty: the search must

@@ -17,6 +17,7 @@ import random
 import pytest
 
 import cfkzero.knots as knots
+import cfkzero.standard as standard
 from cfkzero.algebra import Mode
 from cfkzero.cli import _criterion3_hosts, _random_symmetric_seq
 from cfkzero.complexes import (
@@ -311,24 +312,35 @@ def add_a_cancelling_diamond(cols, gr_u, gr_v, rng):
 DAMAGES = [bump_a_power, add_a_square, add_a_unit_arrow, add_a_cancelling_diamond]
 
 
-def test_the_one_pass_check_reports_what_the_check_and_extraction_reported():
-    # 220 simplified products, as they are and after each damage: the same
-    # sequence and loop count, or the same error class and message
+def seeded_products():
+    """220 simplified products of seeded random pairs, each with its
+    columns and gradings copied as they are and after each damage, keyed by
+    the damage (None for the undamaged copy), where the damage applies."""
     rng = random.Random(3232)
-    seen = {}
     for _ in range(220):
         s1, s2 = _random_symmetric_seq(rng, 4, 3), _random_symmetric_seq(rng, 4, 3)
         mat, gr_u, gr_v, plain = _product(s1, s2)
         _simplify(mat, plain)
-        got = outcome(_gamma0, mat.cols, gr_u, gr_v)
-        assert got == outcome(two_pass_gamma0, mat.cols, gr_u, gr_v), (s1, s2)
-        assert got == sum_gamma0(s1, s2)
+        copies = {}
         for damage in (None, *DAMAGES):
             damaged = [dict(col) for col in mat.cols], list(gr_u), list(gr_v)
             if damage is not None:
                 damaged = damage(*damaged, rng)
                 if damaged is None:
                     continue
+            copies[damage] = damaged
+        yield s1, s2, mat, gr_u, gr_v, copies
+
+
+def test_the_one_pass_check_reports_what_the_check_and_extraction_reported():
+    # 220 simplified products, as they are and after each damage: the same
+    # sequence and loop count, or the same error class and message
+    seen = {}
+    for s1, s2, mat, gr_u, gr_v, copies in seeded_products():
+        got = outcome(_gamma0, mat.cols, gr_u, gr_v)
+        assert got == outcome(two_pass_gamma0, mat.cols, gr_u, gr_v), (s1, s2)
+        assert got == sum_gamma0(s1, s2)
+        for damage, damaged in copies.items():
             got = outcome(_gamma0, *damaged)
             assert got == outcome(two_pass_gamma0, *damaged), (s1, s2, damage)
             kind = got[0].__name__ if isinstance(got[0], type) else "sequence"
@@ -341,3 +353,19 @@ def test_the_one_pass_check_reports_what_the_check_and_extraction_reported():
     # a unit arrow fails d^2 = 0, overloads a generator or lands on the path
     for kind in ("InvalidComplexError", "SimplifyError", "KnotlikeError"):
         assert seen["add_a_unit_arrow", kind] > 10, kind
+
+
+def test_the_extraction_walks_each_component_once(monkeypatch):
+    # one open path and the loops: a walk each, the path's from its end
+    walks = []
+    walk = standard._walk
+
+    def counted(start, *rest):
+        walks.append(start)
+        return walk(start, *rest)
+
+    monkeypatch.setattr(standard, "_walk", counted)
+    for s1, s2, mat, gr_u, gr_v, _ in seeded_products():
+        walks.clear()
+        _, loops = _gamma0(mat.cols, gr_u, gr_v)
+        assert len(walks) == len(set(walks)) == loops + 1, (s1, s2)
